@@ -24,7 +24,8 @@ from .basefield import PadicValuation, Poly
 from .chains import (
     InductiveValuation,
     Step,
-    _parse_gamma,
+    _parse_base,
+    _parse_steps,
     expansion_report,
     is_equivalent,
     phi_expansion,
@@ -147,17 +148,12 @@ def continuous_chain_from_json(obj: Union[str, dict]) -> ContinuousChain:
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        p = int(obj["prime"])
-        family = [
-            (Poly.parse(st["phi"]), _parse_gamma(st["gamma"])) for st in obj["family"]
-        ]
-        base_steps = [
-            (Poly.parse(st["phi"]), _parse_gamma(st["gamma"]))
-            for st in obj.get("base_steps", [])
-        ]
+        base = _parse_base(obj["prime"])
+        family = _parse_steps(obj["family"])
+        base_steps = _parse_steps(obj.get("base_steps", []))
     except (KeyError, TypeError) as exc:
         raise ChainError(f"malformed continuous chain description: {exc}") from None
-    return validate_continuous_chain(family, PadicValuation(p), base_steps)
+    return validate_continuous_chain(family, base, base_steps)
 
 
 def validate_continuous_chain(

@@ -1,31 +1,57 @@
 """The base field Q with a p-adic valuation, and univariate polynomials over Q.
 
-Everything is exact: rationals are `fractions.Fraction`, polynomials are dense
-coefficient tuples in canonical form (no trailing zero at the top).
+Everything is exact.  Rationals are `fractions.Fraction`.  A polynomial is
+kept in integer-content form: integer numerators, constant term first and no
+trailing zero, over one positive common denominator that shares no factor
+with all of them.  Its arithmetic runs on Python integers; Fractions appear
+only where a coefficient leaves the class (``coeffs``, ``coeff``,
+``leading``, printing).
+
+Primality of the base prime is decided by deterministic Miller-Rabin on the
+prime bases up to 41, which is exact below 3.3 * 10^24 (Sorenson-Webster,
+Math. Comp. 86, 2017); larger moduli raise ResourceError.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceError
 from .values import INFINITY, Value
 
 Rational = Union[int, Fraction]
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# least strong pseudoprime to every base in _MR_BASES (Sorenson-Webster 2017)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise ResourceError(f"primality of {n} is only decided below {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -58,6 +84,8 @@ class PadicValuation:
     def int_order(self, n: int) -> int:
         if n == 0:
             raise DomainError("order of 0 is infinite")
+        if self.p == 2:
+            return (n & -n).bit_length() - 1
         k = 0
         n = abs(n)
         while n % self.p == 0:
@@ -67,7 +95,8 @@ class PadicValuation:
 
     def value(self, a: Rational) -> Value:
         """Exact p-adic order of a rational; value(0) is Infinity."""
-        a = Fraction(a)
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
         if a == 0:
             return INFINITY
         return Value.of(self.int_order(a.numerator) - self.int_order(a.denominator))
@@ -98,25 +127,65 @@ _TERM_RE = re.compile(
 )
 
 
+def _pack(num: List[int]) -> Sequence[int]:
+    """Numerators as an array of 64-bit ints when they all fit, else a tuple.
+
+    The array keeps a coefficient in 8 bytes, against about 40 for an int
+    object in a tuple, which matters for polynomials held for a long time
+    (keys, results).  The choice depends on the values alone, so equal
+    polynomials still have equal ``num``.
+    """
+    try:
+        return array("q", num)
+    except OverflowError:
+        return tuple(num)
+
+
 class Poly:
     """A univariate polynomial over Q in the indeterminate x.
 
-    ``coeffs`` is a tuple of Fractions, constant term first, with no trailing
-    zero; the zero polynomial has an empty tuple and degree ``None``.
+    Stored as ``num``, a sequence of ints (constant term first, no trailing
+    zero; an ``array('q')`` when every numerator fits in 64 bits, else a
+    tuple), over ``den``, a positive int, reduced so that
+    gcd(den, *num) = 1: equal polynomials have equal ``(num, den)``.  The
+    zero polynomial has an empty ``num``, ``den`` 1 and degree ``None``.
+    ``coeffs`` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Rational]):
-        tup = tuple(Fraction(c) for c in coeffs)
-        while tup and tup[-1] == 0:
-            tup = tup[:-1]
-        object.__setattr__(self, "coeffs", tup)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: List[int], den: int) -> None:
+        """Store num[k] / den (den != 0) in reduced form."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [n // g for n in num]
+                den //= g
+        object.__setattr__(self, "num", _pack(num))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_ints(cls, num: Sequence[int], den: int = 1) -> "Poly":
+        """The polynomial with coefficients num[k] / den (den != 0)."""
+        out = object.__new__(cls)
+        out._set(list(num), den)
+        return out
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -136,7 +205,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, c: Rational, k: int) -> "Poly":
-        return cls((0,) * k + (Fraction(c),))
+        return cls((0,) * k + (c,))
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
@@ -174,69 +243,92 @@ class Poly:
     # -- queries -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> Optional[int]:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     def constant_value(self) -> Fraction:
         """The rational represented by a constant polynomial."""
-        if len(self.coeffs) > 1:
+        if len(self.num) > 1:
             raise DomainError("polynomial is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def evaluate(self, a: Rational) -> Fraction:
+        a = Fraction(a)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(a) + c
-        return acc
+        for n in reversed(self.num):
+            acc = acc * a + n
+        return acc / self.den
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, for sign = 1 or -1."""
+        a, b = tuple(self.num), tuple(other.num)
+        da, db = self.den, other.den
+        if da == db:
+            ma = mb = 1
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+        mb *= sign
+        out = [x * ma for x in a] if ma != 1 else list(a)
+        if len(b) > len(out):
+            out.extend([0] * (len(b) - len(out)))
+        for k, y in enumerate(b):
+            out[k] += y * mb
+        return Poly.from_ints(out, da * ma)
+
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly.from_ints([-n for n in self.num], self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
+        a, b = tuple(self.num), tuple(other.num)
+        if not a or not b:
             return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly.from_ints(out, self.den * other.den)
 
     def scale(self, c: Rational) -> "Poly":
-        return Poly(tuple(Fraction(c) * a for a in self.coeffs))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return Poly.from_ints([n * c.numerator for n in self.num], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -254,25 +346,40 @@ class Poly:
         """Multiply by x^k."""
         if self.is_zero:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly.from_ints([0] * k + list(self.num), self.den)
 
     def _divmod_any(self, g: "Poly") -> Tuple["Poly", "Poly"]:
-        if g.is_zero:
+        """f = q*g + r with deg r < deg g, for any non-zero g.
+
+        Integer pseudo-division of the numerators: with L the leading
+        numerator of g and k the number of elimination steps,
+        L^k * F = Q*G + R, so q = Q*den(g) / (L^k*den(f)) and
+        r = R / (L^k*den(f)).  For a monic integral g (L = 1) this is plain
+        long division over Z.
+        """
+        G = tuple(g.num)
+        if not G:
             raise DomainError("division by zero polynomial")
-        r = list(self.coeffs)
-        dg = len(g.coeffs) - 1
-        lead = g.coeffs[-1]
-        if dg == 0:
-            return self.scale(1 / lead), Poly(())
-        q = [Fraction(0)] * max(len(r) - dg, 0)
-        for i in range(len(r) - dg - 1, -1, -1):
-            c = r[i + dg] / lead
-            if c == 0:
+        n = len(G) - 1
+        if len(self.num) <= n:
+            return Poly(()), self
+        lead = G[-1]
+        r = list(self.num)
+        q = [0] * (len(r) - n)
+        k = 0
+        for i in range(len(r) - n - 1, -1, -1):
+            c = r[i + n]
+            if not c:
                 continue
+            if lead != 1:
+                r = [lead * x for x in r]
+                q = [lead * x for x in q]
+                k += 1
             q[i] = c
-            for j, b in enumerate(g.coeffs):
-                r[i + j] -= c * b
-        return Poly(q), Poly(r[:dg])
+            for j in range(n):
+                r[i + j] -= c * G[j]
+        den = lead**k * self.den
+        return Poly.from_ints([x * g.den for x in q], den), Poly.from_ints(r[:n], den)
 
     def divmod_monic(self, g: "Poly") -> Tuple["Poly", "Poly"]:
         """Exact division f = q*g + r with deg r < deg g, for monic g."""
@@ -288,19 +395,19 @@ class Poly:
     # -- equality / rendering -------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((tuple(self.num), self.den))
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+        for k in range(len(self.num) - 1, -1, -1):
+            if not self.num[k]:
                 continue
+            c = Fraction(self.num[k], self.den)
             if k == 0:
                 body = str(abs(c))
             else:

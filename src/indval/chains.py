@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .basefield import PadicValuation, Poly
@@ -65,7 +66,9 @@ def phi_expansion(f: Poly, phi: Poly) -> List[Poly]:
     if f.is_zero:
         return [Poly.zero()]
     if phi.degree == 1:
-        return [Poly.constant(c) for c in _linear_digits(f.coeffs, -phi.coeffs[0])]
+        if phi.den == 1:  # integral root: integer Taylor shift of the numerators
+            return [Poly.from_ints((d,), f.den) for d in _linear_digits(f.num, -phi.num[0])]
+        return [Poly.constant(c) for c in _linear_digits(f.coeffs, -phi.coeff(0))]
     out: List[Poly] = []
     cur = f
     while not cur.is_zero:
@@ -88,6 +91,7 @@ class InductiveValuation:
         self.degrees = tuple(s.phi.degree for s in self.steps)
         self._levels = None  # residual level data, attached by validation
         self._e_cache: dict = {}
+        self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -187,10 +191,12 @@ class InductiveValuation:
         phi, gamma = self.steps[i - 1].phi, self.steps[i - 1].gamma
         if f.degree < phi.degree:
             return self._val(f, i - 1)
+        if i == 1 and phi.den == 1:
+            return self._val_linear(f, -phi.num[0], gamma)
         if i == 1:
             # digits are constants; take the minimum without Poly churn
             best = None
-            for s, c in enumerate(_linear_digits(f.coeffs, -phi.coeffs[0])):
+            for s, c in enumerate(_linear_digits(f.coeffs, -phi.coeff(0))):
                 if c == 0:
                     continue
                 w = self.base_value(c) + gamma.scaled(s)
@@ -205,6 +211,26 @@ class InductiveValuation:
             if best is None or w < best:
                 best = w
         return best
+
+    def _val_linear(self, f: Poly, a: int, gamma: Value) -> Value:
+        """Level-1 value of f for the key x - a with a an integer.
+
+        The digits of f's numerators at x - a are integers (Taylor shift), so
+        each monomial value is compared as an integer vector: the base order
+        in the major coordinate and s*gamma, both in units of 1/B with B the
+        common denominator of gamma's coordinates.
+        """
+        order = self.base.int_order
+        B = lcm(*(c.denominator for c in gamma.coords))
+        G = [c.numerator * (B // c.denominator) for c in gamma.coords]
+        best = None
+        for s, d in enumerate(_linear_digits(f.num, a)):
+            if d:
+                key = [order(d) * B + s * G[0]] + [s * g for g in G[1:]]
+                if best is None or key < best:
+                    best = key
+        best[0] -= order(f.den) * B
+        return Value(tuple(Fraction(k, B) for k in best))
 
     def valuation(self, f: Poly) -> Value:
         """The chain's value of f; Infinity exactly for f = 0."""
@@ -223,36 +249,53 @@ class InductiveValuation:
 
     # -- canonical monomials -------------------------------------------------------
 
+    def _digit_table(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Rows (e_j, D_{j+1}, g_j, g_j^-1 mod e_j) for the rank-1 steps j.
+
+        The group below level j+1 is (1/D_{j+1})Z with D_1 = 1 and
+        D_{j+1} = D_j * e_j, and g_j = gamma_j * D_{j+1} is an integer prime
+        to e_j.  Built once per chain.
+        """
+        if self._digit_rows is None:
+            rows = []
+            D = 1
+            for j, st in enumerate(self.steps, 1):
+                gamma = st.gamma.demote()
+                if gamma.rank != 1:
+                    break
+                e = self.ram_index(j)
+                D *= e
+                g = int(gamma.coords[0] * D)
+                rows.append((e, D, g, pow(g, -1, e)))
+            self._digit_rows = tuple(rows)
+        return self._digit_rows
+
     def digit_vector(self, beta: Value, level: Optional[int] = None) -> Tuple[int, ...]:
         """Exponents (c, m_1, ..., m_{i-1}) with beta = c*1 + sum m_j gamma_j.
 
-        The digits satisfy 0 <= m_j < e_j and are found by greedy descent from
-        the top generator; c is the free integer digit of v(p).  Raises
-        DomainError when beta is not in the group.
+        The digits satisfy 0 <= m_j < e_j; c is the free integer digit of
+        v(p).  Every step below the top is rank 1, so the group below level i
+        is (1/D_i)Z and each digit follows by modular arithmetic from the
+        chain's digit table: with B = beta' * D_{j+1}, m_j = B * g_j^-1 mod e_j,
+        and beta' - m_j*gamma_j lies in (1/D_j)Z.  Raises DomainError when
+        beta is not in the group.
         """
         i = self.length if level is None else level
-        exps = [0] * i
-        rem = beta
-        for j in range(i - 1, 0, -1):
-            gens_j = self.group_gens(j)
-            e_j = self.ram_index(j)
-            gamma_j = self.steps[j - 1].gamma
-            for m in range(e_j):
-                cand = rem - gamma_j.scaled(m)
-                if in_subgroup(cand, gens_j):
-                    exps[j] = m
-                    rem = cand
-                    break
-            else:
-                raise DomainError(
-                    f"{beta} is not in the value group of degree<{self.degrees[i-1]} polynomials"
-                )
-        rem = rem.demote()
-        if rem.rank != 1 or rem.coords[0].denominator != 1:
+        rows = self._digit_table()[: i - 1]
+        b = Value.of(beta).demote()
+        D = rows[-1][1] if rows else 1
+        if b.coords is None or len(b.coords) != 1 or D % b.coords[0].denominator:
             raise DomainError(
                 f"{beta} is not in the value group of degree<{self.degrees[i-1]} polynomials"
             )
-        exps[0] = int(rem.coords[0])
+        B = b.coords[0].numerator * (D // b.coords[0].denominator)
+        exps = [0] * i
+        for j in range(i - 1, 0, -1):
+            e, _, g, inv = rows[j - 1]
+            m = B * inv % e
+            exps[j] = m
+            B = (B - m * g) // e
+        exps[0] = B
         return tuple(exps)
 
     def monomial_from_exps(self, exps: Sequence[int]) -> Poly:
@@ -302,22 +345,53 @@ class InductiveValuation:
 
 def _parse_gamma(obj) -> Value:
     if isinstance(obj, list):
-        return Value([Fraction(x) for x in obj])
+        try:
+            return Value([Fraction(x) for x in obj])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ChainError(f"cannot read value {obj!r}: {exc}") from None
     return Value.parse(str(obj))
 
 
+def _parse_base(prime) -> PadicValuation:
+    """The base named by a chain file's "prime": an int or a decimal string."""
+    if isinstance(prime, str):
+        try:
+            prime = int(prime)
+        except ValueError:
+            pass
+    if isinstance(prime, bool) or not isinstance(prime, int):
+        raise ChainError(f"prime must be an integer, got {prime!r}")
+    try:
+        return PadicValuation(prime)
+    except DomainError as exc:
+        raise ChainError(str(exc)) from None
+
+
+def _parse_steps(items) -> List[Tuple[Poly, Value]]:
+    """The (phi, gamma) pairs of a chain file's list of step objects."""
+    out = []
+    for st in items:
+        phi = st["phi"]
+        if not isinstance(phi, str):
+            raise ChainError(f"key polynomial must be a string, got {phi!r}")
+        out.append((Poly.parse(phi), _parse_gamma(st["gamma"])))
+    return out
+
+
 def chain_from_json(obj: Union[str, dict]) -> InductiveValuation:
-    """Build and validate a chain from {"prime": p, "steps": [{phi, gamma}...]}."""
+    """Build and validate a chain from {"prime": p, "steps": [{phi, gamma}...]}.
+
+    Every malformed entry raises ChainError, except a key or value string
+    that does not parse (ParseError).
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        p = int(obj["prime"])
-        raw = [
-            (Poly.parse(st["phi"]), _parse_gamma(st["gamma"])) for st in obj["steps"]
-        ]
+        base = _parse_base(obj["prime"])
+        raw = _parse_steps(obj["steps"])
     except (KeyError, TypeError) as exc:
         raise ChainError(f"malformed chain description: {exc}") from None
-    return validate_chain(raw, PadicValuation(p))
+    return validate_chain(raw, base)
 
 
 def validate_chain(

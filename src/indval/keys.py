@@ -26,7 +26,7 @@ from .residual import (
 from .towers import TowerPoly, ff_factor, ff_is_irreducible, monic_irreducibles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyCheck:
     """Outcome of a key test: verdict, branch taken, failure reason, and the
     residual data computed along the way (commensurable branch only)."""
@@ -159,7 +159,7 @@ def enumerate_keys(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedFactorization:
     """Factorization of an initial term into key classes with a closing unit:
     H(f) = unit * prod H(chi)^a."""

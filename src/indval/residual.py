@@ -20,16 +20,24 @@ monomials*: the unit with value beta and residue zeta stands for
 zeta~ * H(M(beta)), M(beta) the canonical monomial.  Arbitrary monomials in p
 and the lower keys reduce to this form by replacing every bundle phi_j^{e_j}
 with xi_j * u_j^{-1}; the xi_j images are tower elements fixed at validation,
-so the reduction is pure exponent bookkeeping.  The residue of a general unit
+so the reduction is pure exponent bookkeeping.  Canonical digits come from
+the chain's digit table (every level below the top is rank 1, so each digit
+is a residue modulo e_j), not from a search.  The residue of a general unit
 follows the recursion: a unit is equivalent to its 0-th expansion
 coefficient, whose full decomposition one level down maps into the tower
-through the stored images.
+through the stored images.  At level 1 the residue is read off the integer
+numerator and denominator of the constant.
+
+The recursion has linear depth: the decomposition at level i takes one
+residue per argmin coefficient of the phi_i-expansion (the top coefficient's
+residue also normalizes the others), and each of those decomposes once at
+level i-1.  When every argmin set met on the way down is a singleton, a
+top-level decomposition makes exactly one call per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .basefield import Poly
@@ -44,7 +52,7 @@ from .towers import (
 from .values import INFINITY, Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomogeneousUnit:
     """A unit of the graded algebra: a value and a residue relative to the
     canonical monomial of that value."""
@@ -60,7 +68,7 @@ class HomogeneousUnit:
         return f"({self.value}; {self.residue})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualIdeal:
     """The ideal cut out by an initial term in the degree-zero part: a power
     of xi times the residual polynomial evaluated at xi."""
@@ -72,7 +80,7 @@ class ResidualIdeal:
         return f"xi^{self.xi_power} * ({self.psi_part})(xi)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedDecomposition:
     """The triple (s, unit, residual polynomial) of an initial term."""
 
@@ -84,7 +92,7 @@ class GradedDecomposition:
         return f"(s={self.s}, unit={self.unit}, R={self.respoly})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualData:
     """Top-level residual context of a chain: ramification index e, canonical
     normalizer u (value(u * phi^e) = 0), and the residue tower."""
@@ -318,11 +326,14 @@ def _residue_small(levels: Sequence[_Level], i: int, a: Poly) -> HomogeneousUnit
     """Residue of a non-zero polynomial of degree < deg(phi_i) at level i."""
     top = levels[i - 1]
     if i == 1:
-        c = a.constant_value()
+        # a = n/d: the order and the residue of the unit part come from the
+        # integers n and d directly
+        (n,), d = a.num, a.den
         base = top.nu.base
-        v = base.value(c)
-        unit_part = Fraction(c) / Fraction(base.p) ** int(v.coords[0])
-        return HomogeneousUnit(v, top.field.from_int(base.residue(unit_part)))
+        p, order = base.p, base.int_order
+        kn, kd = order(n), order(d)
+        res = n // p**kn * pow(d // p**kd, -1, p) % p
+        return HomogeneousUnit(Value.of(kn - kd), top.field.from_int(res))
     dec = _decompose(levels, i - 1, a)
     F, h = top.field, top.field.height
     prev_field = levels[i - 2].field
@@ -374,10 +385,12 @@ def _decompose(
     for j in range(d + 1):
         sj = s0 + j * e
         if sj in idxset:
+            # the top coefficient reuses top_res: one residue per argmin index
+            res = top_res if sj == sp else _residue_small(levels, i, coeffs[sj])
             hu = _hu_mul(
                 levels,
                 i,
-                _hu_mul(levels, i, _residue_small(levels, i, coeffs[sj]), _hu_pow(levels, i, hu_u, d - j)),
+                _hu_mul(levels, i, res, _hu_pow(levels, i, hu_u, d - j)),
                 _hu_inv(levels, i, top_res),
             )
             assert hu.value == zero_val

@@ -38,7 +38,7 @@ class Value:
         if coords is None:
             object.__setattr__(self, "coords", None)
             return
-        tup = tuple(Fraction(c) for c in coords)
+        tup = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(tup) not in (1, 2):
             raise DomainError(f"rank must be 1 or 2, got {len(tup)}")
         object.__setattr__(self, "coords", tup)

@@ -8,10 +8,12 @@ from indval import (
     PadicValuation,
     ParseError,
     Poly,
+    ResourceError,
     Value,
     poly_divmod,
     poly_ext_gcd,
 )
+from indval.basefield import _is_prime
 
 
 class TestPadic:
@@ -59,6 +61,31 @@ class TestPadic:
         with pytest.raises(DomainError):
             PadicValuation(1)
         PadicValuation(101)
+
+    def test_miller_rabin_large_prime_and_pseudoprimes(self):
+        assert _is_prime(2**61 - 1) and _is_prime(10**24 + 7)
+        PadicValuation(2**61 - 1)
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+        # strong pseudoprimes to every prime base up to 7, up to 23 and up to 37
+        strong = [3215031751, 3825123056546413051, 318665857834031151167461]
+        for n in carmichael + strong + [2**61 + 1, (2**31 - 1) * (2**43 - 1)]:
+            assert not _is_prime(n), n
+
+    def test_miller_rabin_agrees_with_sympy(self):
+        from sympy import isprime
+
+        assert [n for n in range(-3, 5000) if _is_prime(n)] == [n for n in range(-3, 5000) if isprime(n)]
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randrange(2, 10**24) | 1
+            assert _is_prime(n) == isprime(n), n
+
+    def test_miller_rabin_refuses_past_its_bound(self):
+        with pytest.raises(ResourceError):
+            _is_prime(10**25 + 9)  # composite, but its least factor is 173
+        with pytest.raises(ResourceError):
+            PadicValuation(2**127 - 1)
+        assert not _is_prime(10**30)  # a small factor still decides
 
 
 class TestPolyDivmod:

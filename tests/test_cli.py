@@ -153,6 +153,43 @@ class TestExitCodes:
         assert code == 3 and "must exceed" in err
 
 
+class TestMalformedChainFiles:
+    """Malformed entries are invalid chains: exit 2 with an error envelope."""
+
+    STEPS = {
+        "phi_not_string": {"prime": 2, "steps": [{"phi": 5, "gamma": "1/2"}]},
+        "prime_not_integer": {"prime": "two", "steps": [{"phi": "x", "gamma": "1/2"}]},
+        "prime_not_prime": {"prime": 4, "steps": [{"phi": "x", "gamma": "1/2"}]},
+        "gamma_list_junk": {"prime": 2, "steps": [{"phi": "x", "gamma": ["a", "1"]}]},
+    }
+    FAMILIES = {
+        "phi_not_string": {"prime": 2, "family": [{"phi": 5, "gamma": "1"}]},
+        "prime_not_integer": {"prime": "two", "family": [{"phi": "x", "gamma": "1"}]},
+        "prime_not_prime": {"prime": 4, "family": [{"phi": "x", "gamma": "1"}]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_chain_file(self, capsys, tmp_path, name):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.STEPS[name]))
+        code, out, _ = run(capsys, "eval", "--chain", str(path), "--poly", "x", "--json")
+        obj = json.loads(out)
+        assert code == 2 and obj["result"] is None and obj["diagnostics"]
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_file(self, capsys, tmp_path, name):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(self.FAMILIES[name]))
+        code, out, _ = run(capsys, "stability", "--chain", str(path), "--poly", "x", "--json")
+        obj = json.loads(out)
+        assert code == 2 and obj["result"] is None and obj["diagnostics"]
+
+    def test_prime_as_decimal_string_still_reads(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"prime": "2", "steps": [{"phi": "x", "gamma": "1/2"}]}))
+        assert run(capsys, "eval", "--chain", str(path), "--poly", "x")[:2] == (0, "1/2\n")
+
+
 class TestJsonOutput:
     def test_schema(self, capsys, chains):
         code, out, _ = run(

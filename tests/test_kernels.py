@@ -1,0 +1,291 @@
+"""The integer kernels pinned against the reference algorithms they replace.
+
+* digit tables against the greedy subgroup search of ``digit_vector``;
+* integer-content ``Poly`` arithmetic, expansion and level-1 evaluation
+  against Fraction-per-coefficient references;
+* the residual recursion: one ``_decompose`` per level on the ``y+1`` ladder.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import indval as iv
+import indval.residual as residual
+from indval import DomainError, Poly, Value, in_subgroup, phi_expansion
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """The MacLane-optimal y+1 ladder over p = 2: degrees 1, 2, 4, 8, 16, e = 2."""
+    nu = iv.validate_chain([("x", Fraction(1, 2))], iv.PadicValuation(2))
+    chains = [nu]
+    big_e = 2
+    while len(chains) < 5:
+        chi = iv.lift_key(nu, "y+1")
+        nu = iv.augment(nu, chi, nu(chi) + Value.of(Fraction(1, 2 * big_e)))
+        big_e *= 2
+        chains.append(nu)
+    assert tuple(s.phi.degree for s in nu.steps) == (1, 2, 4, 8, 16)
+    return chains
+
+
+@pytest.fixture(scope="module")
+def nu8(nu4):
+    """nu4 + (third key of degree 8, 29/6): e = 2, 2, 3."""
+    return iv.augment(nu4, iv.enumerate_keys(nu4, 1)[2], Fraction(29, 6))
+
+
+@pytest.fixture(scope="module")
+def nu2_inf(v2):
+    """[(x, 1/2), (x^2+2, (3/2, 1))]: rank 2 above a commensurable level."""
+    return iv.validate_chain([("x", Fraction(1, 2)), ("x^2+2", Value.of((Fraction(3, 2), 1)))], v2)
+
+
+# ---------------------------------------------------------------------------
+# Digit tables
+# ---------------------------------------------------------------------------
+
+
+def greedy_digits(nu, beta, i):
+    """The former digit_vector: greedy descent with the lattice search."""
+    exps = [0] * i
+    rem = beta
+    for j in range(i - 1, 0, -1):
+        gens_j = nu.group_gens(j)
+        gamma_j = nu.steps[j - 1].gamma
+        for m in range(nu.ram_index(j)):
+            cand = rem - gamma_j.scaled(m)
+            if in_subgroup(cand, gens_j):
+                exps[j] = m
+                rem = cand
+                break
+        else:
+            raise DomainError("not in the group")
+    rem = rem.demote()
+    if rem.rank != 1 or rem.coords[0].denominator != 1:
+        raise DomainError("not in the group")
+    exps[0] = int(rem.coords[0])
+    return tuple(exps)
+
+
+def random_betas(nu, rng, count):
+    """Values on and off the chain's groups, in the chain's rank."""
+    dens = {1}
+    for st_ in nu.steps:
+        g = st_.gamma.demote()
+        if g.rank == 1:
+            dens |= {d * g.coords[0].denominator for d in list(dens)}
+    dens |= {3 * d for d in dens} | {5, 7}
+    out = []
+    for _ in range(count):
+        q = Fraction(rng.randrange(-60, 61), rng.choice(sorted(dens)))
+        out.append(Value.of(q).embed(nu.rank, major=True))
+    if nu.rank == 2:
+        out += [Value.of((1, 1)), Value.of((Fraction(1, 2), -3))]
+    return out
+
+
+def check_tables(nu, rng, count=60):
+    for i in range(1, nu.length + 1):
+        for beta in random_betas(nu, rng, count):
+            try:
+                want = greedy_digits(nu, beta, i)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    nu.digit_vector(beta, level=i)
+                continue
+            assert nu.digit_vector(beta, level=i) == want
+
+
+def test_digit_table_on_the_ladder(ladder):
+    rng = random.Random(41)
+    for nu in ladder:
+        check_tables(nu, rng)
+
+
+@pytest.mark.parametrize("name", ["nu1", "nu2", "nu3p", "nu4", "gauss2", "nu_inf", "nu8", "nu2_inf"])
+def test_digit_table_on_fixture_chains(request, name):
+    check_tables(request.getfixturevalue(name), random.Random(name))
+
+
+def test_digit_table_rows(nu8):
+    rows = nu8._digit_table()
+    assert [e for e, _, _, _ in rows] == [nu8.ram_index(j) for j in range(1, 4)] == [2, 2, 3]
+    for j, (e, D, g, inv) in enumerate(rows, 1):
+        assert nu8.steps[j - 1].gamma == Value.of(Fraction(g, D))
+        assert g * inv % e == 1 % e
+
+
+def test_digit_vector_rejects_values_off_the_group(nu2, nu_inf):
+    with pytest.raises(DomainError):
+        nu2.digit_vector(Value.of(Fraction(1, 4)))
+    with pytest.raises(DomainError):
+        nu2.digit_vector(iv.INFINITY)
+    with pytest.raises(DomainError):
+        nu_inf.digit_vector(Value.of((0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Integer-content Poly against Fraction-per-coefficient references
+# ---------------------------------------------------------------------------
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def ref_divmod(a, g):
+    """Schoolbook division by a monic g over Q."""
+    r = list(a)
+    n = len(g) - 1
+    q = [Fraction(0)] * max(len(r) - n, 0)
+    for i in range(len(r) - n - 1, -1, -1):
+        c = r[i + n]
+        q[i] = c
+        for j, b in enumerate(g):
+            r[i + j] -= c * b
+    return trim(q), trim(r[:n])
+
+
+def ref_expansion(a, g):
+    if not a:
+        return [[]]
+    out = []
+    while a:
+        a, r = ref_divmod(a, g)
+        out.append(r)
+    return out
+
+
+# numerators past 2^63 exercise the tuple form of Poly.num beside the array form
+rationals = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(-(2**70), 2**70).map(Fraction),
+)
+coeff_lists = st.lists(rationals, max_size=12)
+monic_lists = st.lists(rationals, min_size=1, max_size=5).map(lambda cs: cs + [Fraction(1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists, rationals, st.integers(0, 3), st.integers(0, 4))
+def test_poly_ring_ops_match_reference(a, b, c, n, k):
+    f, g = Poly(a), Poly(b)
+    a, b = trim(a), trim(b)
+    assert f.coeffs == tuple(a) and g.coeffs == tuple(b)
+    assert (f + g).coeffs == tuple(ref_add(a, b))
+    assert (f - g).coeffs == tuple(ref_add(a, [-x for x in b]))
+    assert (-f).coeffs == tuple(-x for x in a)
+    assert (f * g).coeffs == tuple(ref_mul(a, b))
+    assert f.scale(c).coeffs == tuple(trim([c * x for x in a]))
+    want = [Fraction(1)]
+    for _ in range(n):
+        want = ref_mul(want, a)
+    assert (f**n).coeffs == tuple(want)
+    assert f.shift(k).coeffs == (tuple([Fraction(0)] * k + a) if a else ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, monic_lists)
+def test_poly_division_and_expansion_match_reference(a, g):
+    f, phi = Poly(a), Poly(g)
+    a = trim(a)
+    q, r = f.divmod_monic(phi)
+    rq, rr = ref_divmod(a, g)
+    assert (q.coeffs, r.coeffs) == (tuple(rq), tuple(rr))
+    got = [c.coeffs for c in phi_expansion(f, phi)]
+    assert got == [tuple(c) for c in ref_expansion(a, g)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, st.lists(rationals, min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0))
+def test_poly_general_division(a, b):
+    f, g = Poly(a), Poly(b)
+    q, r = f._divmod_any(g)
+    assert q * g + r == f
+    assert r.is_zero or r.degree < g.degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, st.integers(1, 30))
+def test_equal_polynomials_have_one_representation(a, k):
+    f = Poly(a)
+    scaled = Poly.from_ints([n * k for n in f.num], f.den * k)
+    assert (scaled.num, scaled.den) == (f.num, f.den) and hash(scaled) == hash(f)
+    back = (f + Poly([Fraction(1, k), 3])) - Poly([Fraction(1, k), 3])
+    assert (back.num, back.den) == (f.num, f.den) and hash(back) == hash(f)
+    assert f.den > 0 and (not f.num or f.num[-1] != 0)
+    wide = Poly([2**64]) * f
+    assert wide.scale(Fraction(1, 2**64)) == f and hash(wide.scale(Fraction(1, 2**64))) == hash(f)
+
+
+LINEAR_CHAINS = [
+    (2, "x", Fraction(1, 2)),
+    (2, "x-3", Fraction(5, 3)),
+    (3, "x+7", Fraction(2, 5)),
+    (5, "x-1", 1),
+    (2, "x-1", (0, 1)),
+    (3, "x + 1/2", Fraction(3, 2)),  # fractional root: the Fraction path
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12).filter(lambda cs: any(cs)))
+def test_level_one_value_matches_reference(a):
+    f = Poly(a)
+    for p, phi, gamma in LINEAR_CHAINS:
+        nu = iv.validate_chain([(phi, Value.of(gamma))], iv.PadicValuation(p))
+        base, g = nu.base, nu.steps[0].gamma
+        digits = ref_expansion(trim(a), list(Poly.parse(phi).coeffs))
+        want = min(
+            base.value(d[0]).embed(nu.rank, major=True) + g.scaled(s)
+            for s, d in enumerate(digits)
+            if d
+        )
+        assert nu._val(f, 1) == want and nu._val(f, 1).rank == nu.rank
+
+
+# ---------------------------------------------------------------------------
+# Residual recursion
+# ---------------------------------------------------------------------------
+
+
+def test_decompose_runs_once_per_level(ladder, monkeypatch):
+    calls = []
+    inner = residual._decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(residual, "_decompose", counted)
+    rng = random.Random(5)
+    for depth, nu in enumerate(ladder, 1):
+        n = nu.top_degree
+        for _ in range(6):
+            cs = [Fraction(rng.randrange(-100, 101), rng.choice((1, 1, 1, 3, 7))) for _ in range(2 * n)]
+            cs[-1] = cs[-1] or Fraction(1)
+            calls.clear()
+            iv.decompose(nu, Poly(cs))
+            assert sorted(calls) == list(range(1, depth + 1))
