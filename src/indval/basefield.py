@@ -423,11 +423,6 @@ class Poly:
         return f"Poly({self})"
 
 
-def poly_divmod(f: Poly, g: Poly) -> Tuple[Poly, Poly]:
-    """Module-level alias for :meth:`Poly.divmod_monic`."""
-    return f.divmod_monic(g)
-
-
 def poly_ext_gcd(f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
     """Extended Euclid over Q: returns monic d and (s, t) with s*f + t*g = d.
 

@@ -344,9 +344,13 @@ class InductiveValuation:
 
 
 def _parse_gamma(obj) -> Value:
+    """A chain file's value: a number or string, or a list of them (rank 2)."""
+    items = obj if isinstance(obj, list) else [obj]
+    if any(isinstance(x, bool) or not isinstance(x, (str, int, float)) for x in items):
+        raise ChainError(f"cannot read value {obj!r}: not a number or a string")
     if isinstance(obj, list):
         try:
-            return Value([Fraction(x) for x in obj])
+            return Value([Fraction(str(x)) for x in obj])
         except (ValueError, ZeroDivisionError) as exc:
             raise ChainError(f"cannot read value {obj!r}: {exc}") from None
     return Value.parse(str(obj))

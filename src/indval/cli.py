@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid chain, 3 domain/resource
 error.  All randomness sits behind --seed (default 0), so output is
-deterministic.  --json renders {verb, inputs, result, diagnostics}.
+deterministic.  --json renders {verb, inputs, result, diagnostics}, also for
+a usage error (empty inputs, null result, argparse's message).  main() may be
+called repeatedly in one process; it builds its parser once and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -20,6 +23,7 @@ from .augmentation import (
 )
 from .basefield import Poly
 from .chains import (
+    _parse_steps,
     chain_from_json,
     expansion_report,
     key_semivaluation,
@@ -31,17 +35,23 @@ from .towers import TowerPoly
 from .values import Value
 
 
+class _UsageError(Exception):
+    """args: the (sub)parser that found the usage error, and argparse's message."""
+
+
 class _Parser(argparse.ArgumentParser):
+    verbs: dict  # top-level parser only: verb -> subparser
+
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _UsageError(self, message)
 
 
 def build_parser() -> _Parser:
+    """A fresh parser; a usage error raises _UsageError(parser, message)."""
     parser = _Parser(prog="indval", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser)
+    parser.verbs = sub.choices
 
     def add(verb, *, poly=False, psi=False, chi=False, phi_gamma=False, maxdeg=False, seed=False):
         sp = sub.add_parser(verb)
@@ -115,9 +125,7 @@ def _dispatch(args) -> Tuple[List[str], object]:
             return [str(rep)], res
         if "limit_phi" not in obj or "limit_gamma" not in obj:
             raise ChainError("limit requires limit_phi and limit_gamma in the chain file")
-        phi = Poly.parse(obj["limit_phi"])
-        gamma = obj["limit_gamma"]
-        gamma = Value([*map(str, gamma)]) if isinstance(gamma, list) else Value.parse(str(gamma))
+        ((phi, gamma),) = _parse_steps([{"phi": obj["limit_phi"], "gamma": obj["limit_gamma"]}])
         lim = limit_augment(chain, phi, gamma)
         w = lim(f)
         return [str(w)], {"value": str(w)}
@@ -202,15 +210,47 @@ def _inputs_obj(args) -> dict:
     }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every main() call shares, built on first use.
+
+    Reuse is safe: prog is fixed, parse_args makes a fresh namespace on every
+    call, and errors come back as _UsageError instead of being written to a
+    stream looked up when the parser was built.
+    """
+    return build_parser()
+
+
+def _print_envelope(verb, inputs: dict, result, diagnostics: List[str]) -> None:
+    payload = {"verb": verb, "inputs": inputs, "result": result, "diagnostics": diagnostics}
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _usage_error(argv: List[str], parser: argparse.ArgumentParser, message: Optional[str]) -> int:
+    """Report a usage error (exit 1): an envelope under --json, else usage on stderr."""
+    if any(len(a) > 2 and "--json".startswith(a) for a in argv):  # argparse takes --js too
+        # the top-level parser takes no option values, so its verb is the first word
+        word = next((a for a in argv if not a.startswith("-")), None)
+        verb = word if word in _parser().verbs else None
+        _print_envelope(verb, {}, None, [message or "the following arguments are required: verb"])
+    else:
+        parser.print_usage(sys.stderr)
+        if message:
+            print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except _UsageError as exc:
+        return _usage_error(argv, *exc.args)
     if args.verb is None:
-        parser.print_usage(sys.stderr)
-        return 1
+        return _usage_error(argv, parser, None)
     diagnostics: List[str] = []
     result = None
     lines: List[str] = []
@@ -227,13 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         diagnostics.append(str(exc))
         code = 3
     if args.json:
-        payload = {
-            "verb": args.verb,
-            "inputs": _inputs_obj(args),
-            "result": result,
-            "diagnostics": diagnostics,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_envelope(args.verb, _inputs_obj(args), result, diagnostics)
     else:
         for line in lines:
             print(line)

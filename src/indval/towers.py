@@ -348,17 +348,6 @@ def _data_str(data) -> str:
     return "[" + ", ".join(_data_str(c) for c in data) + "]"
 
 
-def tower_arith(a: TowerElem, b: Optional[TowerElem], op: str) -> TowerElem:
-    """Dispatch helper: op is one of ``add``, ``mul``, ``inv``."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    raise DomainError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Dense polynomial arithmetic over a tower level (internal, list-based)
 # ---------------------------------------------------------------------------
@@ -512,10 +501,6 @@ class TowerPoly:
     @classmethod
     def y(cls, field) -> "TowerPoly":
         return cls(field, (0, 1))
-
-    @classmethod
-    def from_elems(cls, field, elems: Sequence[TowerElem]) -> "TowerPoly":
-        return cls(field, elems)
 
     @classmethod
     def parse(cls, field: TowerField, text: str) -> "TowerPoly":

@@ -216,19 +216,6 @@ class Value:
 INFINITY = Value(None)
 
 
-def lex_cmp(a, b) -> int:
-    """Three-way lexicographic comparison: -1 (less), 0 (equal), 1 (greater)."""
-    return Value.of(a)._cmp(Value.of(b))
-
-
-def combine(a, b, m: int, n: int) -> Value:
-    """Exact integer combination m*a + n*b; Infinity is absorbing."""
-    va, vb = Value.of(a), Value.of(b)
-    if va.is_infinite or vb.is_infinite:
-        return INFINITY
-    return va.scaled(m) + vb.scaled(n)
-
-
 # ---------------------------------------------------------------------------
 # Subgroups of Q^r generated by finitely many values
 # ---------------------------------------------------------------------------

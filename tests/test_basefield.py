@@ -10,7 +10,6 @@ from indval import (
     Poly,
     ResourceError,
     Value,
-    poly_divmod,
     poly_ext_gcd,
 )
 from indval.basefield import _is_prime
@@ -90,20 +89,20 @@ class TestPadic:
 
 class TestPolyDivmod:
     def test_examples(self):
-        q, r = poly_divmod(Poly.parse("x^4+4"), Poly.parse("x^2+2"))
+        q, r = Poly.parse("x^4+4").divmod_monic(Poly.parse("x^2+2"))
         assert q == Poly.parse("x^2-2") and r == Poly.constant(8)
         assert q * Poly.parse("x^2+2") + r == Poly.parse("x^4+4")
-        assert poly_divmod(Poly.parse("x"), Poly.parse("x")) == (Poly.one(), Poly.zero())
-        assert poly_divmod(Poly.constant(5), Poly.parse("x^2+2")) == (
+        assert Poly.parse("x").divmod_monic(Poly.parse("x")) == (Poly.one(), Poly.zero())
+        assert Poly.constant(5).divmod_monic(Poly.parse("x^2+2")) == (
             Poly.zero(),
             Poly.constant(5),
         )
 
     def test_requires_monic_nonconstant(self):
         with pytest.raises(DomainError):
-            poly_divmod(Poly.parse("x"), Poly.parse("2x"))
+            Poly.parse("x").divmod_monic(Poly.parse("2x"))
         with pytest.raises(DomainError):
-            poly_divmod(Poly.parse("x"), Poly.constant(3))
+            Poly.parse("x").divmod_monic(Poly.constant(3))
 
     def test_roundtrip_random(self):
         rng = random.Random(5)
@@ -111,7 +110,7 @@ class TestPolyDivmod:
             df, dg = rng.randrange(0, 31), rng.randrange(1, 16)
             f = Poly([Fraction(rng.randrange(-99, 100), rng.randrange(1, 9)) for _ in range(df + 1)])
             g = Poly([Fraction(rng.randrange(-99, 100), rng.randrange(1, 9)) for _ in range(dg)] + [Fraction(1)])
-            q, r = poly_divmod(f, g)
+            q, r = f.divmod_monic(g)
             assert q * g + r == f
             assert r.is_zero or r.degree < g.degree
 

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from indval import Poly, Value
+from indval import Poly, Value, cli
 from indval.cli import main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture()
@@ -56,6 +60,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_cases(chains):
+    """The request behind each file of tests/golden, by file name."""
+    return {
+        "eval_nu2.json": ["eval", "--chain", chains["nu2"], "--poly", "x^4+4", "--json"],
+        "respoly_nu1.json": ["respoly", "--chain", chains["nu1"], "--poly", "x^4+4", "--json"],
+        "factor_nu2.json": ["factor", "--chain", chains["nu2"], "--poly", "x^4+4", "--seed", "7", "--json"],
+        "decompose_nu1.json": ["decompose", "--chain", chains["nu1"], "--poly", "2x^3", "--json"],
+        "iskey_nu1.json": ["iskey", "--chain", chains["nu1"], "--poly", "x^2+x", "--json"],
+        "stability_lam.json": ["stability", "--chain", chains["lam"], "--poly", "x+2", "--json"],
+        "limit_lam.json": ["limit", "--chain", chains["lam"], "--poly", "x", "--json"],
+        "enumerate_nu1.json": ["enumerate", "--chain", chains["nu1"], "--max-res-deg", "2", "--json"],
+    }
 
 
 class TestVerbs:
@@ -161,6 +179,9 @@ class TestMalformedChainFiles:
         "prime_not_integer": {"prime": "two", "steps": [{"phi": "x", "gamma": "1/2"}]},
         "prime_not_prime": {"prime": 4, "steps": [{"phi": "x", "gamma": "1/2"}]},
         "gamma_list_junk": {"prime": 2, "steps": [{"phi": "x", "gamma": ["a", "1"]}]},
+        "gamma_not_value": {"prime": 2, "steps": [{"phi": "x", "gamma": {"a": 1}}]},
+        "gamma_null": {"prime": 2, "steps": [{"phi": "x", "gamma": None}]},
+        "gamma_list_bool": {"prime": 2, "steps": [{"phi": "x", "gamma": [True, "1"]}]},
     }
     FAMILIES = {
         "phi_not_string": {"prime": 2, "family": [{"phi": 5, "gamma": "1"}]},
@@ -183,6 +204,30 @@ class TestMalformedChainFiles:
         code, out, _ = run(capsys, "stability", "--chain", str(path), "--poly", "x", "--json")
         obj = json.loads(out)
         assert code == 2 and obj["result"] is None and obj["diagnostics"]
+
+    LIMITS = {
+        "limit_phi_not_string": {"limit_phi": 5, "limit_gamma": ["1", "0"]},
+        "limit_gamma_list_junk": {"limit_phi": "x+2", "limit_gamma": ["a", "0"]},
+        "limit_gamma_not_value": {"limit_phi": "x+2", "limit_gamma": {"a": 1}},
+        "limit_gamma_null": {"limit_phi": "x+2", "limit_gamma": None},
+        "limit_gamma_nested": {"limit_phi": "x+2", "limit_gamma": [1, [2]]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(LIMITS))
+    def test_limit_step(self, capsys, tmp_path, name):
+        family = [{"phi": "x", "gamma": "1"}, {"phi": "x-2", "gamma": "2"}]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"prime": 2, "family": family, **self.LIMITS[name]}))
+        code, out, err = run(capsys, "limit", "--chain", str(path), "--poly", "x", "--json")
+        obj = json.loads(out)
+        assert code == 2 and obj["verb"] == "limit" and obj["result"] is None and obj["diagnostics"]
+        assert "Traceback" not in err
+
+    def test_limit_gamma_number_still_reads(self, capsys, tmp_path):
+        family = [{"phi": "x", "gamma": "1"}, {"phi": "x-2", "gamma": "2"}]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"prime": 2, "family": family, "limit_phi": "x+2", "limit_gamma": [1, 0]}))
+        assert run(capsys, "limit", "--chain", str(path), "--poly", "x+2")[:2] == (0, "(1, 0)\n")
 
     def test_prime_as_decimal_string_still_reads(self, capsys, tmp_path):
         path = tmp_path / "c.json"
@@ -211,25 +256,72 @@ class TestJsonOutput:
         assert obj["result"] is None and obj["diagnostics"]
 
     def test_golden_files(self, capsys, chains):
-        golden_dir = os.path.join(os.path.dirname(__file__), "golden")
-        cases = {
-            "eval_nu2.json": ["eval", "--chain", chains["nu2"], "--poly", "x^4+4", "--json"],
-            "respoly_nu1.json": ["respoly", "--chain", chains["nu1"], "--poly", "x^4+4", "--json"],
-            "factor_nu2.json": ["factor", "--chain", chains["nu2"], "--poly", "x^4+4", "--seed", "7", "--json"],
-            "decompose_nu1.json": ["decompose", "--chain", chains["nu1"], "--poly", "2x^3", "--json"],
-            "iskey_nu1.json": ["iskey", "--chain", chains["nu1"], "--poly", "x^2+x", "--json"],
-            "stability_lam.json": ["stability", "--chain", chains["lam"], "--poly", "x+2", "--json"],
-            "limit_lam.json": ["limit", "--chain", chains["lam"], "--poly", "x", "--json"],
-            "enumerate_nu1.json": ["enumerate", "--chain", chains["nu1"], "--max-res-deg", "2", "--json"],
-        }
-        for name, argv in cases.items():
+        for name, argv in golden_cases(chains).items():
             code, out, _ = run(capsys, *argv)
             assert code == 0
             got = json.loads(out)
             got["inputs"].pop("chain", None)  # path is tmpdir-specific
-            with open(os.path.join(golden_dir, name)) as fh:
+            with open(os.path.join(GOLDEN_DIR, name)) as fh:
                 want = json.load(fh)
             assert got == want, name
+
+
+class TestUsageErrorEnvelope:
+    """Under --json a usage error prints the envelope and still exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv, verb, message",
+        [
+            (["eval", "--json"], "eval", "the following arguments are required: --chain, --poly"),
+            (["bogus", "--json"], None, "argument verb: invalid choice: 'bogus'"),
+            (["--json"], None, "the following arguments are required: verb"),
+            (["--json", "enumerate", "--max-res-deg", "two"], "enumerate", "argument --max-res-deg"),
+            (["eval", "--js"], "eval", "the following arguments are required"),
+        ],
+    )
+    def test_envelope(self, capsys, argv, verb, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err == ""
+        obj = json.loads(out)
+        assert obj == {"verb": verb, "inputs": {}, "result": None, "diagnostics": obj["diagnostics"]}
+        assert len(obj["diagnostics"]) == 1 and obj["diagnostics"][0].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["eval"], ["bogus"], []])
+    def test_plain_mode_prints_usage_only(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("usage: indval")
+        assert ("error: " in err) == bool(argv)
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and carries nothing between calls."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_not_built_at_import(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = "import indval.cli as c; print(c._parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_requests_leave_no_state(self, capsys, chains):
+        cases = golden_cases(chains)
+        for _ in range(2):
+            for name, argv in cases.items():
+                code, out, _ = run(capsys, *argv)
+                with open(os.path.join(GOLDEN_DIR, name)) as fh:
+                    want = json.load(fh)
+                want["inputs"]["chain"] = argv[2]
+                assert code == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n", name
+            assert run(capsys, "eval", "--json")[0] == 1
+            code, out, _ = run(capsys, "factor", "--chain", chains["nu2"], "--poly", "x^4+4", "--json")
+            assert code == 0 and json.loads(out)["inputs"]["seed"] == 0
+            code, out, _ = run(capsys, "enumerate", "--chain", chains["nu1"], "--json")
+            assert code == 0 and json.loads(out)["inputs"]["max-res-deg"] == 1
+            assert json.loads(out)["result"] == {"keys": ["x", "x^2 + 2"]}
 
 
 class TestRoundTrips:
