@@ -31,7 +31,7 @@ from .chains import (
     phi_expansion,
     validate_chain,
 )
-from .errors import ChainError, DomainError, ResourceError
+from .errors import ChainError, DomainError, InvariantError, ResourceError
 from .keys import key_check
 from .values import INFINITY, Value
 
@@ -283,9 +283,11 @@ def stability(chain: ContinuousChain, f: Poly) -> StabilityReport:
             return StabilityReport(True, rep.mu, alpha, tuple(values))
     for i in range(1, len(values)):
         if not values[i] > values[i - 1]:
-            raise AssertionError(
-                "stability trichotomy violated: values neither witnessed "
-                "stable nor strictly increasing"
+            fam = ", ".join(f"({st.phi}, {st.gamma})" for st in chain.family)
+            raise InvariantError(
+                f"stability trichotomy violated for f = {f} on the family [{fam}] "
+                f"over v_{chain.base.p}: values [{', '.join(map(str, values))}] are "
+                "neither witnessed stable nor strictly increasing"
             )
     return StabilityReport(False, None, None, tuple(values))
 

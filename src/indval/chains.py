@@ -92,6 +92,7 @@ class InductiveValuation:
         self._levels = None  # residual level data, attached by validation
         self._e_cache: dict = {}
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
+        self._key_lifts: dict = {}  # psi over the top residue field -> lift_key(psi)
 
     # -- basic structure ----------------------------------------------------
 

@@ -182,11 +182,12 @@ def _dispatch(args) -> Tuple[List[str], object]:
     if verb == "factor":
         f = Poly.parse(args.poly)
         gf = graded_factorization(nu, f, seed=args.seed)
-        lines = [str(gf), gf.accounting(nu, f)]
+        accounting = gf.accounting(nu, f)
+        lines = [str(gf), accounting]
         res = {
             "unit": _unit_obj(gf.unit_part),
             "factors": [{"chi": str(c), "exponent": a} for c, a in gf.factors],
-            "accounting": gf.accounting(nu, f),
+            "accounting": accounting,
         }
         return lines, res
     if verb == "augment":

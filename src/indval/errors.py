@@ -26,3 +26,11 @@ class ResourceError(IndvalError, RuntimeError):
     Raised e.g. when a stability witness lies beyond the provided prefix, or
     when an enumeration would exceed its candidate cap.
     """
+
+
+class InvariantError(IndvalError, AssertionError):
+    """An internal invariant failed: a library defect, not a caller error.
+
+    Raised in place of a bare ``assert`` so the check survives ``python -O``;
+    the message names the chain and the input that broke it.
+    """

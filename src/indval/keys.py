@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .basefield import Poly
 from .chains import InductiveValuation, expansion_report, is_equivalent
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .residual import (
     HomogeneousUnit,
     _decompose,
@@ -116,7 +116,9 @@ def lift_key(nu: InductiveValuation, psi) -> Poly:
 
     psi = y maps to the top key itself; otherwise psi must be monic
     irreducible with psi(0) != 0, and the lift has degree e*n*deg(psi) with
-    top coefficient 1.
+    top coefficient 1.  The lift depends on the chain and psi alone, so it is
+    memoized on the chain object: repeated calls return the same immutable
+    Poly, and the irreducibility test and key check run once per psi.
     """
     levels = _require_levels(nu)
     top = levels[-1]
@@ -125,13 +127,22 @@ def lift_key(nu: InductiveValuation, psi) -> Poly:
     psi = TowerPoly(top.field, [top.field.coerce(c) for c in psi.elems()])
     if psi == TowerPoly.y(top.field):
         return nu.top.phi
+    chi = nu._key_lifts.get(psi)
+    if chi is not None:
+        return chi
     if psi.is_zero or psi.is_constant:
         raise DomainError("psi must be non-constant")
     if not ff_is_irreducible(psi):
         raise DomainError(f"psi = {psi} is reducible over the residue tower")
     chi = residual_lift(nu, 0, top.field.one(), psi)
-    assert chi.is_monic and chi.degree == top.e * top.n * psi.degree
-    assert key_check(nu, chi).ok
+    if not (chi.is_monic and chi.degree == top.e * top.n * psi.degree):
+        raise InvariantError(
+            f"lift {chi} of psi = {psi} on {nu.describe()} is not monic of degree "
+            f"e*n*deg(psi) = {top.e * top.n * psi.degree}"
+        )
+    if not key_check(nu, chi).ok:
+        raise InvariantError(f"lift {chi} of psi = {psi} on {nu.describe()} is not a key")
+    nu._key_lifts[psi] = chi
     return chi
 
 
@@ -141,8 +152,10 @@ def enumerate_keys(
     """One representative per key class with residual degree <= max_res_deg.
 
     The top key represents its own class; every monic irreducible psi != y
-    over the tower contributes lift_key(psi).  An incommensurable top step
-    has a single class.  Raises ResourceError past the enumeration cap.
+    over the tower contributes lift_key(psi), memoized on the chain object,
+    so a repeated enumeration returns the same immutable Polys.  An
+    incommensurable top step has a single class.  Raises ResourceError past
+    the enumeration cap.
     """
     if max_res_deg < 1:
         raise DomainError("max residual degree must be >= 1")
@@ -212,5 +225,9 @@ def graded_factorization(
     total = unit.value
     for chi, a in result.factors:
         total = total + nu(chi).scaled(a)
-    assert total == dec.mu, "unit part does not close the value accounting"
+    if total != dec.mu:
+        raise InvariantError(
+            f"unit part of f = {f} on {nu.describe()} does not close the value "
+            f"accounting: {total} != mu(f) = {dec.mu}"
+        )
     return result

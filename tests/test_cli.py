@@ -324,6 +324,39 @@ class TestParserReuse:
             assert json.loads(out)["result"] == {"keys": ["x", "x^2 + 2"]}
 
 
+class TestOptimizedMode:
+    """Invariant checks raise named errors, so python -O changes no output."""
+
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "from indval.cli import main\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv)\n"
+        "    outs.append([code, buf.getvalue()])\n"
+        "print(json.dumps({'optimize': sys.flags.optimize, 'outs': outs}))\n"
+    )
+
+    def test_golden_requests_under_python_O(self, chains):
+        cases = golden_cases(chains)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT, json.dumps(list(cases.values()))],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["optimize"] == 1
+        for (name, argv), (code, out) in zip(cases.items(), got["outs"], strict=True):
+            with open(os.path.join(GOLDEN_DIR, name)) as fh:
+                want = json.load(fh)
+            want["inputs"]["chain"] = argv[2]
+            assert code == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n", name
+
+
 class TestRoundTrips:
     def test_printed_outputs_reparse(self, capsys, chains):
         code, out, _ = run(capsys, "liftkey", "--chain", chains["nu2"], "--psi", "y+1")

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import indval as iv
+import indval.keys as keys
 from indval import (
     DomainError,
+    InvariantError,
+    KeyCheck,
     Poly,
     ResourceError,
     TowerPoly,
@@ -267,3 +271,129 @@ class TestFactorization:
         a = graded_factorization(nu4, f, seed=9)
         b = graded_factorization(nu4, f, seed=9)
         assert [(str(c), m) for c, m in a.factors] == [(str(c), m) for c, m in b.factors]
+
+
+def fresh_nu1():
+    """A newly validated nu1, so its key-lift memo starts empty."""
+    return iv.validate_chain([("x", F(1, 2))], iv.PadicValuation(2))
+
+
+def fresh_nu4():
+    nu1 = fresh_nu1()
+    return iv.augment(nu1, lift_key(nu1, "y^2+y+1"), F(9, 4))
+
+
+def y1_ladder(depth):
+    """The MacLane-optimal y+1 ladder over p = 2 up to the given depth."""
+    nu = fresh_nu1()
+    out = [nu]
+    big_e = 2
+    while len(out) < depth:
+        chi = lift_key(nu, "y+1")
+        nu = iv.augment(nu, chi, nu(chi) + iv.Value.of(F(1, 2 * big_e)))
+        big_e *= 2
+        out.append(nu)
+    return out
+
+
+class TestLiftMemo:
+    def test_repeated_lift_is_the_same_object(self):
+        nu = fresh_nu4()
+        assert lift_key(nu, "y+1") is lift_key(nu, "y+1")
+        first, again = enumerate_keys(nu, 1), enumerate_keys(nu, 1)
+        assert all(a is b for a, b in zip(first, again, strict=True))
+
+    def test_hit_skips_the_work(self, monkeypatch):
+        nu = fresh_nu1()
+        chi = lift_key(nu, "y^2+y+1")
+        calls = []
+        for name in ("ff_is_irreducible", "residual_lift", "key_check"):
+            monkeypatch.setattr(keys, name, lambda *a, name=name: calls.append(name))
+        assert lift_key(nu, "y^2+y+1") is chi
+        assert calls == []
+
+    def test_every_spelling_of_psi_hits_one_entry(self):
+        nu = fresh_nu4()
+        top = residual_data(nu).field
+        low = residual_data(nu.prefix(1)).field
+        assert low != top
+        a = lift_key(nu, "y+1")
+        b = lift_key(nu, TowerPoly.parse(top, "y+1"))
+        c = lift_key(nu, TowerPoly.parse(low, "y+1"))
+        assert a is b is c
+        assert list(nu._key_lifts) == [TowerPoly.parse(top, "y+1")]
+
+    @pytest.mark.parametrize("text", ["y^2+1", "1", "0", "y^2"])
+    def test_rejected_psi_leaves_no_entry(self, text):
+        nu = fresh_nu1()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                lift_key(nu, text)
+        assert nu._key_lifts == {}
+
+    def test_memo_leaves_equality_and_hash(self):
+        a, b = fresh_nu4(), fresh_nu4()
+        h = hash(a)
+        enumerate_keys(a, 1)
+        assert a._key_lifts and not b._key_lifts
+        assert a == b and hash(a) == hash(b) == h
+
+    def test_equal_chains_keep_separate_memos(self):
+        a, b = fresh_nu4(), fresh_nu4()
+        chi_a, chi_b = lift_key(a, "y+[0,1]"), lift_key(b, "y+[0,1]")
+        assert chi_a == chi_b and chi_a is not chi_b
+
+    @pytest.mark.parametrize("build, maxd", [(fresh_nu1, 2), (fresh_nu4, 1)])
+    def test_enumerate_and_factor_agree_in_either_order(self, build, maxd):
+        probe = build()
+        ks = enumerate_keys(probe, maxd)
+        f = (ks[1] * ks[2] ** 2 * ks[0]).scale(F(-12, 7))
+
+        def run(nu, enumerate_first):
+            if enumerate_first:
+                out = enumerate_keys(nu, maxd)
+                return out, graded_factorization(nu, f, seed=3)
+            gf = graded_factorization(nu, f, seed=3)
+            return enumerate_keys(nu, maxd), gf
+
+        ks_a, gf_a = run(build(), True)
+        ks_b, gf_b = run(build(), False)
+        assert ks_a == ks_b == ks
+        assert gf_a == gf_b and str(gf_a) == str(gf_b)
+        assert sorted(a for _, a in gf_a.factors) == [1, 1, 2]
+
+
+def _irreducible_over_q(chi):
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(chi.coeffs)), x, domain="QQ").is_irreducible
+
+
+class TestLiftOracle:
+    """Lifted keys checked against sympy: a wrong lift would stay memoized."""
+
+    def test_keys_of_the_fixture_chains_are_irreducible(self, nu1, nu2, nu4):
+        for nu, maxd in ((nu1, 2), (nu2, 2), (nu4, 1)):
+            for chi in enumerate_keys(nu, maxd):
+                assert _irreducible_over_q(chi), (nu, chi)
+        kal = residual_data(nu4).field
+        assert _irreducible_over_q(lift_key(nu4, TowerPoly.parse(kal, "y^2+y+[0,1]")))
+
+    def test_ladder_keys_are_irreducible(self):
+        ladder = y1_ladder(4)
+        for nu in ladder:
+            for chi in enumerate_keys(nu, 2) + [lift_key(nu, "y+1")]:
+                assert _irreducible_over_q(chi), (nu, chi)
+        assert [s.phi.degree for s in ladder[-1].steps] == [1, 2, 4, 8]
+
+    def test_rejected_lift_raises_invariant_error(self, monkeypatch):
+        nu = fresh_nu1()
+        monkeypatch.setattr(keys, "key_check", lambda *a: KeyCheck(False, reason="rejected"))
+        with pytest.raises(InvariantError, match=r"psi = y \+ 1 on \[\(x, 1/2\)\]"):
+            lift_key(nu, "y+1")
+        assert nu._key_lifts == {}
+        monkeypatch.undo()
+        assert lift_key(nu, "y+1") == P("x^2+2")
+
+    def test_invariant_error_is_named_and_an_assertion(self):
+        assert issubclass(InvariantError, iv.IndvalError)
+        assert issubclass(InvariantError, AssertionError)
