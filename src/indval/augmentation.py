@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .basefield import PadicValuation, Poly
@@ -26,6 +27,7 @@ from .chains import (
     Step,
     _parse_base,
     _parse_steps,
+    _value_of,
     expansion_report,
     is_equivalent,
     phi_expansion,
@@ -80,7 +82,11 @@ def compare_augmented(
     a, b = nu(f), nu_prime(f)
     rank = max(nu.rank, nu_prime.rank)
     a_e, b_e = a.embed(rank, major=True), b.embed(rank, major=True)
-    assert a_e <= b_e
+    if not a_e <= b_e:
+        raise InvariantError(
+            f"augmentation lowered the value of {f}: {a} on {nu.describe()}, "
+            f"{b} on {nu_prime.describe()}"
+        )
     return a, b, a_e == b_e
 
 
@@ -271,9 +277,15 @@ def stability(chain: ContinuousChain, f: Poly) -> StabilityReport:
     singleton argmin at the 0-th coefficient makes f equivalent to a
     polynomial of degree < d, on which all later family members agree.
     Without a witness the value list must be strictly increasing.
+
+    f of degree < d is its own expansion, so it is stable at alpha = 1 with
+    the value mu_1(f); that report is returned without a scan.
     """
     if f.is_zero:
         raise DomainError("stability of the zero polynomial")
+    if f.degree < chain.degree:
+        v = chain.member(1)(f)
+        return StabilityReport(True, v, 1, (v,))
     values: List[Value] = []
     for alpha in range(1, chain.length + 1):
         mu = chain.member(alpha)
@@ -298,6 +310,11 @@ class LimitValuation:
     Values of the phi-expansion coefficients are the stable family values;
     the key itself takes gamma.  Evaluation raises ResourceError when a
     coefficient's stability witness lies beyond the finite prefix.
+
+    When phi has the family degree d (and mu_1 is rank 1), every coefficient
+    has degree < d and is stable from mu_1 on, so it is valued by mu_1 alone,
+    without a stability scan, in integers over the common denominator B of
+    mu_1's values and gamma.  Results may be shared immutable objects.
     """
 
     def __init__(self, chain: ContinuousChain, phi: Poly, gamma: Value, rank: int):
@@ -305,6 +322,20 @@ class LimitValuation:
         self.phi = phi
         self.gamma = gamma
         self.rank = rank
+        self._mu1: Optional[InductiveValuation] = None
+        mu1 = chain.member(1)
+        if phi.degree <= chain.degree and mu1.rank == 1:
+            self._mu1 = mu1
+            self._B = B = lcm(mu1._den, *(c.denominator for c in gamma.coords))
+            self._G = tuple(c.numerator * (B // c.denominator) for c in gamma.coords)
+
+    def _stable_int(self, c: Poly) -> int:
+        """B * mu_1(c) for 0 != c of degree < d: the stable value of c."""
+        if c.degree == 0:
+            order = self.chain.base.int_order
+            return (order(c.num[0]) - order(c.den)) * self._B
+        q = self._mu1._val(c, self._mu1.length).coords[0]
+        return q.numerator * (self._B // q.denominator)
 
     def stable_value(self, g: Poly) -> Value:
         rep = stability(self.chain, g)
@@ -318,6 +349,8 @@ class LimitValuation:
     def valuation(self, g: Poly) -> Value:
         if g.is_zero:
             return INFINITY
+        if self._mu1 is not None:
+            return self._int_valuation(g)
         best: Optional[Value] = None
         for s, coeff in enumerate(phi_expansion(g, self.phi)):
             if coeff.is_zero:
@@ -326,6 +359,20 @@ class LimitValuation:
             if best is None or w < best:
                 best = w
         return best
+
+    def _int_valuation(self, g: Poly) -> Value:
+        """min_s (B * mu_1(g_s) + s * B * gamma) as integer vectors, with the
+        stable values in the minor coordinate, q -> (0, q), at rank 2."""
+        G = self._G
+        best = None
+        for s, coeff in enumerate(phi_expansion(g, self.phi)):
+            if coeff.is_zero:
+                continue
+            q = self._stable_int(coeff)
+            key = (q + s * G[0],) if len(G) == 1 else (s * G[0], q + s * G[1])
+            if best is None or key < best:
+                best = key
+        return _value_of(best, self._B)
 
     def __call__(self, g: Poly) -> Value:
         return self.valuation(g)

@@ -19,11 +19,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .basefield import PadicValuation, Poly
-from .errors import ChainError, DomainError
+from .errors import ChainError, DomainError, InvariantError
 from .values import INFINITY, Value, in_subgroup, is_commensurable, subgroup_index
 
 
@@ -51,6 +52,19 @@ def _linear_digits(coeffs: Sequence[Fraction], a: Fraction) -> List[Fraction]:
         out.append(acc)
         cs = q
     return out
+
+
+@lru_cache(maxsize=4096)
+def _value_of(key: Optional[Tuple[int, ...]], den: int) -> Value:
+    """The Value with coordinates key/den, or Infinity for key None.
+
+    Equal keys share one immutable Value while it stays in the bounded cache.
+    The key tuple keeps its length, so a rank-1 q and its minor embedding
+    (0, q), which compare equal, never share an object.
+    """
+    if key is None:
+        return INFINITY
+    return Value(tuple(Fraction(k, den) for k in key))
 
 
 def phi_expansion(f: Poly, phi: Poly) -> List[Poly]:
@@ -89,6 +103,8 @@ class InductiveValuation:
         self.steps = tuple(steps)
         self.rank = rank
         self.degrees = tuple(s.phi.degree for s in self.steps)
+        # every value of the chain lies in (1/_den) Z^rank
+        self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
         self._levels = None  # residual level data, attached by validation
         self._e_cache: dict = {}
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
@@ -119,7 +135,10 @@ class InductiveValuation:
         if i == self.length:
             return self
         demoted = tuple(Step(s.phi, s.gamma.demote()) for s in self.steps[:i])
-        assert all(st.gamma.rank == 1 for st in demoted)
+        if any(st.gamma.rank != 1 for st in demoted):
+            raise InvariantError(
+                f"prefix {i} of the chain {self.describe()} has a rank-2 value"
+            )
         nu = InductiveValuation(self.base, demoted, 1)
         if self._levels is not None:
             nu._levels = self._levels[:i]
@@ -231,11 +250,19 @@ class InductiveValuation:
                 if best is None or key < best:
                     best = key
         best[0] -= order(f.den) * B
-        return Value(tuple(Fraction(k, B) for k in best))
+        return _value_of(tuple(best), B)
 
     def valuation(self, f: Poly) -> Value:
-        """The chain's value of f; Infinity exactly for f = 0."""
-        return self._val(f, self.length)
+        """The chain's value of f; Infinity exactly for f = 0.
+
+        The result may be an object shared with earlier calls (Values are
+        immutable); compare values with ==, never by identity.
+        """
+        v = self._val(f, self.length)
+        if v.coords is None:
+            return v
+        D = self._den
+        return _value_of(tuple(c.numerator * (D // c.denominator) for c in v.coords), D)
 
     def __call__(self, f: Poly) -> Value:
         return self.valuation(f)
@@ -312,8 +339,16 @@ class InductiveValuation:
         exps = self.digit_vector(beta, level)
         mono = self.monomial_from_exps(exps)
         i = self.length if level is None else level
-        assert mono.degree < max(self.degrees[i - 1], 1) or mono.degree == 0
-        assert self._val(mono, i - 1) == beta
+        if not (mono.degree < max(self.degrees[i - 1], 1) or mono.degree == 0):
+            raise InvariantError(
+                f"canonical monomial {mono} of {beta} at level {i} of the chain "
+                f"{self.describe()} has degree {mono.degree}"
+            )
+        if self._val(mono, i - 1) != beta:
+            raise InvariantError(
+                f"canonical monomial {mono} at level {i} of the chain "
+                f"{self.describe()} does not have the value {beta}"
+            )
         return mono
 
     def ramification_data(self, level: Optional[int] = None) -> Tuple[int, Poly]:
@@ -325,7 +360,11 @@ class InductiveValuation:
             raise DomainError("ramification data needs a commensurable top step")
         e = self.ram_index(i)
         u = self.canonical_monomial(self.steps[i - 1].gamma.scaled(-e), level=i)
-        assert self._val(u * self.steps[i - 1].phi**e, i) == Value.of(0).embed(self.rank)
+        if self._val(u * self.steps[i - 1].phi**e, i) != Value.of(0).embed(self.rank):
+            raise InvariantError(
+                f"u * phi_{i}^{e} with u = {u} is not of value 0 on the chain "
+                f"{self.describe()}"
+            )
         return e, u
 
     # -- serialization ----------------------------------------------------------
@@ -480,7 +519,11 @@ def _spot_check_group(nu: InductiveValuation, samples: int = 6):
         if f.is_zero:
             continue
         w = nu._val(f, nu.length - 1)
-        assert in_subgroup(w, gens), "value-group generators are inconsistent"
+        if not in_subgroup(w, gens):
+            raise InvariantError(
+                f"value {w} of {f} is outside the value group of the chain "
+                f"{nu.describe()}: value-group generators are inconsistent"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +557,12 @@ def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
             vals.append(nu._val(c, nu.length - 1) + gamma.scaled(s))
     mu = min(vals)
     idx = tuple(s for s, w in enumerate(vals) if w == mu)
-    if not nu.top_commensurable:
+    if len(idx) > 1 and not nu.top_commensurable:
         # monomial values differ in the fresh direction, so ties are impossible
-        assert len(idx) == 1, "incommensurable argmin must be a singleton"
+        raise InvariantError(
+            f"argmin {idx} of {f} on the chain {nu.describe()} with an "
+            "incommensurable top step must be a singleton"
+        )
     return ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
 
 

@@ -173,8 +173,9 @@ def attach_levels(nu: InductiveValuation) -> None:
                 )
             psi = kc.respoly
         new_pre = InductiveValuation(nu.base, demoted[:i], 1)
-        new_pre._levels = levels  # prefix sees the levels built so far
+        new_pre._levels = levels  # while its level is built: the levels so far
         levels.append(_make_level(new_pre, i, levels, psi))
+        new_pre._levels = levels[:i]
         pre = new_pre
     if nu.rank == 2 and r >= 2:
         step = nu.steps[-1]

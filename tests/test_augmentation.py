@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indval as iv
 from indval import (
@@ -20,6 +22,9 @@ from indval import (
     stability,
     validate_continuous_chain,
 )
+from indval.augmentation import StabilityReport
+from indval.chains import _value_of, expansion_report
+from indval.values import INFINITY
 from conftest import make_rand_poly
 
 P = Poly.parse
@@ -260,3 +265,125 @@ class TestQuadraticLimit:
         a_deep = -deep.family[-1].phi.coeff(0)
         with pytest.raises(ResourceError, match="prefix"):
             lim(Poly([-a_deep, 1]))
+
+
+# ---------------------------------------------------------------------------
+# The integer limit path and the stability short-cut against full scans
+# ---------------------------------------------------------------------------
+
+
+def _full_scan(chain, f):
+    """The stability scan of every f, with no short-cut for degree < d."""
+    values = []
+    for alpha in range(1, chain.length + 1):
+        rep = expansion_report(chain.member(alpha), f)
+        values.append(rep.mu)
+        if rep.indices == (0,):
+            return StabilityReport(True, rep.mu, alpha, tuple(values))
+    return StabilityReport(False, None, None, tuple(values))
+
+
+def _limit_reference(lim, g):
+    """min over s of (full-scan stable value of g_s, embedded) + s*gamma."""
+    if g.is_zero:
+        return INFINITY
+    best = None
+    for s, c in enumerate(iv.phi_expansion(g, lim.phi)):
+        if c.is_zero:
+            continue
+        w = _full_scan(lim.chain, c).value.embed(lim.rank) + lim.gamma.scaled(s)
+        if best is None or w < best:
+            best = w
+    return best
+
+
+def _quadratic_family(v2):
+    """Degree-2 keys x^2 + 2 + a over the base step (x, 1/2), each a adding
+    a term of value gamma_alpha, so that consecutive keys are not equivalent."""
+    fam = [("x^2+2", F(3, 2)), ("x^2+2x+2", 2), ("x^2+2x+6", F(5, 2)), ("x^2+6x+6", 3)]
+    return validate_continuous_chain(fam, v2, [("x", F(1, 2))])
+
+
+_coeffs = st.lists(
+    st.tuples(st.integers(-10**4, 10**4), st.integers(1, 60)), min_size=1, max_size=13
+)
+
+
+def _poly(pairs):
+    return Poly([F(n, d) for n, d in pairs])
+
+
+@pytest.fixture(scope="module")
+def lam_limits(lam):
+    return (
+        limit_augment(lam, P("x+2"), Value.of((1, 0))),
+        limit_augment(lam, P("x+2"), Value.of(F(201, 2))),
+    )
+
+
+@pytest.fixture(scope="module")
+def quad_limit(v2):
+    return limit_augment(_quadratic_family(v2), P("x^2+6x+14"), Value.of((1, 0)))
+
+
+class TestIntegerLimitPath:
+    @settings(max_examples=60, deadline=None)
+    @given(_coeffs)
+    def test_lam_equals_reference(self, lam_limits, pairs):
+        g = _poly(pairs)
+        for lim in lam_limits:
+            assert lim._mu1 is not None
+            got, want = lim(g), _limit_reference(lim, g)
+            assert got == want and str(got) == str(want)
+            if not g.is_zero:
+                assert got.rank == lim.rank
+
+    @settings(max_examples=25, deadline=None)
+    @given(_coeffs)
+    def test_degree2_family_equals_reference(self, quad_limit, pairs):
+        # coefficients of degree 1 take the mu_1 path, not the constant one
+        assert quad_limit._mu1 is not None
+        g = _poly(pairs)
+        got, want = quad_limit(g), _limit_reference(quad_limit, g)
+        assert got == want and str(got) == str(want)
+
+    def test_degree2_key_over_linear_family_keeps_the_scan(self, v2):
+        chain = _sqrt17_family(v2, 6)
+        lim = limit_augment(chain, P("x^2-17"), Value.of((1, 0)))
+        assert lim._mu1 is None
+        rng = random.Random(79)
+        for _ in range(10):
+            g = make_rand_poly(rng, 5)
+            assert lim(g) == _limit_reference(lim, g)
+
+    def test_short_cut_stability_equals_full_scan(self, lam, quad_limit, rand_poly):
+        rng = random.Random(80)
+        for chain in (lam, quad_limit.chain):
+            for _ in range(40):
+                f = rand_poly(rng, chain.degree - 1)
+                got, want = stability(chain, f), _full_scan(chain, f)
+                assert got == want
+                assert [v.rank for v in got.values] == [v.rank for v in want.values]
+
+    def test_repeated_values_are_equal_and_of_the_chain_rank(
+        self, nu1, nu2, nu_inf, nu4, lam_limits, rand_poly
+    ):
+        rng = random.Random(81)
+        for nu in (nu1, nu2, nu_inf, nu4) + lam_limits:
+            rank = nu.rank
+            for _ in range(10):
+                f = rand_poly(rng, 8)
+                a, b = nu(f), nu(f)
+                assert a == b and a.rank == b.rank == rank
+                assert a is b  # consecutive results share one Value
+
+    def test_shared_values_keep_their_rank(self):
+        one, minor = _value_of((1,), 1), _value_of((0, 1), 1)
+        assert one == Value.of(1) and minor == Value((0, 1))
+        assert one is not minor and one.rank == 1 and minor.rank == 2
+        assert _value_of(None, 1) is INFINITY
+        assert _value_of((3, -4), 6) == Value((F(1, 2), F(-2, 3)))
+
+    def test_value_cache_is_bounded(self):
+        maxsize = _value_of.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 4096

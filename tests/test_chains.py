@@ -7,6 +7,7 @@ import indval as iv
 from indval import (
     ChainError,
     DomainError,
+    InvariantError,
     Poly,
     Value,
     chain_from_json,
@@ -18,6 +19,7 @@ from indval import (
     phi_expansion,
     validate_chain,
 )
+import indval.chains as chains
 from conftest import make_rand_poly
 
 P = Poly.parse
@@ -362,3 +364,27 @@ class TestSemivaluation:
             wfg = key_semivaluation(nu1, chi, f * g)
             if not wf.is_infinite and not wg.is_infinite:
                 assert wfg == wf + wg
+
+
+class TestInvariantErrors:
+    """Broken internal invariants raise InvariantError naming the chain,
+    also under python -O."""
+
+    def test_value_group_spot_check(self, v2, monkeypatch):
+        monkeypatch.setattr(chains, "in_subgroup", lambda w, gens: False)
+        with pytest.raises(InvariantError, match=r"\(x\^2 \+ 2, 3/2\)\] over v_2"):
+            validate_chain([("x", F(1, 2)), ("x^2+2", F(3, 2))], v2)
+
+    def test_canonical_monomial_value(self, nu2, monkeypatch):
+        monkeypatch.setattr(
+            chains.InductiveValuation, "_val", lambda self, f, i: Value.of(7)
+        )
+        with pytest.raises(InvariantError, match=r"does not have the value 1/2"):
+            nu2.canonical_monomial(Value.of(F(1, 2)))
+
+    def test_incommensurable_argmin_tie(self, nu_inf, monkeypatch):
+        # 1 + 2x: values (0, 1) + 0*gamma and (0, 0) + 1*gamma tie
+        fake = {P("1"): Value((0, 1)), P("2"): Value((0, 0))}
+        monkeypatch.setattr(chains.InductiveValuation, "_val", lambda self, f, i: fake[f])
+        with pytest.raises(InvariantError, match=r"argmin \(0, 1\) of 2\*x \+ 1 on the chain \[\(x, \(0, 1\)\)\]"):
+            expansion_report(nu_inf, P("2x+1"))

@@ -173,3 +173,20 @@ class TestDegreeTwoFamily:
         again = iv.continuous_chain_from_json(chain.to_json())
         assert again.family == chain.family
         assert again.base_steps == chain.base_steps
+
+
+class TestPrefixLevels:
+    def test_each_prefix_chain_holds_its_own_levels(self, nu4, nu8):
+        for nu in (nu4, nu8):
+            assert len(nu._levels) == nu.length
+            for i, level in enumerate(nu._levels, 1):
+                assert level.index == i
+                assert len(level.nu._levels) == i
+                assert level.nu._levels == nu._levels[:i]
+
+    def test_level_chain_lifts_like_the_prefix(self, nu4, nu8):
+        assert lift_key(nu4._levels[0].nu, "y+1") == P("x^2+2")
+        assert lift_key(nu4.prefix(1), "y+1") == P("x^2+2")
+        for i, level in enumerate(nu8._levels, 1):
+            psi = "y+1" if i < 3 else "y+[0,1]"
+            assert lift_key(level.nu, psi) == lift_key(nu8.prefix(i), psi)

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from indval import (
     DomainError,
@@ -200,3 +203,34 @@ class TestTowerPolyParse:
 
     def test_int_coefficients_coerce(self, F4):
         assert TowerPoly.parse(F4, "y+1") == TowerPoly(F4, [F4.one(), F4.one()])
+
+
+class TestSympyOracle:
+    """ff_factor and ff_is_irreducible against sympy's galoistools over prime
+    fields, on seeded random monic inputs of degree 1-8."""
+
+    @staticmethod
+    def _ints(poly):  # highest degree first, as galoistools expects
+        p = poly.field.p
+        return [ZZ(int(c.data) % p) for c in reversed(poly.elems())]
+
+    @staticmethod
+    def _cases(p):
+        F = TowerField(p)
+        rng = random.Random(5000 + p)
+        for _ in range(40):
+            d = rng.randrange(1, 9)
+            yield TowerPoly(F, [F.from_index(rng.randrange(p)) for _ in range(d)] + [F.one()])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_factor(self, p):
+        for psi in self._cases(p):
+            _lc, ref = gf_factor(self._ints(psi), p, ZZ)
+            want = Counter({tuple(int(c) for c in g): m for g, m in ref})
+            got = Counter({tuple(int(c) for c in self._ints(g)): m for g, m in ff_factor(psi, 7)})
+            assert got == want, str(psi)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_irreducible(self, p):
+        for psi in self._cases(p):
+            assert ff_is_irreducible(psi) == gf_irreducible_p(self._ints(psi), p, ZZ), str(psi)
