@@ -25,8 +25,11 @@ from .basefield import PadicValuation, Poly
 from .chains import (
     InductiveValuation,
     Step,
+    _as_step,
     _parse_base,
     _parse_steps,
+    _report,
+    _steps_json,
     _value_of,
     expansion_report,
     is_equivalent,
@@ -129,20 +132,9 @@ class ContinuousChain:
         return self.members[alpha - 1]
 
     def to_json(self) -> dict:
-        def gamma_obj(g: Value):
-            return str(g.coords[0]) if g.rank == 1 else [str(c) for c in g.coords]
-
-        obj = {
-            "prime": self.base.p,
-            "family": [
-                {"phi": str(s.phi), "gamma": gamma_obj(s.gamma)} for s in self.family
-            ],
-        }
+        obj = {"prime": self.base.p, "family": _steps_json(self.family)}
         if self.base_steps:
-            obj["base_steps"] = [
-                {"phi": str(s.phi), "gamma": gamma_obj(s.gamma)}
-                for s in self.base_steps
-            ]
+            obj["base_steps"] = _steps_json(self.base_steps)
         return obj
 
 
@@ -174,26 +166,10 @@ def validate_continuous_chain(
     phi_alpha, with gamma_beta > mu_alpha(phi_beta).  Adjacent pairs are
     checked fully, non-adjacent pairs by deterministic spot checks.
     """
-    family: List[Step] = []
-    for item in raw_family:
-        if isinstance(item, Step):
-            phi, gamma = item.phi, item.gamma
-        else:
-            phi, gamma = item
-        if isinstance(phi, str):
-            phi = Poly.parse(phi)
-        family.append(Step(phi, Value.of(gamma).demote()))
+    family = [_as_step(item) for item in raw_family]
     if not family:
         raise ChainError("a continuous family must be non-empty")
-    bsteps: List[Step] = []
-    for item in base_steps:
-        if isinstance(item, Step):
-            bsteps.append(item)
-        else:
-            phi, gamma = item
-            if isinstance(phi, str):
-                phi = Poly.parse(phi)
-            bsteps.append(Step(phi, Value.of(gamma).demote()))
+    bsteps = [_as_step(item) for item in base_steps]
 
     d = family[0].phi.degree
     for i, st in enumerate(family, 1):
@@ -351,14 +327,7 @@ class LimitValuation:
             return INFINITY
         if self._mu1 is not None:
             return self._int_valuation(g)
-        best: Optional[Value] = None
-        for s, coeff in enumerate(phi_expansion(g, self.phi)):
-            if coeff.is_zero:
-                continue
-            w = self.stable_value(coeff) + self.gamma.scaled(s)
-            if best is None or w < best:
-                best = w
-        return best
+        return _report(phi_expansion(g, self.phi), self.gamma, self.stable_value).mu
 
     def _int_valuation(self, g: Poly) -> Value:
         """min_s (B * mu_1(g_s) + s * B * gamma) as integer vectors, with the

@@ -117,6 +117,20 @@ class PadicValuation:
 # Polynomials over Q
 # ---------------------------------------------------------------------------
 
+# Largest exponent Poly.parse and TowerPoly.parse accept.  Parsed polynomials
+# are dense, so time and memory grow with the degree; every degree the tests,
+# demos and benchmark use is far below the cap.
+MAX_PARSE_DEGREE = 2**16
+
+
+def _parse_exponent(digits: str) -> int:
+    """The exponent written in decimal ``digits``; ResourceError, raised before
+    anything is allocated, when it exceeds MAX_PARSE_DEGREE."""
+    if len(digits.lstrip("0")) > len(str(MAX_PARSE_DEGREE)) or int(digits) > MAX_PARSE_DEGREE:
+        raise ResourceError(f"exponents above {MAX_PARSE_DEGREE} are not parsed")
+    return int(digits)
+
+
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-])?\s*
         (?:
@@ -211,7 +225,8 @@ class Poly:
     def parse(cls, text: str) -> "Poly":
         """Parse sums of terms ``c*x^k``, ``x^k``, ``x`` and constants.
 
-        The ``*`` is optional and whitespace is ignored.
+        The ``*`` is optional and whitespace is ignored.  An exponent above
+        MAX_PARSE_DEGREE raises ResourceError.
         """
         s = text.strip()
         if not s:
@@ -233,7 +248,7 @@ class Poly:
             c = Fraction(coeff) if coeff else Fraction(1)
             k = 0
             if xpart:
-                k = int(kstr) if kstr else 1
+                k = _parse_exponent(kstr) if kstr else 1
             coeffs[k] = coeffs.get(k, Fraction(0)) + sgn * c
             pos = m.end()
             first = False

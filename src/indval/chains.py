@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .basefield import PadicValuation, Poly
 from .errors import ChainError, DomainError, InvariantError
-from .values import INFINITY, Value, in_subgroup, is_commensurable, subgroup_index
+from .values import INFINITY, Value, in_subgroup
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class InductiveValuation:
         # every value of the chain lies in (1/_den) Z^rank
         self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
         self._levels = None  # residual level data, attached by validation
-        self._e_cache: dict = {}
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
         self._key_lifts: dict = {}  # psi over the top residue field -> lift_key(psi)
 
@@ -181,17 +180,24 @@ class InductiveValuation:
         return (self.base_unit_value(),) + tuple(s.gamma for s in self.steps)
 
     def ram_index(self, i: int) -> int:
-        """Least e >= 1 with e*gamma_i in the value group below level i."""
-        if i not in self._e_cache:
-            e = subgroup_index(self.steps[i - 1].gamma, self.group_gens(i))
-            self._e_cache[i] = e
-        e = self._e_cache[i]
-        if e is None:
+        """Least e >= 1 with e*gamma_i in the value group below level i.
+
+        That group is (1/D_i)Z (see :meth:`_digit_table`), so e_i is the
+        denominator of gamma_i * D_i, read from the digit table.
+        """
+        rows = self._digit_table()
+        if i > len(rows):
             raise DomainError(f"gamma_{i} is incommensurable with the group below it")
-        return e
+        return rows[i - 1][0]
 
     def commensurable_at(self, i: int) -> bool:
-        return is_commensurable(self.steps[i - 1].gamma, self.group_gens(i))
+        """Whether gamma_i is commensurable with the group below level i.
+
+        Every step of a validated chain is, except a rank-2 top step: only the
+        last value may open the fresh direction, and one that does not is
+        stored as rank 1.
+        """
+        return self.rank == 1 or i < self.length
 
     @property
     def top_commensurable(self) -> bool:
@@ -213,24 +219,7 @@ class InductiveValuation:
             return self._val(f, i - 1)
         if i == 1 and phi.den == 1:
             return self._val_linear(f, -phi.num[0], gamma)
-        if i == 1:
-            # digits are constants; take the minimum without Poly churn
-            best = None
-            for s, c in enumerate(_linear_digits(f.coeffs, -phi.coeff(0))):
-                if c == 0:
-                    continue
-                w = self.base_value(c) + gamma.scaled(s)
-                if best is None or w < best:
-                    best = w
-            return best
-        best: Optional[Value] = None
-        for s, coeff in enumerate(phi_expansion(f, phi)):
-            if coeff.is_zero:
-                continue
-            w = self._val(coeff, i - 1) + gamma.scaled(s)
-            if best is None or w < best:
-                best = w
-        return best
+        return min(_monomial_values(phi_expansion(f, phi), gamma, lambda c: self._val(c, i - 1)))
 
     def _val_linear(self, f: Poly, a: int, gamma: Value) -> Value:
         """Level-1 value of f for the key x - a with a an integer.
@@ -267,10 +256,6 @@ class InductiveValuation:
     def __call__(self, f: Poly) -> Value:
         return self.valuation(f)
 
-    def expansion(self, f: Poly, phi: Optional[Poly] = None) -> List[Poly]:
-        """Expansion of f in the top key (or an explicit monic base)."""
-        return phi_expansion(f, phi if phi is not None else self.top.phi)
-
     def weighted_cap(self) -> Value:
         """gamma_r / deg(phi_r): the maximal weighted value mu(f)/deg(f)."""
         return self.top.gamma.over(self.top_degree)
@@ -280,9 +265,10 @@ class InductiveValuation:
     def _digit_table(self) -> Tuple[Tuple[int, int, int, int], ...]:
         """Rows (e_j, D_{j+1}, g_j, g_j^-1 mod e_j) for the rank-1 steps j.
 
-        The group below level j+1 is (1/D_{j+1})Z with D_1 = 1 and
-        D_{j+1} = D_j * e_j, and g_j = gamma_j * D_{j+1} is an integer prime
-        to e_j.  Built once per chain.
+        The group below level j is (1/D_j)Z with D_1 = 1 (the group of v_p),
+        e_j is the denominator of gamma_j * D_j, D_{j+1} = D_j * e_j, and
+        g_j = gamma_j * D_{j+1} is an integer prime to e_j.  Built once per
+        chain; a rank-2 top step has no row.
         """
         if self._digit_rows is None:
             rows = []
@@ -291,7 +277,7 @@ class InductiveValuation:
                 gamma = st.gamma.demote()
                 if gamma.rank != 1:
                     break
-                e = self.ram_index(j)
+                e = (gamma.coords[0] * D).denominator
                 D *= e
                 g = int(gamma.coords[0] * D)
                 rows.append((e, D, g, pow(g, -1, e)))
@@ -370,17 +356,7 @@ class InductiveValuation:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        def gamma_obj(g: Value):
-            if g.rank == 1:
-                return str(g.coords[0])
-            return [str(c) for c in g.coords]
-
-        return {
-            "prime": self.base.p,
-            "steps": [
-                {"phi": str(s.phi), "gamma": gamma_obj(s.gamma)} for s in self.steps
-            ],
-        }
+        return {"prime": self.base.p, "steps": _steps_json(self.steps)}
 
 
 def _parse_gamma(obj) -> Value:
@@ -394,6 +370,26 @@ def _parse_gamma(obj) -> Value:
         except (ValueError, ZeroDivisionError) as exc:
             raise ChainError(f"cannot read value {obj!r}: {exc}") from None
     return Value.parse(str(obj))
+
+
+def _steps_json(steps: Sequence[Step]) -> List[dict]:
+    """Chain-file step objects, the inverse of :func:`_parse_steps`; a rank-2
+    value is written as a list of its two coordinates."""
+    out = []
+    for st in steps:
+        g = st.gamma
+        gamma = str(g) if g.rank == 1 else [str(c) for c in g.coords]
+        out.append({"phi": str(st.phi), "gamma": gamma})
+    return out
+
+
+def _as_step(item) -> Step:
+    """A Step, or (phi, gamma) with phi a string or a Poly, as a Step whose
+    value is demoted to rank 1 when its minor coordinate is 0."""
+    phi, gamma = (item.phi, item.gamma) if isinstance(item, Step) else item
+    if isinstance(phi, str):
+        phi = Poly.parse(phi)
+    return Step(phi, Value.of(gamma).demote())
 
 
 def _parse_base(prime) -> PadicValuation:
@@ -451,16 +447,7 @@ def validate_chain(
     data (ramification, normalizers, residue-field tower) is built and cached
     during the walk.
     """
-    steps: List[Step] = []
-    for item in raw_steps:
-        if isinstance(item, Step):
-            phi, gamma = item.phi, item.gamma
-        else:
-            phi, gamma = item
-        if isinstance(phi, str):
-            phi = Poly.parse(phi)
-        gamma = Value.of(gamma)
-        steps.append(Step(phi, gamma))
+    steps = [_as_step(item) for item in raw_steps]
     if not steps:
         raise ChainError("a chain must contain at least one step")
 
@@ -475,7 +462,6 @@ def validate_chain(
                 "use key_semivaluation for the semivaluation with support (phi)"
             )
 
-    steps = [Step(s.phi, s.gamma.demote()) for s in steps]
     for i, st in enumerate(steps[:-1], 1):
         # only the last value may carry the fresh (incommensurable) direction
         if st.gamma.rank == 2:
@@ -543,27 +529,43 @@ class ExpansionReport:
     s_prime: int
 
 
-def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
-    """Expansion of f in the top key with values, minimum and argmin set."""
-    if f.is_zero:
-        raise DomainError("expansion report of the zero polynomial")
-    coeffs = nu.expansion(f)
-    gamma = nu.top.gamma
-    vals = []
-    for s, c in enumerate(coeffs):
-        if c.is_zero:
-            vals.append(INFINITY)
-        else:
-            vals.append(nu._val(c, nu.length - 1) + gamma.scaled(s))
+def _monomial_values(coeffs: Sequence[Poly], gamma: Value, value_of) -> List[Value]:
+    """The monomial values value_of(f_s) + s*gamma of an expansion sum f_s phi^s
+    in a key of value gamma, Infinity for f_s = 0.
+
+    The one kernel behind every expansion: chain evaluation (with the prefix
+    chain as value_of), expansion reports, the residual decomposition and the
+    scan path of limit valuations (with stable values as value_of).
+    """
+    return [INFINITY if c.is_zero else value_of(c) + gamma.scaled(s) for s, c in enumerate(coeffs)]
+
+
+def _report(coeffs: Sequence[Poly], gamma: Value, value_of) -> ExpansionReport:
+    """The monomial values of an expansion with their minimum and argmin set."""
+    vals = _monomial_values(coeffs, gamma, value_of)
     mu = min(vals)
     idx = tuple(s for s, w in enumerate(vals) if w == mu)
-    if len(idx) > 1 and not nu.top_commensurable:
+    return ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
+
+
+def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
+    """Expansion of f in the top key with values, minimum and argmin set.
+
+    The monomial values come from the kernel :func:`_monomial_values` with the
+    prefix chain as value_of; s and s' are the least and greatest argmin.  A
+    rank-2 top step, the only incommensurable one, has a singleton argmin; a
+    tie there raises InvariantError.
+    """
+    if f.is_zero:
+        raise DomainError("expansion report of the zero polynomial")
+    rep = _report(phi_expansion(f, nu.top.phi), nu.top.gamma, lambda c: nu._val(c, nu.length - 1))
+    if len(rep.indices) > 1 and not nu.top_commensurable:
         # monomial values differ in the fresh direction, so ties are impossible
         raise InvariantError(
-            f"argmin {idx} of {f} on the chain {nu.describe()} with an "
+            f"argmin {rep.indices} of {f} on the chain {nu.describe()} with an "
             "incommensurable top step must be a singleton"
         )
-    return ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
+    return rep
 
 
 def is_equivalent(nu: InductiveValuation, f: Poly, g: Poly) -> bool:

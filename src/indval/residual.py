@@ -41,15 +41,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .basefield import Poly
-from .chains import InductiveValuation, Step, phi_expansion
-from .errors import ChainError, DomainError
+from .chains import InductiveValuation, Step, _report, phi_expansion
+from .errors import ChainError, DomainError, InvariantError
 from .towers import (
     TowerElem,
     TowerField,
     TowerPoly,
     extend_with_root,
 )
-from .values import INFINITY, Value
+from .values import Value
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,22 +139,21 @@ class _Decomp:
 def attach_levels(nu: InductiveValuation) -> None:
     """Walk the chain, checking value/key invariants and building level data.
 
-    Raises ChainError naming the first violated invariant.  On success the
-    levels are cached on the chain; an incommensurable final step carries no
-    level of its own.
+    Raises ChainError naming the first violated invariant.  Every step i >= 2
+    is checked against its prefix chain, a rank-2 top step too (its prefix
+    value embedded into the major coordinate).  On success the levels are
+    cached on the chain; an incommensurable final step carries no level of
+    its own.
     """
     from .keys import key_check
 
-    r = nu.length
-    comm_len = r if nu.rank == 1 else r - 1
-    demoted = [Step(s.phi, s.gamma.demote()) for s in nu.steps[:comm_len]]
+    demoted = [Step(s.phi, s.gamma.demote()) for s in nu.steps]
     levels: List[_Level] = []
     pre: Optional[InductiveValuation] = None
-    for i in range(1, comm_len + 1):
-        step = demoted[i - 1]
+    for i, step in enumerate(demoted, 1):
         psi = None
         if i >= 2:
-            mu_phi = pre.valuation(step.phi)
+            mu_phi = pre.valuation(step.phi).embed(step.gamma.rank, major=True)
             if not step.gamma > mu_phi:
                 raise ChainError(
                     f"step {i}: gamma={step.gamma} must exceed the prefix value "
@@ -172,30 +171,13 @@ def attach_levels(nu: InductiveValuation) -> None:
                     "replaces the top step instead of appending"
                 )
             psi = kc.respoly
+        if not nu.commensurable_at(i):
+            break
         new_pre = InductiveValuation(nu.base, demoted[:i], 1)
         new_pre._levels = levels  # while its level is built: the levels so far
         levels.append(_make_level(new_pre, i, levels, psi))
         new_pre._levels = levels[:i]
         pre = new_pre
-    if nu.rank == 2 and r >= 2:
-        step = nu.steps[-1]
-        mu_phi = pre.valuation(step.phi).embed(2, major=True)
-        if not step.gamma > mu_phi:
-            raise ChainError(
-                f"step {r}: gamma={step.gamma} must exceed the prefix value "
-                f"{mu_phi} of the key polynomial"
-            )
-        kc = key_check(pre, step.phi)
-        if not kc.ok:
-            raise ChainError(
-                f"step {r}: {step.phi} is not a key polynomial for the prefix "
-                f"chain ({kc.reason})"
-            )
-        if kc.branch == "equivalent":
-            raise ChainError(
-                f"step {r}: key is equivalent to the previous key; augment "
-                "replaces the top step instead of appending"
-            )
     nu._levels = levels
 
 
@@ -289,7 +271,10 @@ def _hu_mono(levels: Sequence[_Level], i: int, exps: Sequence[int]) -> Homogeneo
     for j in range(1, len(exps)):
         value = value + levels[j - 1].gamma.scaled(exps[j])
     acc, canon = _rho(levels, i, exps)
-    assert tuple(canon) == _digits(levels, i, value)
+    if tuple(canon) != _digits(levels, i, value):
+        raise InvariantError(
+            f"monomial {tuple(exps)} at level {i} of {top.nu.describe()} reduces off its digits"
+        )
     return HomogeneousUnit(value, TowerElem(top.field, acc))
 
 
@@ -345,7 +330,10 @@ def _residue_small(levels: Sequence[_Level], i: int, a: Poly) -> HomogeneousUnit
     for cdata in reversed(dec.respoly.coeffs):
         up = F._coerce_up(cdata, prev_field.height, h)
         acc = F._add(F._mul(acc, z.data, h), up, h)
-    assert not F._is_zero(acc, h), "residual polynomial vanished at the tower image"
+    if F._is_zero(acc, h):
+        raise InvariantError(
+            f"residual polynomial of {a} at level {i} of {top.nu.describe()} vanished at xi"
+        )
     nlc_up = HomogeneousUnit(dec.nlc.value, F.coerce(dec.nlc.residue))
     q_part = _hu_mono(levels, i, [0] * (i - 1) + [dec.s])
     out = _hu_mul(levels, i, _hu_mul(levels, i, nlc_up, q_part), HomogeneousUnit(Value.of(0), TowerElem(F, acc)))
@@ -364,18 +352,13 @@ def _decompose(
         raise DomainError("decomposition of the zero polynomial")
     top = levels[i - 1]
     phi = phi_override if phi_override is not None else top.phi
-    coeffs = phi_expansion(f, phi)
-    vals = []
-    for s, c in enumerate(coeffs):
-        if c.is_zero:
-            vals.append(INFINITY)
-        else:
-            vals.append(top.nu._val(c, i - 1) + top.gamma.scaled(s))
-    mu = min(vals)
-    indices = tuple(s for s, w in enumerate(vals) if w == mu)
-    s0, sp = indices[0], indices[-1]
+    rep = _report(phi_expansion(f, phi), top.gamma, lambda c: top.nu._val(c, i - 1))
+    coeffs, indices, s0, sp = rep.coeffs, rep.indices, rep.s, rep.s_prime
     e = top.e
-    assert all((j - s0) % e == 0 for j in indices), "argmin indices off the e-grid"
+    if any((j - s0) % e for j in indices):
+        raise InvariantError(
+            f"argmin {indices} of {f} at level {i} of {top.nu.describe()} is off the {e}-grid"
+        )
     d = (sp - s0) // e
     hu_u = u_override if u_override is not None else _hu_mono(levels, i, top.u_exps)
     top_res = _residue_small(levels, i, coeffs[sp])
@@ -394,14 +377,20 @@ def _decompose(
                 _hu_mul(levels, i, res, _hu_pow(levels, i, hu_u, d - j)),
                 _hu_inv(levels, i, top_res),
             )
-            assert hu.value == zero_val
+            if hu.value != zero_val:
+                raise InvariantError(
+                    f"unit {sj} of {f} at level {i} of {top.nu.describe()} has value {hu.value}"
+                )
             zetas.append(hu.residue)
         else:
             zetas.append(top.field.zero())
     respoly = TowerPoly(top.field, zetas)
-    assert respoly.is_monic and respoly.degree == d
-    assert not respoly.coeff(0).is_zero
-    return _Decomp(s0, sp, indices, mu, nlc, respoly)
+    if not (respoly.is_monic and respoly.degree == d) or respoly.coeff(0).is_zero:
+        raise InvariantError(
+            f"residual polynomial {respoly} of {f} at level {i} of {top.nu.describe()} "
+            f"is not monic of degree {d} with a non-zero constant"
+        )
+    return _Decomp(s0, sp, indices, rep.mu, nlc, respoly)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +479,8 @@ def unit_lift(nu: InductiveValuation, hu: HomogeneousUnit) -> Poly:
     mono = nu.canonical_monomial(hu.value)
     out = _mulred(nu, w, mono)
     back = _residue_small(levels, nu.length, out)
-    assert back.value == hu.value and back.residue == zeta
+    if back.value != hu.value or back.residue != zeta:
+        raise InvariantError(f"unit lift {out} of {hu} on {nu.describe()} has residue {back}")
     return out
 
 
@@ -531,7 +521,11 @@ def residual_lift(
         acc = acc + unit_lift(nu, hu_j) * top.phi ** (j * top.e)
     f = acc * top.phi**s
     dec = _decompose(levels, nu.length, f)
-    assert dec.s == s and dec.respoly == psi
+    if dec.s != s or dec.respoly != psi:
+        raise InvariantError(
+            f"residual lift {f} on {nu.describe()} has (s, R) = ({dec.s}, {dec.respoly}), "
+            f"not ({s}, {psi})"
+        )
     return f
 
 
@@ -557,7 +551,8 @@ def change_normalizer(nu: InductiveValuation, f: Poly, u_star: Poly):
     hu_star = _residue_small(levels, nu.length, u_star)
     hu_u = _hu_mono(levels, nu.length, top.u_exps)
     sigma_hu = _hu_mul(levels, nu.length, hu_u, _hu_inv(levels, nu.length, hu_star))
-    assert sigma_hu.value == Value.of(0)
+    if sigma_hu.value != 0:
+        raise InvariantError(f"normalizer ratio on {nu.describe()} has value {sigma_hu.value}")
     sigma = sigma_hu.residue
     dec = _decompose(levels, nu.length, f)
     d = dec.respoly.degree
@@ -591,7 +586,8 @@ def change_key(nu: InductiveValuation, f: Poly, phi_star: Poly):
     tau_hu = _hu_mul(
         levels, nu.length, _hu_mono(levels, nu.length, top.u_exps), _residue_small(levels, nu.length, a)
     )
-    assert tau_hu.value == Value.of(0)
+    if tau_hu.value != 0:
+        raise InvariantError(f"key difference on {nu.describe()} has unit value {tau_hu.value}")
     tau = tau_hu.residue
     one = top.field.one()
     shifted = dec.respoly.compose_linear(one, -tau)
@@ -601,5 +597,8 @@ def change_key(nu: InductiveValuation, f: Poly, phi_star: Poly):
         m += 1
     predicted = TowerPoly(top.field, lhs.coeffs[m:])
     observed_dec = _decompose(levels, nu.length, f, phi_override=phi_star)
-    assert observed_dec.s == m
+    if observed_dec.s != m:
+        raise InvariantError(
+            f"s({f}) for the key {phi_star} on {nu.describe()} is {observed_dec.s}, not {m}"
+        )
     return predicted, observed_dec.respoly

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, ParseError, ResourceError
+from .basefield import _parse_exponent
+from .errors import DomainError, InvariantError, ParseError, ResourceError
 
 
 class TowerField:
@@ -158,7 +159,8 @@ class TowerField:
             r0, r1 = r1, r
             s0, s1 = s1, _psub(self, h - 1, s0, _pmul(self, h - 1, q, s1))
         # r0 is a non-zero constant gcd (modulus irreducible)
-        assert len(r0) == 1, "tower modulus is not irreducible"
+        if len(r0) != 1:
+            raise InvariantError(f"modulus {h} of {self.describe()} is not irreducible")
         c_inv = self._inv(r0[0], h - 1)
         inv = [self._mul(c, c_inv, h - 1) for c in s0]
         k = len(self.moduli[h - 1]) - 1
@@ -504,7 +506,10 @@ class TowerPoly:
 
     @classmethod
     def parse(cls, field: TowerField, text: str) -> "TowerPoly":
-        """Parse sums of terms ``c*y^k`` where c is an int or a bracket form."""
+        """Parse sums of terms ``c*y^k`` where c is an int or a bracket form.
+
+        An exponent above MAX_PARSE_DEGREE raises ResourceError.
+        """
         terms = _split_terms(text)
         if not terms:
             raise ParseError(f"empty polynomial {text!r}")
@@ -706,7 +711,7 @@ def _split_terms(text: str):
                     j += 1
                 if j == i:
                     raise ParseError(f"missing exponent in {text!r}")
-                k = int(s[i:j])
+                k = _parse_exponent(s[i:j])
                 i = j
         if coeff_text is None and k == 0:
             raise ParseError(f"cannot parse term in {text!r}")

@@ -12,7 +12,7 @@ from indval import (
     Value,
     poly_ext_gcd,
 )
-from indval.basefield import _is_prime
+from indval.basefield import MAX_PARSE_DEGREE, _is_prime
 
 
 class TestPadic:
@@ -133,6 +133,13 @@ class TestPolyParsePrint:
         for bad in ["", "x +", "x^", "2**x", "y+1"]:
             with pytest.raises(ParseError):
                 Poly.parse(bad)
+
+    def test_exponent_cap(self):
+        assert Poly.parse(f"x^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+        assert Poly.parse("x^007") == Poly.monomial(1, 7)
+        for big in [f"x^{MAX_PARSE_DEGREE + 1}", "x^999999999 + 1", "3x^" + "9" * 5000]:
+            with pytest.raises(ResourceError):
+                Poly.parse(big)
 
     def test_zero_degree_marker(self):
         assert Poly.zero().degree is None

@@ -1,8 +1,11 @@
-"""The benchmark's output oracles on one block of each workload (seed 11).
+"""The benchmark's output oracles on one block of each workload (seed 11),
+and its layer tracer on the library.
 
-``bench/workloads.py`` is loaded read-only from its file, with no bytecode
-written next to it; the work files of its set-ups go under ``tmp_path``.  An
-output that breaks a benchmark oracle therefore fails here too.
+``bench/workloads.py`` and ``bench/layers.py`` are loaded read-only from their
+files, with no bytecode written next to them; the work files of the set-ups
+go under ``tmp_path``.  An output that breaks a benchmark oracle therefore
+fails here too, and so does a renamed boundary function that the traced runs
+(``--trace 1``) wrap.
 """
 
 import importlib.util
@@ -14,12 +17,11 @@ import pytest
 
 import indval as iv
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -28,6 +30,11 @@ def workloads():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load("workloads")
 
 
 @pytest.mark.parametrize("name", ["Valuation", "KeysLadder", "FiniteFields", "CliSession"])
@@ -40,3 +47,24 @@ def test_one_block_passes_the_oracle(workloads, name, tmp_path):
         op = wl.prepare(iv, ctx, spec)
         out = wl.run(iv, ctx, op)
         assert wl.check(iv, ctx, op, out) is None, (name, spec)
+
+
+def test_tracer_wraps_every_boundary_and_restores_it(nu2):
+    import indval.cli  # noqa: F401  (every module the boundaries name)
+
+    layers = load("layers")
+    before = {}
+    for mod_name, attr, _name, _kind in layers.BOUNDARIES:
+        owner, key = layers._resolve(sys.modules[f"indval.{mod_name}"], attr)
+        before[mod_name, attr] = getattr(owner, key)
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        iv.decompose(nu2, iv.Poly.parse("x^4+4"))
+    finally:
+        tracer.uninstall()
+    spans = {tracer.names[i] for i in tracer.name_ids}
+    assert {"residual.decompose.d2", "residual.decompose_inner", "chains.val"} <= spans
+    for (mod_name, attr), original in before.items():
+        owner, key = layers._resolve(sys.modules[f"indval.{mod_name}"], attr)
+        assert getattr(owner, key) is original, (mod_name, attr)

@@ -20,6 +20,7 @@ from indval import (
     validate_chain,
 )
 import indval.chains as chains
+import indval.residual as residual
 from conftest import make_rand_poly
 
 P = Poly.parse
@@ -66,6 +67,33 @@ class TestValidation:
             validate_chain(
                 [("x", Value.of((0, 1))), ("x^2+2", Value.of((0, 3)))], v2
             )
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ([("x", F(1, 2)), ("x^2+2", F(1, 2))],
+             "step 2: gamma=1/2 must exceed the prefix value 1 of the key polynomial"),
+            ([("x", F(1, 2)), ("x^2+2", (F(1, 2), 1))],
+             "step 2: gamma=(1/2, 1) must exceed the prefix value (1, 0) of the key polynomial"),
+            ([("x", F(1, 2)), ("x^2+2", F(1, 2)), ("x^4+4", (5, 1))],
+             "step 2: gamma=1/2 must exceed the prefix value 1 of the key polynomial"),
+            ([("x", F(1, 2)), ("x^2+x", F(3, 2))],
+             "step 2: x^2 + x is not a key polynomial for the prefix chain (s(chi) = 1 != 0)"),
+            ([("x", F(1, 2)), ("x^2+x", (F(3, 2), 1))],
+             "step 2: x^2 + x is not a key polynomial for the prefix chain (s(chi) = 1 != 0)"),
+            ([("x", F(1, 2)), ("x", 1)],
+             "step 2: key is equivalent to the previous key; augment replaces the top "
+             "step instead of appending"),
+            ([("x", F(1, 2)), ("x", (1, 1))],
+             "step 2: key is equivalent to the previous key; augment replaces the top "
+             "step instead of appending"),
+        ],
+    )
+    def test_step_conditions_name_the_step(self, v2, steps, message):
+        # the same three checks and messages for commensurable and rank-2 steps
+        with pytest.raises(ChainError) as exc:
+            validate_chain(steps, v2)
+        assert str(exc.value) == message
 
     def test_equal_degree_nonequivalent_step(self, gauss2, v2):
         # e=1 admits a same-degree non-equivalent key
@@ -388,3 +416,15 @@ class TestInvariantErrors:
         monkeypatch.setattr(chains.InductiveValuation, "_val", lambda self, f, i: fake[f])
         with pytest.raises(InvariantError, match=r"argmin \(0, 1\) of 2\*x \+ 1 on the chain \[\(x, \(0, 1\)\)\]"):
             expansion_report(nu_inf, P("2x+1"))
+
+    def test_decompose_argmin_off_the_grid(self, nu1, monkeypatch):
+        # nu1 has e = 2, so a forged argmin {0, 1} is off the e-grid
+        real = residual._report
+
+        def forged(*args):
+            rep = real(*args)
+            return chains.ExpansionReport(rep.coeffs, rep.monomial_values, rep.mu, (0, 1), 0, 1)
+
+        monkeypatch.setattr(residual, "_report", forged)
+        with pytest.raises(InvariantError, match=r"of \[\(x, 1/2\)\] over v_2 is off the 2-grid"):
+            iv.residual_poly(nu1, P("x+1"))

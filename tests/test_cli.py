@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -162,6 +163,13 @@ class TestExitCodes:
     def test_invalid_chain(self, capsys, chains):
         code, _, err = run(capsys, "stability", "--chain", chains["bad"], "--poly", "x")
         assert code == 2 and "condition (1)" in err
+
+    def test_huge_exponent_is_a_resource_error(self, capsys, chains):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval", "--chain", chains["nu1"], "--poly", "x^999999999", "--json")
+        assert time.perf_counter() - start < 1.0
+        env = json.loads(out)
+        assert code == 3 and env["result"] is None and "exponents above" in env["diagnostics"][0]
 
     def test_domain_error(self, capsys, chains):
         code, _, err = run(

@@ -3,7 +3,9 @@
 * digit tables against the greedy subgroup search of ``digit_vector``;
 * integer-content ``Poly`` arithmetic, expansion and level-1 evaluation
   against Fraction-per-coefficient references;
-* the residual recursion: one ``_decompose`` per level on the ``y+1`` ladder.
+* the residual recursion: one ``_decompose`` per level on the ``y+1`` ladder;
+* group data read from the digit table against the lattice search of
+  ``values``, and the one monomial-value kernel seen from every caller.
 """
 
 import random
@@ -15,7 +17,16 @@ from hypothesis import strategies as st
 
 import indval as iv
 import indval.residual as residual
-from indval import DomainError, Poly, Value, in_subgroup, phi_expansion
+from indval import (
+    DomainError,
+    Poly,
+    Value,
+    expansion_report,
+    in_subgroup,
+    is_commensurable,
+    phi_expansion,
+    subgroup_index,
+)
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +300,44 @@ def test_decompose_runs_once_per_level(ladder, monkeypatch):
             calls.clear()
             iv.decompose(nu, Poly(cs))
             assert sorted(calls) == list(range(1, depth + 1))
+
+
+# ---------------------------------------------------------------------------
+# Group data from the digit table, and the monomial-value kernel
+# ---------------------------------------------------------------------------
+
+GROUP_CHAINS = ("nu1", "nu2", "nu4", "nu8", "nu_inf", "nu2_inf", "ladder")
+
+
+@pytest.fixture(scope="module")
+def group_chains(nu1, nu2, nu4, nu8, nu_inf, nu2_inf, ladder):
+    return dict(zip(GROUP_CHAINS, (nu1, nu2, nu4, nu8, nu_inf, nu2_inf, ladder[-1])))
+
+
+@pytest.mark.parametrize("name", GROUP_CHAINS)
+def test_group_data_matches_the_lattice_search(group_chains, name):
+    nu = group_chains[name]
+    for i in range(1, nu.length + 1):
+        gamma, gens = nu.steps[i - 1].gamma, nu.group_gens(i)
+        assert nu.commensurable_at(i) == is_commensurable(gamma, gens)
+        e = subgroup_index(gamma, gens)
+        if e is None:
+            with pytest.raises(DomainError):
+                nu.ram_index(i)
+        else:
+            assert nu.ram_index(i) == e
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(GROUP_CHAINS),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), min_size=1, max_size=25),
+)
+def test_every_caller_of_the_kernel_agrees(group_chains, name, cs):
+    nu, f = group_chains[name], Poly(cs)
+    if f.is_zero:
+        return
+    mu = expansion_report(nu, f).mu
+    assert nu(f) == mu
+    if nu.top_commensurable:
+        assert residual._decompose(nu._levels, nu.length, f).mu == mu

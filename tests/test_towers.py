@@ -15,6 +15,7 @@ from indval import (
     monic_irreducibles,
     tower_extend,
 )
+from indval.basefield import MAX_PARSE_DEGREE
 from indval.towers import extend_with_root
 
 
@@ -203,6 +204,11 @@ class TestTowerPolyParse:
 
     def test_int_coefficients_coerce(self, F4):
         assert TowerPoly.parse(F4, "y+1") == TowerPoly(F4, [F4.one(), F4.one()])
+
+    def test_exponent_cap(self, F2):
+        assert TowerPoly.parse(F2, f"y^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+        with pytest.raises(ResourceError):
+            TowerPoly.parse(F2, f"y^{MAX_PARSE_DEGREE + 1} + 1")
 
 
 class TestSympyOracle:
