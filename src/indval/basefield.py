@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError, ResourceError
-from .values import INFINITY, Value
+from .values import INFINITY, Value, _check_digits
 
 Rational = Union[int, Fraction]
 
@@ -119,7 +119,8 @@ class PadicValuation:
 
 # Largest exponent Poly.parse and TowerPoly.parse accept.  Parsed polynomials
 # are dense, so time and memory grow with the degree; every degree the tests,
-# demos and benchmark use is far below the cap.
+# demos and benchmark use is far below the cap.  Their numbers are capped at
+# values.MAX_PARSE_DIGITS decimal digits.
 MAX_PARSE_DEGREE = 2**16
 
 
@@ -226,11 +227,13 @@ class Poly:
         """Parse sums of terms ``c*x^k``, ``x^k``, ``x`` and constants.
 
         The ``*`` is optional and whitespace is ignored.  An exponent above
-        MAX_PARSE_DEGREE raises ResourceError.
+        MAX_PARSE_DEGREE, or a number of more than MAX_PARSE_DIGITS digits,
+        raises ResourceError.
         """
         s = text.strip()
         if not s:
             raise ParseError("empty polynomial")
+        _check_digits(s)
         coeffs: dict[int, Fraction] = {}
         pos = 0
         first = True
@@ -245,7 +248,10 @@ class Poly:
             coeff = m.group("coeff")
             xpart = m.group("xa") or m.group("xb")
             kstr = m.group("ka") or m.group("kb")
-            c = Fraction(coeff) if coeff else Fraction(1)
+            try:
+                c = Fraction(coeff) if coeff else Fraction(1)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in polynomial {text!r}") from None
             k = 0
             if xpart:
                 k = _parse_exponent(kstr) if kstr else 1

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .basefield import PadicValuation, Poly
 from .errors import ChainError, DomainError, InvariantError
-from .values import INFINITY, Value, in_subgroup
+from .values import INFINITY, Value, _parse_rational, in_subgroup
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,19 @@ def _linear_digits(coeffs: Sequence[Fraction], a: Fraction) -> List[Fraction]:
         out.append(acc)
         cs = q
     return out
+
+
+def _digits_of(rows: Sequence[Tuple[int, int, int, int]], B: int) -> List[int]:
+    """Digits (c, m_1, ..., m_{i-1}) of the value B/D_i, given the digit-table
+    rows of the i-1 steps below level i (see :meth:`InductiveValuation.digit_vector`)."""
+    exps = [0] * (len(rows) + 1)
+    for j in range(len(rows), 0, -1):
+        e, _, g, inv = rows[j - 1]
+        m = B * inv % e
+        exps[j] = m
+        B = (B - m * g) // e
+    exps[0] = B
+    return exps
 
 
 @lru_cache(maxsize=4096)
@@ -302,15 +315,7 @@ class InductiveValuation:
             raise DomainError(
                 f"{beta} is not in the value group of degree<{self.degrees[i-1]} polynomials"
             )
-        B = b.coords[0].numerator * (D // b.coords[0].denominator)
-        exps = [0] * i
-        for j in range(i - 1, 0, -1):
-            e, _, g, inv = rows[j - 1]
-            m = B * inv % e
-            exps[j] = m
-            B = (B - m * g) // e
-        exps[0] = B
-        return tuple(exps)
+        return tuple(_digits_of(rows, b.coords[0].numerator * (D // b.coords[0].denominator)))
 
     def monomial_from_exps(self, exps: Sequence[int]) -> Poly:
         """The monomial p^c * prod phi_j^{m_j} for exponents (c, m_1, ...)."""
@@ -366,7 +371,7 @@ def _parse_gamma(obj) -> Value:
         raise ChainError(f"cannot read value {obj!r}: not a number or a string")
     if isinstance(obj, list):
         try:
-            return Value([Fraction(str(x)) for x in obj])
+            return Value([_parse_rational(str(x)) for x in obj])
         except (ValueError, ZeroDivisionError) as exc:
             raise ChainError(f"cannot read value {obj!r}: {exc}") from None
     return Value.parse(str(obj))

@@ -32,7 +32,7 @@ from .errors import ChainError, DomainError, ParseError, ResourceError
 from .keys import enumerate_keys, graded_factorization, key_check, lift_key
 from .residual import decompose, residual_data, residual_ideal, residual_poly
 from .towers import TowerPoly
-from .values import Value
+from .values import Value, _check_digits
 
 
 class _UsageError(Exception):
@@ -92,14 +92,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _json_int(text: str) -> int:
+    _check_digits(text)
+    return int(text)
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ChainError(f"cannot read chain file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # RecursionError: nested too deep to decode
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ChainError(f"chain file {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ChainError(f"chain file {path} does not hold a JSON object")
+    return obj
 
 
 def _unit_obj(hu) -> dict:

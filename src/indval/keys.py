@@ -20,6 +20,7 @@ from .residual import (
     _decompose,
     _hu_mul,
     _hu_pow,
+    _public_unit,
     _require_levels,
     residual_lift,
 )
@@ -221,8 +222,8 @@ def graded_factorization(
             factors.append((chi, mult))
             chi_dec = _decompose(levels, r, chi)
             unit = _hu_mul(levels, r, unit, _hu_pow(levels, r, chi_dec.nlc, -mult))
-    result = GradedFactorization(unit, tuple(factors))
-    total = unit.value
+    result = GradedFactorization(_public_unit(levels, r, unit), tuple(factors))
+    total = result.unit_part.value
     for chi, a in result.factors:
         total = total + nu(chi).scaled(a)
     if total != dec.mu:

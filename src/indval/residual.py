@@ -22,7 +22,11 @@ and the lower keys reduce to this form by replacing every bundle phi_j^{e_j}
 with xi_j * u_j^{-1}; the xi_j images are tower elements fixed at validation,
 so the reduction is pure exponent bookkeeping.  Canonical digits come from
 the chain's digit table (every level below the top is rank 1, so each digit
-is a residue modulo e_j), not from a search.  The residue of a general unit
+is a residue modulo e_j), not from a search.  Inside this module a unit at
+level i is the integer pair (B, data): its value is B/D_i in the group
+(1/D_i)Z of the polynomials of degree < deg(phi_i), and data is its raw
+residue in the level's tower; a HomogeneousUnit, with its Value, is built
+only when a unit leaves the module.  The residue of a general unit
 follows the recursion: a unit is equivalent to its 0-th expansion
 coefficient, whose full decomposition one level down maps into the tower
 through the stored images.  At level 1 the residue is read off the integer
@@ -38,10 +42,11 @@ top-level decomposition makes exactly one call per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .basefield import Poly
-from .chains import InductiveValuation, Step, _report, phi_expansion
+from .chains import InductiveValuation, Step, _digits_of, _report, _value_of, phi_expansion
 from .errors import ChainError, DomainError, InvariantError
 from .towers import (
     TowerElem,
@@ -114,6 +119,9 @@ class _Level:
     gamma: Value
     n: int
     e: int
+    D: int  # the values of degree < n polynomials form (1/D)Z
+    gammas_D: Tuple[int, ...]  # gamma_j * D for j < index
+    digit_rows: Tuple[Tuple[int, int, int, int], ...]  # digit-table rows below
     u_exps: Tuple[int, ...]
     u_poly: Poly
     field: TowerField
@@ -127,7 +135,7 @@ class _Decomp:
     s_prime: int
     indices: Tuple[int, ...]
     mu: Value
-    nlc: HomogeneousUnit
+    nlc: Tuple[int, object]  # integer unit (B, residue data), see _hu_mono
     respoly: TowerPoly
 
 
@@ -186,6 +194,8 @@ def _make_level(
 ) -> _Level:
     step = nu_i.steps[-1]
     e = nu_i.ram_index(i)
+    rows = nu_i._digit_table()[: i - 1]
+    D = rows[-1][1] if rows else 1
     u_exps = nu_i.digit_vector(step.gamma.scaled(-e), level=i)
     u_poly = nu_i.monomial_from_exps(u_exps)
     if i == 1:
@@ -207,6 +217,9 @@ def _make_level(
         gamma=step.gamma,
         n=step.phi.degree,
         e=e,
+        D=D,
+        gammas_D=tuple(g * (D // D_next) for _, D_next, g, _ in rows),
+        digit_rows=rows,
         u_exps=u_exps,
         u_poly=u_poly,
         field=field,
@@ -237,8 +250,33 @@ def residual_data(nu: InductiveValuation) -> ResidualData:
 # ---------------------------------------------------------------------------
 
 
-def _digits(levels: Sequence[_Level], i: int, beta: Value) -> Tuple[int, ...]:
-    return levels[i - 1].nu.digit_vector(beta, level=i)
+def _public_unit(levels: Sequence[_Level], i: int, u) -> HomogeneousUnit:
+    """The HomogeneousUnit of an integer unit at level i."""
+    top = levels[i - 1]
+    return _shared_unit(top.field, top.D, *u)
+
+
+@lru_cache(maxsize=4096)
+def _shared_unit(field: TowerField, D: int, B: int, data) -> HomogeneousUnit:
+    """The unit of value B/D and residue data; equal units share one immutable
+    object (and its Value the chains' cached one) while it stays in the
+    bounded cache."""
+    return HomogeneousUnit(_value_of((B,), D), TowerElem(field, data))
+
+
+def _int_unit(levels: Sequence[_Level], i: int, hu: HomogeneousUnit):
+    """The integer unit (B, data) of a HomogeneousUnit at level i."""
+    top = levels[i - 1]
+    b = Value.of(hu.value).demote()
+    if b.coords is None or len(b.coords) != 1 or top.D % b.coords[0].denominator:
+        raise DomainError(f"{hu.value} is not in the value group of degree<{top.n} polynomials")
+    B = b.coords[0].numerator * (top.D // b.coords[0].denominator)
+    return B, top.field.coerce(hu.residue).data
+
+
+def _digits(levels: Sequence[_Level], i: int, B: int) -> List[int]:
+    """Canonical digits (c, m_1, ..., m_{i-1}) of the value B/D_i."""
+    return _digits_of(levels[i - 1].digit_rows, B)
 
 
 def _rho(levels: Sequence[_Level], i: int, exps: Sequence[int]):
@@ -265,41 +303,42 @@ def _rho(levels: Sequence[_Level], i: int, exps: Sequence[int]):
     return acc, vec
 
 
-def _hu_mono(levels: Sequence[_Level], i: int, exps: Sequence[int]) -> HomogeneousUnit:
+def _hu_mono(levels: Sequence[_Level], i: int, exps: Sequence[int]):
+    """The integer unit of the monomial p^c * prod phi_j^{m_j}, exps = (c, m_1, ...)."""
     top = levels[i - 1]
-    value = Value.of(exps[0])
-    for j in range(1, len(exps)):
-        value = value + levels[j - 1].gamma.scaled(exps[j])
+    B = exps[0] * top.D + sum(m * g for m, g in zip(exps[1:], top.gammas_D))
     acc, canon = _rho(levels, i, exps)
-    if tuple(canon) != _digits(levels, i, value):
+    if canon != _digits(levels, i, B):
         raise InvariantError(
             f"monomial {tuple(exps)} at level {i} of {top.nu.describe()} reduces off its digits"
         )
-    return HomogeneousUnit(value, TowerElem(top.field, acc))
+    return B, acc
 
 
-def _hu_mul(levels, i: int, a: HomogeneousUnit, b: HomogeneousUnit) -> HomogeneousUnit:
+def _hu_mul(levels, i: int, a, b):
+    """Product of two units at level i: the values add, and the carries of
+    the summed digits enter the residue.  Two integer units give an integer
+    unit, two HomogeneousUnits a HomogeneousUnit."""
+    if isinstance(a, HomogeneousUnit):
+        return _public_unit(levels, i, _hu_mul(levels, i, _int_unit(levels, i, a), _int_unit(levels, i, b)))
     top = levels[i - 1]
     F, h = top.field, top.field.height
-    da = _digits(levels, i, a.value)
-    db = _digits(levels, i, b.value)
-    acc, _ = _rho(levels, i, [x + y for x, y in zip(da, db)])
-    res = F._mul(F._mul(a.residue.data, b.residue.data, h), acc, h)
-    return HomogeneousUnit(a.value + b.value, TowerElem(F, res))
+    (Ba, ra), (Bb, rb) = a, b
+    acc, _ = _rho(levels, i, [x + y for x, y in zip(_digits(levels, i, Ba), _digits(levels, i, Bb))])
+    return Ba + Bb, F._mul(F._mul(ra, rb, h), acc, h)
 
 
-def _hu_pow(levels, i: int, a: HomogeneousUnit, k: int) -> HomogeneousUnit:
+def _hu_pow(levels, i: int, a, k: int):
     top = levels[i - 1]
     F, h = top.field, top.field.height
     if k == 0:
-        return HomogeneousUnit(Value.of(0), TowerElem(F, F._one(h)))
-    da = _digits(levels, i, a.value)
-    acc, _ = _rho(levels, i, [k * x for x in da])
-    res = F._mul(F._pow(a.residue.data, k, h), acc, h)
-    return HomogeneousUnit(a.value.scaled(k), TowerElem(F, res))
+        return 0, F._one(h)
+    B, r = a
+    acc, _ = _rho(levels, i, [k * x for x in _digits(levels, i, B)])
+    return k * B, F._mul(F._pow(r, k, h), acc, h)
 
 
-def _hu_inv(levels, i: int, a: HomogeneousUnit) -> HomogeneousUnit:
+def _hu_inv(levels, i: int, a):
     return _hu_pow(levels, i, a, -1)
 
 
@@ -308,8 +347,8 @@ def _hu_inv(levels, i: int, a: HomogeneousUnit) -> HomogeneousUnit:
 # ---------------------------------------------------------------------------
 
 
-def _residue_small(levels: Sequence[_Level], i: int, a: Poly) -> HomogeneousUnit:
-    """Residue of a non-zero polynomial of degree < deg(phi_i) at level i."""
+def _residue_small(levels: Sequence[_Level], i: int, a: Poly):
+    """Integer unit of a non-zero polynomial of degree < deg(phi_i) at level i."""
     top = levels[i - 1]
     if i == 1:
         # a = n/d: the order and the residue of the unit part come from the
@@ -318,26 +357,27 @@ def _residue_small(levels: Sequence[_Level], i: int, a: Poly) -> HomogeneousUnit
         base = top.nu.base
         p, order = base.p, base.int_order
         kn, kd = order(n), order(d)
-        res = n // p**kn * pow(d // p**kd, -1, p) % p
-        return HomogeneousUnit(Value.of(kn - kd), top.field.from_int(res))
+        return kn - kd, n // p**kn * pow(d // p**kd, -1, p) % p
     dec = _decompose(levels, i - 1, a)
     F, h = top.field, top.field.height
-    prev_field = levels[i - 2].field
+    prev = levels[i - 2]
     z = top.z_images[i - 2]
     # evaluate the level-(i-1) residual polynomial at the image of xi_{i-1};
     # non-zero because deg(a) < deg(phi_i) and phi_i is minimal at level i-1
     acc = F._zero(h)
     for cdata in reversed(dec.respoly.coeffs):
-        up = F._coerce_up(cdata, prev_field.height, h)
+        up = F._coerce_up(cdata, prev.field.height, h)
         acc = F._add(F._mul(acc, z.data, h), up, h)
     if F._is_zero(acc, h):
         raise InvariantError(
             f"residual polynomial of {a} at level {i} of {top.nu.describe()} vanished at xi"
         )
-    nlc_up = HomogeneousUnit(dec.nlc.value, F.coerce(dec.nlc.residue))
+    # D_i = D_{i-1} * e_{i-1}: the unit one level down, carried up
+    B, r = dec.nlc
+    nlc_up = (B * prev.e, F._coerce_up(r, prev.field.height, h))
     q_part = _hu_mono(levels, i, [0] * (i - 1) + [dec.s])
-    out = _hu_mul(levels, i, _hu_mul(levels, i, nlc_up, q_part), HomogeneousUnit(Value.of(0), TowerElem(F, acc)))
-    return out
+    B, r = _hu_mul(levels, i, nlc_up, q_part)
+    return B, F._mul(r, acc, h)
 
 
 def _decompose(
@@ -345,9 +385,11 @@ def _decompose(
     i: int,
     f: Poly,
     phi_override: Optional[Poly] = None,
-    u_override: Optional[HomogeneousUnit] = None,
+    u_override=None,
 ) -> _Decomp:
-    """Expansion data and the graded decomposition of f at level i."""
+    """Expansion data and the graded decomposition of f at level i.
+
+    u_override, an integer unit, replaces the canonical normalizer u."""
     if f.is_zero:
         raise DomainError("decomposition of the zero polynomial")
     top = levels[i - 1]
@@ -363,7 +405,7 @@ def _decompose(
     hu_u = u_override if u_override is not None else _hu_mono(levels, i, top.u_exps)
     top_res = _residue_small(levels, i, coeffs[sp])
     nlc = _hu_mul(levels, i, top_res, _hu_pow(levels, i, hu_u, -d))
-    zero_val = Value.of(0)
+    top_inv = _hu_inv(levels, i, top_res)
     zetas: List[TowerElem] = []
     idxset = set(indices)
     for j in range(d + 1):
@@ -371,17 +413,13 @@ def _decompose(
         if sj in idxset:
             # the top coefficient reuses top_res: one residue per argmin index
             res = top_res if sj == sp else _residue_small(levels, i, coeffs[sj])
-            hu = _hu_mul(
-                levels,
-                i,
-                _hu_mul(levels, i, res, _hu_pow(levels, i, hu_u, d - j)),
-                _hu_inv(levels, i, top_res),
-            )
-            if hu.value != zero_val:
+            B, r = _hu_mul(levels, i, _hu_mul(levels, i, res, _hu_pow(levels, i, hu_u, d - j)), top_inv)
+            if B:
                 raise InvariantError(
-                    f"unit {sj} of {f} at level {i} of {top.nu.describe()} has value {hu.value}"
+                    f"unit {sj} of {f} at level {i} of {top.nu.describe()} has value "
+                    f"{_value_of((B,), top.D)}"
                 )
-            zetas.append(hu.residue)
+            zetas.append(TowerElem(top.field, r))
         else:
             zetas.append(top.field.zero())
     respoly = TowerPoly(top.field, zetas)
@@ -402,7 +440,7 @@ def decompose(nu: InductiveValuation, f: Poly) -> GradedDecomposition:
     """The triple (s, unit, R) with H(f) = unit * H(phi)^s * R(xi)."""
     levels = _require_levels(nu)
     dec = _decompose(levels, nu.length, f)
-    return GradedDecomposition(dec.s, dec.nlc, dec.respoly)
+    return GradedDecomposition(dec.s, _public_unit(levels, nu.length, dec.nlc), dec.respoly)
 
 
 def residual_poly(nu: InductiveValuation, f: Poly) -> TowerPoly:
@@ -417,7 +455,7 @@ def residual_unit(nu: InductiveValuation, f: Poly) -> HomogeneousUnit:
     Its value is mu(f) - s(f)*gamma_r and it is multiplicative in f.
     """
     levels = _require_levels(nu)
-    return _decompose(levels, nu.length, f).nlc
+    return _public_unit(levels, nu.length, _decompose(levels, nu.length, f).nlc)
 
 
 def residual_ideal(nu: InductiveValuation, f: Poly) -> ResidualIdeal:
@@ -436,7 +474,7 @@ def unit_residue(nu: InductiveValuation, f: Poly) -> HomogeneousUnit:
     dec = _decompose(levels, nu.length, f)
     if dec.indices != (0,):
         raise DomainError("polynomial is not a unit: expansion argmin is not {0}")
-    return dec.nlc
+    return _public_unit(levels, nu.length, dec.nlc)
 
 
 def _mulred(nu: InductiveValuation, a: Poly, b: Poly) -> Poly:
@@ -471,16 +509,21 @@ def unit_lift(nu: InductiveValuation, hu: HomogeneousUnit) -> Poly:
     monomial then moves the value-0 lift to the requested value.
     """
     levels = _require_levels(nu)
-    top = levels[-1]
-    zeta = top.field.coerce(hu.residue)
-    if zeta.is_zero:
-        raise DomainError("unit residue must be non-zero")
-    w = _lift_data(nu, levels, zeta.data, top.field.height)
-    mono = nu.canonical_monomial(hu.value)
-    out = _mulred(nu, w, mono)
-    back = _residue_small(levels, nu.length, out)
-    if back.value != hu.value or back.residue != zeta:
-        raise InvariantError(f"unit lift {out} of {hu} on {nu.describe()} has residue {back}")
+    return _unit_lift(nu, levels, _int_unit(levels, nu.length, hu))
+
+
+def _unit_lift(nu: InductiveValuation, levels: Sequence[_Level], u) -> Poly:
+    """:func:`unit_lift` of an integer unit at the top level."""
+    r = nu.length
+    B, zeta = u
+    w = _lift_data(nu, levels, zeta, levels[-1].field.height)
+    out = _mulred(nu, w, nu.monomial_from_exps(_digits(levels, r, B)))
+    back = _residue_small(levels, r, out)
+    if back != (B, zeta):
+        raise InvariantError(
+            f"unit lift {out} of {_public_unit(levels, r, u)} on {nu.describe()} has residue "
+            f"{_public_unit(levels, r, back)}"
+        )
     return out
 
 
@@ -490,11 +533,13 @@ def residual_lift(
     """Build f with s(f) = s, residual polynomial psi, and top unit zeta.
 
     The coefficient at phi^(s + j*e) lifts zeta * u^(j-d) * psi_j, so the top
-    coefficient is the lift of zeta; round-trip equality of the triple is
-    asserted.  psi must be monic with psi(0) != 0 (or psi = 1).
+    coefficient is the lift of zeta; a round trip through the decomposition
+    checks (s, R) and raises InvariantError on a mismatch.  psi must be monic
+    with psi(0) != 0 (or psi = 1).
     """
     levels = _require_levels(nu)
     top = levels[-1]
+    r = nu.length
     if s < 0:
         raise DomainError("s must be non-negative")
     zeta = top.field.coerce(zeta)
@@ -506,21 +551,16 @@ def residual_lift(
     d = psi.degree
     if d > 0 and psi.coeff(0).is_zero:
         raise DomainError("psi must have a non-zero constant term (or equal 1)")
-    hu_u = _hu_mono(levels, nu.length, top.u_exps)
+    hu_u = _hu_mono(levels, r, top.u_exps)
     acc = Poly.zero()
     for j in range(d + 1):
         zj = psi.coeff(j)
         if zj.is_zero:
             continue
-        hu_j = _hu_mul(
-            levels,
-            nu.length,
-            _hu_mul(levels, nu.length, HomogeneousUnit(Value.of(0), zeta), _hu_pow(levels, nu.length, hu_u, j - d)),
-            HomogeneousUnit(Value.of(0), zj),
-        )
-        acc = acc + unit_lift(nu, hu_j) * top.phi ** (j * top.e)
+        u_j = _hu_mul(levels, r, _hu_mul(levels, r, (0, zeta.data), _hu_pow(levels, r, hu_u, j - d)), (0, zj.data))
+        acc = acc + _unit_lift(nu, levels, u_j) * top.phi ** (j * top.e)
     f = acc * top.phi**s
-    dec = _decompose(levels, nu.length, f)
+    dec = _decompose(levels, r, f)
     if dec.s != s or dec.respoly != psi:
         raise InvariantError(
             f"residual lift {f} on {nu.describe()} has (s, R) = ({dec.s}, {dec.respoly}), "
@@ -550,10 +590,12 @@ def change_normalizer(nu: InductiveValuation, f: Poly, u_star: Poly):
         raise DomainError("alternative normalizer must satisfy value(u* phi^e) = 0")
     hu_star = _residue_small(levels, nu.length, u_star)
     hu_u = _hu_mono(levels, nu.length, top.u_exps)
-    sigma_hu = _hu_mul(levels, nu.length, hu_u, _hu_inv(levels, nu.length, hu_star))
-    if sigma_hu.value != 0:
-        raise InvariantError(f"normalizer ratio on {nu.describe()} has value {sigma_hu.value}")
-    sigma = sigma_hu.residue
+    sigma_B, sigma_data = _hu_mul(levels, nu.length, hu_u, _hu_inv(levels, nu.length, hu_star))
+    if sigma_B:
+        raise InvariantError(
+            f"normalizer ratio on {nu.describe()} has value {_value_of((sigma_B,), top.D)}"
+        )
+    sigma = TowerElem(top.field, sigma_data)
     dec = _decompose(levels, nu.length, f)
     d = dec.respoly.degree
     predicted = dec.respoly.compose_linear(sigma.inv(), top.field.zero()).scale(sigma**d)
@@ -583,12 +625,14 @@ def change_key(nu: InductiveValuation, f: Poly, phi_star: Poly):
         raise DomainError("alternative polynomial is not a key: its value is too small")
     if top.e != 1:
         raise DomainError("all minimal-degree keys are equivalent when e > 1")
-    tau_hu = _hu_mul(
+    tau_B, tau_data = _hu_mul(
         levels, nu.length, _hu_mono(levels, nu.length, top.u_exps), _residue_small(levels, nu.length, a)
     )
-    if tau_hu.value != 0:
-        raise InvariantError(f"key difference on {nu.describe()} has unit value {tau_hu.value}")
-    tau = tau_hu.residue
+    if tau_B:
+        raise InvariantError(
+            f"key difference on {nu.describe()} has unit value {_value_of((tau_B,), top.D)}"
+        )
+    tau = TowerElem(top.field, tau_data)
     one = top.field.one()
     shifted = dec.respoly.compose_linear(one, -tau)
     lhs = shifted * TowerPoly(top.field, [-tau, one]) ** dec.s

@@ -18,6 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .basefield import _parse_exponent
 from .errors import DomainError, InvariantError, ParseError, ResourceError
+from .values import _check_digits
 
 
 class TowerField:
@@ -249,11 +250,13 @@ class TowerField:
     def parse_elem(self, text: str) -> "TowerElem":
         """Parse the bracketed normal form, e.g. ``[1, 0]`` or ``[[1,0],[0,1]]``.
 
-        A bare integer is coerced from the prime field.
+        A bare integer is coerced from the prime field.  A number of more than
+        MAX_PARSE_DIGITS digits raises ResourceError.
         """
+        _check_digits(text)
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
             raise ParseError(f"cannot parse tower element {text!r}: {exc}") from None
         return self.elem_from_obj(obj)
 
@@ -508,8 +511,10 @@ class TowerPoly:
     def parse(cls, field: TowerField, text: str) -> "TowerPoly":
         """Parse sums of terms ``c*y^k`` where c is an int or a bracket form.
 
-        An exponent above MAX_PARSE_DEGREE raises ResourceError.
+        An exponent above MAX_PARSE_DEGREE, or a number of more than
+        MAX_PARSE_DIGITS digits, raises ResourceError.
         """
+        _check_digits(text)
         terms = _split_terms(text)
         if not terms:
             raise ParseError(f"empty polynomial {text!r}")
@@ -921,7 +926,9 @@ def monic_irreducibles(field: TowerField, max_deg: int, cap: int = 2**16):
     """
     if max_deg < 1:
         raise DomainError("max degree must be >= 1")
-    if field.order**max_deg > cap:
+    # order >= 2, so a degree past the cap's bit length exceeds it: the power
+    # is then not computed
+    if max_deg >= cap.bit_length() or field.order**max_deg > cap:
         raise ResourceError(
             f"irreducible enumeration over a field of order {field.order} up to "
             f"degree {max_deg} exceeds the candidate cap {cap}"

@@ -14,15 +14,46 @@ second coordinate) performs that promotion explicitly via :meth:`Value.embed`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceError
 
 Rat = Fraction
 
 Scalar = Union[int, Fraction]
+
+# Most decimal digits a parsed number may have (a coefficient, numerator,
+# denominator or exponent of ten): below Python's limit of 4,300 digits on
+# converting a string to an int, so that a longer number is refused by name.
+MAX_PARSE_DIGITS = 4000
+
+_DIGIT_RUN = re.compile(r"\d+")
+_TEN_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")  # the exponent of Fraction("1e5")
+
+
+def _check_digits(text: str) -> None:
+    """ResourceError, raised before any number in text is converted, when one
+    has more than MAX_PARSE_DIGITS decimal digits."""
+    if len(text) > MAX_PARSE_DIGITS and any(
+        m.end() - m.start() > MAX_PARSE_DIGITS for m in _DIGIT_RUN.finditer(text)
+    ):
+        raise ResourceError(f"numbers of more than {MAX_PARSE_DIGITS} decimal digits are not parsed")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), once numbers of more than MAX_PARSE_DIGITS digits and
+    powers of ten above 10^MAX_PARSE_DIGITS (``1e5000``) are refused with
+    ResourceError; Fraction's own errors (ValueError, ZeroDivisionError)
+    pass through."""
+    _check_digits(text)
+    for k in _TEN_EXPONENT.findall(text):
+        k = k.replace("_", "").lstrip("0")
+        if len(k) > len(str(MAX_PARSE_DIGITS)) or int(k or 0) > MAX_PARSE_DIGITS:
+            raise ResourceError(f"powers of ten above 10^{MAX_PARSE_DIGITS} are not parsed")
+    return Fraction(text)
 
 
 class Value:
@@ -63,15 +94,19 @@ class Value:
 
     @classmethod
     def parse(cls, text: str) -> "Value":
-        """Parse ``a/b``, ``(a/b, c/d)`` or ``inf``."""
+        """Parse ``a/b``, ``(a/b, c/d)`` or ``inf``.
+
+        A number longer than MAX_PARSE_DIGITS digits, or a power of ten above
+        10^MAX_PARSE_DIGITS (``1e5000``), raises ResourceError.
+        """
         s = text.strip()
         if s.lower() in ("inf", "infinity", "oo"):
             return INFINITY
         try:
             if s.startswith("(") and s.endswith(")"):
                 parts = s[1:-1].split(",")
-                return cls([Fraction(p.strip()) for p in parts])
-            return cls((Fraction(s),))
+                return cls([_parse_rational(p) for p in parts])
+            return cls((_parse_rational(s),))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot parse value {text!r}: {exc}") from None
 

@@ -55,6 +55,21 @@ def lam(v2):
     return iv.validate_continuous_chain(fam, v2)
 
 
+@pytest.fixture(scope="session")
+def ladder():
+    """The MacLane-optimal y+1 ladder over p = 2: degrees 1, 2, 4, 8, 16, e = 2."""
+    nu = iv.validate_chain([("x", Fraction(1, 2))], iv.PadicValuation(2))
+    chains = [nu]
+    big_e = 2
+    while len(chains) < 5:
+        chi = iv.lift_key(nu, "y+1")
+        nu = iv.augment(nu, chi, nu(chi) + Value.of(Fraction(1, 2 * big_e)))
+        big_e *= 2
+        chains.append(nu)
+    assert tuple(s.phi.degree for s in nu.steps) == (1, 2, 4, 8, 16)
+    return chains
+
+
 def make_rand_poly(rng, maxdeg, height=100, frac=True, monic=False):
     d = rng.randrange(0, maxdeg + 1)
     cs = []

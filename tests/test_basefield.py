@@ -13,6 +13,7 @@ from indval import (
     poly_ext_gcd,
 )
 from indval.basefield import MAX_PARSE_DEGREE, _is_prime
+from indval.values import MAX_PARSE_DIGITS
 
 
 class TestPadic:
@@ -140,6 +141,17 @@ class TestPolyParsePrint:
         for big in [f"x^{MAX_PARSE_DEGREE + 1}", "x^999999999 + 1", "3x^" + "9" * 5000]:
             with pytest.raises(ResourceError):
                 Poly.parse(big)
+
+    def test_digit_cap(self):
+        edge = "9" * MAX_PARSE_DIGITS
+        assert Poly.parse(edge + "x + 1/" + edge).coeff(1) == int(edge)
+        for big in [edge + "9", "1/" + edge + "9", "x^2 + 3/" + "0" * 5000 + "1"]:
+            with pytest.raises(ResourceError, match="decimal digits"):
+                Poly.parse(big)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            Poly.parse("x + 1/00")
 
     def test_zero_degree_marker(self):
         assert Poly.zero().degree is None

@@ -171,6 +171,37 @@ class TestExitCodes:
         env = json.loads(out)
         assert code == 3 and env["result"] is None and "exponents above" in env["diagnostics"][0]
 
+    @pytest.mark.parametrize(
+        "verb, option, text",
+        [
+            ("eval", "--poly", "9" * 5000),
+            ("eval", "--poly", "1/" + "3" * 5000),
+            ("liftkey", "--psi", "y+[" + "9" * 5000 + "]"),
+        ],
+    )
+    def test_huge_number_is_a_resource_error(self, capsys, chains, verb, option, text):
+        code, out, err = run(capsys, verb, "--chain", chains["nu1"], option, text, "--json")
+        env = json.loads(out)
+        assert code == 3 and env["result"] is None and "decimal digits" in env["diagnostics"][0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ('"{\\"prime\\": 2}"', 2, "does not hold a JSON object"),
+            ("[" * 100000, 2, "not valid JSON"),
+            (b"\xff\xfe", 2, "not valid JSON"),
+            ('{"prime": ' + "2" * 5000 + "}", 3, "decimal digits"),
+            ('{"prime": 2, "steps": [{"phi": "x", "gamma": ["1e999999999", "1"]}]}', 3, "powers of ten"),
+        ],
+    )
+    def test_hostile_chain_files(self, capsys, tmp_path, text, code, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        got, out, _ = run(capsys, "eval", "--chain", str(path), "--poly", "x", "--json")
+        env = json.loads(out)
+        assert got == code and env["result"] is None and message in env["diagnostics"][0]
+
     def test_domain_error(self, capsys, chains):
         code, _, err = run(
             capsys,

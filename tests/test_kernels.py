@@ -30,21 +30,6 @@ from indval import (
 
 
 @pytest.fixture(scope="module")
-def ladder():
-    """The MacLane-optimal y+1 ladder over p = 2: degrees 1, 2, 4, 8, 16, e = 2."""
-    nu = iv.validate_chain([("x", Fraction(1, 2))], iv.PadicValuation(2))
-    chains = [nu]
-    big_e = 2
-    while len(chains) < 5:
-        chi = iv.lift_key(nu, "y+1")
-        nu = iv.augment(nu, chi, nu(chi) + Value.of(Fraction(1, 2 * big_e)))
-        big_e *= 2
-        chains.append(nu)
-    assert tuple(s.phi.degree for s in nu.steps) == (1, 2, 4, 8, 16)
-    return chains
-
-
-@pytest.fixture(scope="module")
 def nu8(nu4):
     """nu4 + (third key of degree 8, 29/6): e = 2, 2, 3."""
     return iv.augment(nu4, iv.enumerate_keys(nu4, 1)[2], Fraction(29, 6))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indval import (
     DomainError,
@@ -13,6 +15,7 @@ from indval import (
     change_normalizer,
     decompose,
     expansion_report,
+    graded_factorization,
     is_equivalent,
     residual_data,
     residual_ideal,
@@ -242,6 +245,12 @@ class TestLifts:
                 assert w.degree < nu.top_degree
                 assert unit_residue(nu, w) == HomogeneousUnit(beta, kal.coerce(zeta))
 
+    def test_unit_lift_off_the_group(self, nu2):
+        # values of degree < 2 polynomials on nu2 lie in (1/2)Z
+        one = residual_data(nu2).field.one()
+        with pytest.raises(DomainError, match="not in the value group"):
+            unit_lift(nu2, HomogeneousUnit(Value.of(F(1, 3)), one))
+
 
 class TestTransformLaws:
     def test_normalizer_examples(self, nu1, nu3p):
@@ -298,3 +307,34 @@ class TestTransformLaws:
             phi_star = P("x^2+2") + Poly.constant(8 * rng.randrange(1, 5))
             pred, obs = change_key(nu2, f, phi_star)
             assert pred == obs == residual_poly(nu2, f)
+
+
+class TestIntegerUnitKernel:
+    """The unit algebra works on integers B = value * D_i inside the module;
+    these properties pin it at the public boundary."""
+
+    NAMES = ("ladder1", "ladder2", "ladder3", "ladder4", "ladder5", "nu2", "nu4")
+
+    @pytest.fixture(scope="class")
+    def named(self, ladder, nu2, nu4):
+        return {**{f"ladder{d}": nu for d, nu in enumerate(ladder, 1)}, "nu2": nu2, "nu4": nu4}
+
+    coeffs = st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=9), min_size=1, max_size=20)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(NAMES), coeffs, coeffs)
+    def test_properties(self, named, name, fc, gc):
+        nu, f, g = named[name], Poly(fc), Poly(gc)
+        if f.is_zero or g.is_zero:
+            return
+        r = nu.length
+        df, dg, dfg = decompose(nu, f), decompose(nu, g), decompose(nu, f * g)
+        assert dfg.unit == _hu_mul(nu._levels, r, df.unit, dg.unit)
+        assert residual_unit(nu, f).value == nu(f) - nu.top.gamma.scaled(df.s)
+        # equal units come back as one shared immutable object
+        assert decompose(nu, f).unit.value is df.unit.value
+        gf = graded_factorization(nu, f)
+        total = gf.unit_part.value
+        for chi, a in gf.factors:
+            total = total + nu(chi).scaled(a)
+        assert total == nu(f)

@@ -7,6 +7,7 @@ from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from indval import (
     DomainError,
+    ParseError,
     ResourceError,
     TowerField,
     TowerPoly,
@@ -16,6 +17,7 @@ from indval import (
     tower_extend,
 )
 from indval.basefield import MAX_PARSE_DEGREE
+from indval.values import MAX_PARSE_DIGITS
 from indval.towers import extend_with_root
 
 
@@ -152,6 +154,8 @@ class TestIrreducibility:
     def test_enumeration_cap(self, F4):
         with pytest.raises(ResourceError):
             list(monic_irreducibles(F4, 9))
+        with pytest.raises(ResourceError):  # refused without computing 4^(10^60)
+            list(monic_irreducibles(F4, 10**60))
 
 
 class TestFactor:
@@ -209,6 +213,20 @@ class TestTowerPolyParse:
         assert TowerPoly.parse(F2, f"y^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
         with pytest.raises(ResourceError):
             TowerPoly.parse(F2, f"y^{MAX_PARSE_DEGREE + 1} + 1")
+
+    def test_digit_cap(self, F2, F4):
+        edge = "9" * MAX_PARSE_DIGITS
+        assert TowerPoly.parse(F2, f"y + {edge}") == TowerPoly.parse(F2, "y + 1")
+        assert F4.parse_elem(f"[{edge}, 1]") == F4.parse_elem("[1, 1]")
+        for big in ["y + " + edge + "9", "y + [" + edge + "9]"]:
+            with pytest.raises(ResourceError, match="decimal digits"):
+                TowerPoly.parse(F4, big)
+        with pytest.raises(ResourceError, match="decimal digits"):
+            F4.parse_elem("[1, " + edge + "9]")
+
+    def test_deep_brackets(self, F4):
+        with pytest.raises(ParseError):
+            F4.parse_elem("[" * 100000 + "]" * 100000)
 
 
 class TestSympyOracle:

@@ -6,11 +6,14 @@ import pytest
 from indval import (
     INFINITY,
     DomainError,
+    ParseError,
+    ResourceError,
     Value,
     in_subgroup,
     is_commensurable,
     subgroup_index,
 )
+from indval.values import MAX_PARSE_DIGITS
 
 
 def V(x):
@@ -137,6 +140,17 @@ class TestParsePrint:
         for text in ["3/2", "-7", "(1/2, -3)", "inf", "0"]:
             v = Value.parse(text)
             assert Value.parse(str(v)) == v
+
+    def test_digit_cap(self):
+        edge = "7" * MAX_PARSE_DIGITS
+        assert Value.parse("1/" + edge) == Value.of(Fraction(1, int(edge)))
+        assert Value.parse("1e-3") == Value.of(Fraction(1, 1000))
+        assert Value.parse(f"1e{MAX_PARSE_DIGITS}") == Value.of(10**MAX_PARSE_DIGITS)
+        for big in ["1/" + edge + "7", f"({edge}7, 1)", f"1e{MAX_PARSE_DIGITS + 1}", "1e-999999999", "1e9_999_999", "1e" + "1_" * 5000 + "1"]:
+            with pytest.raises(ResourceError):
+                Value.parse(big)
+        with pytest.raises(ParseError):
+            Value.parse("1/0")
 
     def test_rejects_rank3(self):
         with pytest.raises(DomainError):
