@@ -15,7 +15,6 @@ stable values embed into the minor coordinate, q -> (0, q).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from math import lcm
@@ -26,6 +25,7 @@ from .chains import (
     InductiveValuation,
     Step,
     _as_step,
+    _json_object,
     _parse_base,
     _parse_steps,
     _report,
@@ -142,9 +142,10 @@ def continuous_chain_from_json(obj: Union[str, dict]) -> ContinuousChain:
     """Build and validate a family from {"prime": p, "family": [...]}.
 
     An optional "base_steps" list supplies the chain prefix below the family.
+    Malformed input raises as in :func:`chain_from_json`.
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = _json_object(obj, "continuous chain description")
     try:
         base = _parse_base(obj["prime"])
         family = _parse_steps(obj["family"])

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .basefield import PadicValuation, Poly
 from .errors import ChainError, DomainError, InvariantError
-from .values import INFINITY, Value, _parse_rational, in_subgroup
+from .values import INFINITY, Value, _check_digits, _parse_rational, in_subgroup
 
 
 @dataclass(frozen=True)
@@ -423,14 +423,37 @@ def _parse_steps(items) -> List[Tuple[Poly, Value]]:
     return out
 
 
+def _json_int(text: str) -> int:
+    _check_digits(text)
+    return int(text)
+
+
+def _json_object(text: str, what: str) -> dict:
+    """Decode JSON text that must hold an object; what names it in errors.
+
+    Text that is not JSON, is nested too deep to decode, or holds anything
+    but an object raises ChainError; an integer of more than
+    MAX_PARSE_DIGITS digits raises ResourceError.
+    """
+    try:
+        obj = json.loads(text, parse_int=_json_int)
+    # RecursionError: nested too deep to decode
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ChainError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ChainError(f"{what} does not hold a JSON object")
+    return obj
+
+
 def chain_from_json(obj: Union[str, dict]) -> InductiveValuation:
     """Build and validate a chain from {"prime": p, "steps": [{phi, gamma}...]}.
 
     Every malformed entry raises ChainError, except a key or value string
-    that does not parse (ParseError).
+    that does not parse (ParseError) and a number past the parse caps
+    (ResourceError).
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = _json_object(obj, "chain description")
     try:
         base = _parse_base(obj["prime"])
         raw = _parse_steps(obj["steps"])

@@ -23,6 +23,7 @@ from .augmentation import (
 )
 from .basefield import Poly
 from .chains import (
+    _json_object,
     _parse_steps,
     chain_from_json,
     expansion_report,
@@ -32,7 +33,7 @@ from .errors import ChainError, DomainError, ParseError, ResourceError
 from .keys import enumerate_keys, graded_factorization, key_check, lift_key
 from .residual import decompose, residual_data, residual_ideal, residual_poly
 from .towers import TowerPoly
-from .values import Value, _check_digits
+from .values import Value
 
 
 class _UsageError(Exception):
@@ -92,23 +93,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _json_int(text: str) -> int:
-    _check_digits(text)
-    return int(text)
-
-
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_int=_json_int)
+            text = fh.read()
     except OSError as exc:
         raise ChainError(f"cannot read chain file {path}: {exc}") from None
-    # RecursionError: nested too deep to decode
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except UnicodeDecodeError as exc:
         raise ChainError(f"chain file {path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ChainError(f"chain file {path} does not hold a JSON object")
-    return obj
+    return _json_object(text, f"chain file {path}")
 
 
 def _unit_obj(hu) -> dict:

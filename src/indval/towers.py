@@ -171,14 +171,7 @@ class TowerField:
     def _pow(self, a, n: int, h: int):
         if n < 0:
             return self._pow(self._inv(a, h), -n, h)
-        result = self._one(h)
-        base = a
-        while n:
-            if n & 1:
-                result = self._mul(result, base, h)
-            base = self._mul(base, base, h)
-            n >>= 1
-        return result
+        return _power(a, n, lambda x, y: self._mul(x, y, h), self._one(h))
 
     def _coerce_up(self, a, from_h: int, to_h: int):
         data = a
@@ -347,6 +340,22 @@ class TowerElem:
         return f"TowerElem({self})"
 
 
+def _power(x, n: int, mul, one):
+    """x^n for n >= 0 by left-to-right binary powering.
+
+    The loop starts at the top set bit of n, so it takes no product by one
+    and no squaring after the last bit: x^(2^k) costs exactly k squarings.
+    """
+    if n == 0:
+        return one
+    result = x
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
+
 def _data_str(data) -> str:
     if isinstance(data, int):
         return str(data)
@@ -391,16 +400,17 @@ def _pmul(F, h, f, g):
 
 
 def _pdivmod(F, h, f, g):
+    """(quotient, remainder) of f by g; a monic g needs no inverse."""
     if not g:
         raise DomainError("polynomial division by zero")
-    lead_inv = F._inv(g[-1], h)
+    lead_inv = None if F._is_one(g[-1], h) else F._inv(g[-1], h)
     r = list(f)
     dg = len(g) - 1
     if dg == 0:
-        return [F._mul(c, lead_inv, h) for c in r], []
+        return (r if lead_inv is None else [F._mul(c, lead_inv, h) for c in r]), []
     q = [F._zero(h)] * max(len(r) - dg, 0)
     for i in range(len(r) - dg - 1, -1, -1):
-        c = F._mul(r[i + dg], lead_inv, h)
+        c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv, h)
         if F._is_zero(c, h):
             continue
         q[i] = c
@@ -427,14 +437,37 @@ def _pgcd(F, h, f, g):
 
 
 def _ppowmod(F, h, f, n: int, m):
-    result = [F._one(h)]
-    base = _pdivmod(F, h, f, m)[1]
-    while n:
-        if n & 1:
-            result = _pdivmod(F, h, _pmul(F, h, result, base), m)[1]
-        base = _pdivmod(F, h, _pmul(F, h, base, base), m)[1]
-        n >>= 1
-    return result
+    return _power(
+        _pdivmod(F, h, f, m)[1],
+        n,
+        lambda a, b: _pdivmod(F, h, _pmul(F, h, a, b), m)[1],
+        [F._one(h)],
+    )
+
+
+def _frobenius_rows(F, h, m):
+    """The rows y^(jq) mod m, j < deg m, of the q-power map on F_q[y]/(m).
+
+    The map is F_q-linear, so g^q mod m is sum_j g_j * row_j (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 14).  One powering of y
+    builds every row.
+    """
+    yq = _ppowmod(F, h, [F._zero(h), F._one(h)], F.order, m)
+    rows = [[F._one(h)]]
+    for _ in range(len(m) - 2):
+        rows.append(_pdivmod(F, h, _pmul(F, h, rows[-1], yq), m)[1])
+    return rows
+
+
+def _frobenius_apply(F, h, rows, g):
+    """g^q mod m for g reduced mod m, from the rows of m."""
+    out = [F._zero(h)] * len(rows)
+    for c, row in zip(g, rows):
+        if F._is_zero(c, h):
+            continue
+        for i, r in enumerate(row):
+            out[i] = F._add(out[i], F._mul(c, r, h), h)
+    return _ptrim(F, h, out)
 
 
 def _pderiv(F, h, f):
@@ -593,14 +626,7 @@ class TowerPoly:
     def __pow__(self, n: int) -> "TowerPoly":
         if n < 0:
             raise DomainError("negative power")
-        result = TowerPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, TowerPoly.__mul__, TowerPoly.one(self.field))
 
     def divmod(self, other: "TowerPoly") -> Tuple["TowerPoly", "TowerPoly"]:
         self._check(other)
@@ -754,18 +780,6 @@ def tower_extend(field: TowerField, psi: TowerPoly) -> TowerField:
     return extend_with_root(field, psi)[0]
 
 
-def _frobenius_iterates(psi: TowerPoly, count: int) -> List[TowerPoly]:
-    """[y^(q^1), ..., y^(q^count)] modulo psi."""
-    F, h = psi.field, psi.field.height
-    q = F.order
-    out = []
-    cur = [F._zero(h), F._one(h)]
-    for _ in range(count):
-        cur = _ppowmod(F, h, cur, q, psi._raw())
-        out.append(cur)
-    return [TowerPoly(F, c) for c in out]
-
-
 def _prime_factors(n: int) -> List[int]:
     out = []
     d = 2
@@ -787,15 +801,18 @@ def ff_is_irreducible(psi: TowerPoly) -> bool:
     n = psi.degree
     if n == 1:
         return True
-    f = psi.monic()
-    F, h = f.field, f.field.height
+    F, h = psi.field, psi.field.height
+    f = _pmonic(F, h, psi._raw())
     y = [F._zero(h), F._one(h)]
-    frobs = _frobenius_iterates(f, n)
-    if _psub(F, h, frobs[n - 1]._raw(), y):
+    rows = _frobenius_rows(F, h, f)
+    frobs = [y]  # frobs[i] = y^(q^i) mod f
+    for _ in range(n):
+        frobs.append(_frobenius_apply(F, h, rows, frobs[-1]))
+    if _psub(F, h, frobs[n], y):
         return False
     for ell in _prime_factors(n):
-        diff = _psub(F, h, frobs[n // ell - 1]._raw(), y)
-        g = _pgcd(F, h, diff, f._raw())
+        diff = _psub(F, h, frobs[n // ell], y)
+        g = _pgcd(F, h, diff, f)
         if len(g) != 1:
             return False
     return True
@@ -837,19 +854,22 @@ def _squarefree_decomposition(F, h, f) -> List[Tuple[List, int]]:
 
 def _distinct_degree(F, h, f) -> List[Tuple[List, int]]:
     out = []
-    q = F.order
     y = [F._zero(h), F._one(h)]
     cur = list(f)
-    frob = list(y)
+    rows = _frobenius_rows(F, h, cur) if len(cur) > 2 else []
+    frob = y
     d = 0
-    while len(cur) - 1 > 2 * d:
+    # once cur has no factor of degree <= d, a degree below 2(d + 1) makes it
+    # irreducible
+    while len(cur) - 1 >= 2 * (d + 1):
         d += 1
-        frob = _ppowmod(F, h, frob, q, cur)
+        frob = _frobenius_apply(F, h, rows, frob)
         g = _pgcd(F, h, _psub(F, h, frob, y), cur)
         if len(g) > 1:
             out.append((g, d))
             cur = _pdivmod(F, h, cur, g)[0]
             frob = _pdivmod(F, h, frob, cur)[1]
+            rows = [_pdivmod(F, h, row, cur)[1] for row in rows[: len(cur) - 1]]
     if len(cur) > 1:
         out.append((cur, len(cur) - 1))
     return out

@@ -9,6 +9,7 @@ from indval import (
     DomainError,
     InvariantError,
     Poly,
+    ResourceError,
     Value,
     chain_from_json,
     expansion_report,
@@ -109,6 +110,20 @@ class TestValidation:
     def test_json_rank2(self, nu_inf):
         again = chain_from_json(nu_inf.to_json())
         assert again == nu_inf
+
+    @pytest.mark.parametrize("load", [chain_from_json, iv.continuous_chain_from_json])
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("[" * 100000, ChainError, "not valid JSON"),
+            ('"{\\"prime\\": 2}"', ChainError, "does not hold a JSON object"),
+            ('{"prime": ' + "2" * 5000 + "}", ResourceError, "decimal digits"),
+        ],
+    )
+    def test_hostile_json_text(self, load, text, error, message):
+        # the guards of the CLI's chain files, on the library's string input
+        with pytest.raises(error, match=message):
+            load(text)
 
 
 class TestExpansion:

@@ -18,6 +18,7 @@ from indval import (
 )
 from indval.basefield import MAX_PARSE_DEGREE
 from indval.values import MAX_PARSE_DIGITS
+from indval import towers
 from indval.towers import extend_with_root
 
 
@@ -34,6 +35,20 @@ def F4(F2):
 @pytest.fixture(scope="module")
 def F3():
     return TowerField(3)
+
+
+@pytest.fixture(scope="module")
+def F16(F4):
+    return tower_extend(F4, TowerPoly(F4, [F4.generator(), F4.one(), F4.one()]))  # y^2 + y + z
+
+
+@pytest.fixture(scope="module")
+def F9(F3):
+    return tower_extend(F3, TowerPoly.parse(F3, "y^2+1"))
+
+
+def _random_monic(F, d, rng):
+    return TowerPoly(F, [F.from_index(rng.randrange(F.order)) for _ in range(d)] + [F.one()])
 
 
 class TestExtend:
@@ -133,16 +148,15 @@ class TestIrreducibility:
         with pytest.raises(DomainError):
             ff_is_irreducible(TowerPoly.one(F2))
 
-    def test_against_trial_division(self, F2, F3, F4):
+    def test_against_trial_division(self, F2, F3, F4, F9, F16):
         rng = random.Random(31)
         cases = []
-        for F, maxdeg, count in ((F2, 6, 40), (F3, 5, 25), (F4, 4, 20)):
+        for F, maxdeg, count in ((F2, 6, 40), (F3, 5, 25), (F4, 4, 20), (F9, 4, 20), (F16, 4, 16)):
             for _ in range(count):
                 d = rng.randrange(2, maxdeg + 1)
-                coeffs = [F.from_index(rng.randrange(F.order)) for _ in range(d)]
-                cases.append(TowerPoly(F, coeffs + [F.one()]))
+                cases.append(_random_monic(F, d, rng))
         for psi in cases:
-            assert ff_is_irreducible(psi) == _trial_division_irreducible(psi)
+            assert ff_is_irreducible(psi) == _trial_division_irreducible(psi), str(psi)
 
     def test_count_of_irreducibles_over_f2(self, F2):
         # necklace counts: 2, 1, 2, 3, 6 monic irreducibles of degree 1..5
@@ -186,6 +200,17 @@ class TestFactor:
                 for g, m in ff_factor(psi, seed):
                     assert ff_is_irreducible(g)
                     assert g.is_monic
+                    prod = prod * g**m
+                assert prod == psi
+
+    def test_extension_fields_against_trial_division(self, F9, F16):
+        rng = random.Random(37)
+        for F, maxdeg in ((F9, 6), (F16, 5)):
+            for _ in range(15):
+                psi = _random_monic(F, rng.randrange(1, maxdeg + 1), rng)
+                prod = TowerPoly.one(F)
+                for g, m in ff_factor(psi, 3):
+                    assert g.is_monic and _trial_division_irreducible(g), str(g)
                     prod = prod * g**m
                 assert prod == psi
 
@@ -258,3 +283,51 @@ class TestSympyOracle:
     def test_irreducible(self, p):
         for psi in self._cases(p):
             assert ff_is_irreducible(psi) == gf_irreducible_p(self._ints(psi), p, ZZ), str(psi)
+
+
+class TestWork:
+    """Deterministic operation counts, taken by wrapping the counted routine."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = [0]
+        inner = getattr(owner, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_monic_division_takes_no_inverse(self, monkeypatch, F16):
+        rng = random.Random(41)
+        f, g = _random_monic(F16, 7, rng), _random_monic(F16, 3, rng)
+        calls = self._count(monkeypatch, TowerField, "_inv")
+        q, r = f.divmod(g)
+        assert calls[0] == 0
+        assert q * g + r == f and (r.degree or 0) < g.degree
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_power_of_two_is_k_squarings(self, monkeypatch, F4, k):
+        h = F4.height
+        f, m = _random_monic(F4, 5, random.Random(43)), _random_monic(F4, 4, random.Random(44))
+        want = (f ** (2**k)) % m
+        calls = self._count(monkeypatch, towers, "_pmul")
+        got = towers._ppowmod(F4, h, list(f.coeffs), 2**k, list(m.coeffs))
+        assert calls[0] == k
+        assert TowerPoly(F4, got) == want
+
+    def test_tower_multiplications_halved(self, monkeypatch, F4, F16):
+        # Commit 477e373 made 141,461 calls here: it powered afresh by q for
+        # every Frobenius step, inverted the leading coefficient of every
+        # divisor and squared once past the top bit.
+        rng = random.Random(61)
+        cases = [
+            _random_monic(F, d, rng) for F, top in ((F4, 8), (F16, 5))
+            for d in range(1, top + 1) for _ in range(2)
+        ]
+        calls = self._count(monkeypatch, TowerField, "_mul")
+        for psi in cases:
+            assert all(ff_is_irreducible(g) for g, _m in ff_factor(psi, 3))
+        assert calls[0] <= 0.55 * 141_461
