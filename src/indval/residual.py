@@ -46,7 +46,15 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .basefield import Poly
-from .chains import InductiveValuation, Step, _digits_of, _report, _value_of, phi_expansion
+from .chains import (
+    InductiveValuation,
+    Step,
+    _digits_of,
+    _report,
+    _value_of,
+    check_expansion_work,
+    phi_expansion,
+)
 from .errors import ChainError, DomainError, InvariantError
 from .towers import (
     TowerElem,
@@ -394,6 +402,11 @@ def _decompose(
         raise DomainError("decomposition of the zero polynomial")
     top = levels[i - 1]
     phi = phi_override if phi_override is not None else top.phi
+    if i == len(levels):  # a call from outside: the digits recurse below it
+        if f.degree >= phi.degree:
+            check_expansion_work(f, phi)
+        else:
+            top.nu.check_work(f)
     rep = _report(phi_expansion(f, phi), top.gamma, lambda c: top.nu._val(c, i - 1))
     coeffs, indices, s0, sp = rep.coeffs, rep.indices, rep.s, rep.s_prime
     e = top.e

@@ -794,10 +794,32 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
+# The finite-field work budget: the most F_p operations ff_is_irreducible
+# and ff_factor may be estimated to need.  For degree n over F_q, a tower of
+# degree D over F_p, both raise polynomials mod psi to powers of up to about
+# q^n, some n log2(q) products of n^2 field operations each, and a tower
+# operation costs up to about D^3 operations in F_p: n^2 (n + 4) log2(q) D^3
+# in all.  2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over
+# F_16, each factored in under a second on a 2-vCPU host.
+MAX_FF_WORK = 2**21
+
+
+def _check_ff_work(psi: TowerPoly) -> None:
+    n, F = psi.degree, psi.field
+    work = n * n * (n + 4) * F.order.bit_length() * F.degree**3
+    if work > MAX_FF_WORK:
+        raise ResourceError(
+            f"a polynomial of degree {n} over F_{F.order} is estimated at {work} "
+            f"field operations, past the work budget of {MAX_FF_WORK}"
+        )
+
+
 def ff_is_irreducible(psi: TowerPoly) -> bool:
-    """Distinct-degree irreducibility test over the tower."""
+    """Distinct-degree irreducibility test over the tower; ResourceError past
+    MAX_FF_WORK."""
     if psi.is_zero or psi.is_constant:
         raise DomainError("irreducibility is asked of non-constant polynomials")
+    _check_ff_work(psi)
     n = psi.degree
     if n == 1:
         return True
@@ -920,11 +942,13 @@ def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
     Cantor-Zassenhaus equal-degree splitting.  The output is sorted by
     (degree, coefficient data), so it is deterministic for a fixed seed; the
     product of factors re-multiplies to the monic normalization of the input.
+    ResourceError past MAX_FF_WORK.
     """
     import random
 
     if psi.is_zero or psi.is_constant:
         raise DomainError("factorization is asked of non-constant polynomials")
+    _check_ff_work(psi)
     F, h = psi.field, psi.field.height
     rng = random.Random(seed)
     work = _pmonic(F, h, psi._raw())

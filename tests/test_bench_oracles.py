@@ -68,3 +68,18 @@ def test_tracer_wraps_every_boundary_and_restores_it(nu2):
     for (mod_name, attr), original in before.items():
         owner, key = layers._resolve(sys.modules[f"indval.{mod_name}"], attr)
         assert getattr(owner, key) is original, (mod_name, attr)
+
+
+def test_every_boundary_resolves():
+    """``Tracer.install`` looks up every boundary with getattr, so a removed
+    or renamed one makes every traced run (``--trace 1``) crash."""
+    import indval.cli  # noqa: F401  (every module the boundaries name)
+
+    layers = load("layers")
+    for mod_name, attr, _name, _kind in layers.BOUNDARIES:
+        module = sys.modules[f"indval.{mod_name}"]
+        owner = module
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"bench boundary indval.{mod_name}.{attr} does not resolve"
+            owner = getattr(owner, part)
+        assert callable(owner), f"bench boundary indval.{mod_name}.{attr} is not callable"

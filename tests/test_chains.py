@@ -156,6 +156,31 @@ class TestExpansion:
             assert total == f
 
 
+class TestWorkBudget:
+    def test_estimate_grows_with_the_square_of_the_degree(self):
+        phi = P("x^2+2")
+        chains.check_expansion_work(P("x^2048+1"), phi)  # the largest power of two admitted
+        with pytest.raises(ResourceError, match="work budget"):
+            chains.check_expansion_work(P("x^2400+1"), phi)
+
+    def test_expansion_in_x_is_free_and_x_minus_a_is_not(self):
+        chains.check_expansion_work(P("x^65536+1"), P("x"))
+        with pytest.raises(ResourceError, match="in x - 1 is estimated"):
+            chains.check_expansion_work(P("x^65536+1"), P("x-1"))
+
+    def test_first_key_of_a_value_is_checked(self, nu2):
+        # below deg(phi_2) the first expansion is in x: free
+        assert nu2(P("x+2")) == Value.of(F(1, 2))
+        with pytest.raises(ResourceError):
+            nu2(P("x^4096+1"))
+        with pytest.raises(ResourceError):
+            expansion_report(nu2, P("x^4096+1"))
+        with pytest.raises(ResourceError):
+            iv.decompose(nu2, P("x^4096+1"))
+        with pytest.raises(ResourceError):
+            key_semivaluation(nu2, P("x^2+2"), P("x^4096+1"))
+
+
 class TestEvaluation:
     def test_examples(self, nu1, nu2, nu_inf):
         assert nu1(P("x^2+2")) == Value.of(1)
@@ -412,11 +437,6 @@ class TestSemivaluation:
 class TestInvariantErrors:
     """Broken internal invariants raise InvariantError naming the chain,
     also under python -O."""
-
-    def test_value_group_spot_check(self, v2, monkeypatch):
-        monkeypatch.setattr(chains, "in_subgroup", lambda w, gens: False)
-        with pytest.raises(InvariantError, match=r"\(x\^2 \+ 2, 3/2\)\] over v_2"):
-            validate_chain([("x", F(1, 2)), ("x^2+2", F(3, 2))], v2)
 
     def test_canonical_monomial_value(self, nu2, monkeypatch):
         monkeypatch.setattr(

@@ -172,6 +172,24 @@ class TestExitCodes:
         assert code == 3 and env["result"] is None and "exponents above" in env["diagnostics"][0]
 
     @pytest.mark.parametrize(
+        "verb, chain, option, text, message",
+        [
+            # the expansion in x^2 + 2 alone is estimated at 6.4 * 10^9 bits
+            ("eval", "nu2", "--poly", "x^65535 + 1", "work budget of"),
+            ("expand", "nu2", "--poly", "x^65535 + 1", "work budget of"),
+            ("stability", "lam", "--poly", "x^65535 + 1", "work budget of"),
+            ("limit", "lam", "--poly", "x^65535 + 1", "work budget of"),
+            ("liftkey", "nu1", "--psi", "y^65535 + y + 1", "field operations"),
+        ],
+    )
+    def test_past_the_work_budget_is_a_resource_error(self, capsys, chains, verb, chain, option, text, message):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, verb, "--chain", chains[chain], option, text, "--json")
+        assert time.perf_counter() - start < 1.0
+        env = json.loads(out)
+        assert code == 3 and env["result"] is None and message in env["diagnostics"][0]
+
+    @pytest.mark.parametrize(
         "verb, option, text",
         [
             ("eval", "--poly", "9" * 5000),

@@ -5,8 +5,9 @@ print no traceback, and under --json print the envelope {verb, inputs,
 result, diagnostics}.  Requests mix the 13 verbs, their options, stray
 tokens, chain files (valid, malformed or not JSON at all) and numbers past
 the parse caps: exponents above MAX_PARSE_DEGREE and numbers of more than
-MAX_PARSE_DIGITS digits.  Exponents below the degree cap are drawn small
-(at most 40), so that every request stays cheap.
+MAX_PARSE_DIGITS digits.  Exponents below the degree cap are drawn from the
+whole range: the work budgets (``chains.MAX_EXPANSION_BITS``,
+``towers.MAX_FF_WORK``) refuse what would take too long.
 """
 
 import io
@@ -38,10 +39,11 @@ OPTIONS = {
     "limit": ("--poly",),
 }
 
-# exponents: small, or past the degree cap (digit counts on both sides of
-# the exponent's own length check)
+# exponents: small, anywhere up to the degree cap, or past it (digit counts
+# on both sides of the exponent's own length check)
 exponents = st.one_of(
     st.integers(0, 40).map(str),
+    st.integers(0, MAX_PARSE_DEGREE).map(str),
     st.sampled_from([str(MAX_PARSE_DEGREE + 1), "999999999", HUGE, "0" * 30 + "7"]),
 )
 coefficients = st.one_of(

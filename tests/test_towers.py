@@ -331,3 +331,18 @@ class TestWork:
         for psi in cases:
             assert all(ff_is_irreducible(g) for g, _m in ff_factor(psi, 3))
         assert calls[0] <= 0.55 * 141_461
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("fn", [ff_is_irreducible, ff_factor])
+    def test_past_the_budget_is_refused(self, F2, F16, fn):
+        # degree 100 over F_2 and 17 over F_16 are the largest admitted
+        for F, n in ((F2, 100), (F16, 17)):
+            towers._check_ff_work(TowerPoly.parse(F, f"y^{n}+y+1"))
+            with pytest.raises(ResourceError, match="work budget"):
+                fn(TowerPoly.parse(F, f"y^{n + 1}+y+1"))
+
+    def test_cap_sized_degree_is_refused_at_once(self, F2):
+        psi = TowerPoly.parse(F2, f"y^{MAX_PARSE_DEGREE}+y+1")
+        with pytest.raises(ResourceError, match="field operations"):
+            ff_is_irreducible(psi)
