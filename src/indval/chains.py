@@ -153,7 +153,7 @@ class InductiveValuation:
         self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
         self._levels = None  # residual level data, attached by validation
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
-        self._key_lifts: dict = {}  # psi over the top residue field -> lift_key(psi)
+        self._key_lifts: dict = {}  # psi over the top residue field -> (lift, unit, value)
 
     # -- basic structure ----------------------------------------------------
 

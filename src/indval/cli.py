@@ -5,13 +5,19 @@ error.  All randomness sits behind --seed (default 0), so output is
 deterministic.  --json renders {verb, inputs, result, diagnostics}, also for
 a usage error (empty inputs, null result, argparse's message).  main() may be
 called repeatedly in one process; it builds its parser once and reuses it.
+Output that cannot be written ends the run with exit code 1 and no
+traceback: silently when the reader closed the pipe, else with one error
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -224,32 +230,68 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _print_envelope(verb, inputs: dict, result, diagnostics: List[str]) -> None:
+def _envelope(verb, inputs: dict, result, diagnostics: List[str]) -> str:
     payload = {"verb": verb, "inputs": inputs, "result": result, "diagnostics": diagnostics}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _usage_error(argv: List[str], parser: argparse.ArgumentParser, message: Optional[str]) -> int:
+def _usage_error(argv: List[str], parser: argparse.ArgumentParser, message: Optional[str]) -> Tuple[int, str, str]:
     """Report a usage error (exit 1): an envelope under --json, else usage on stderr."""
     if any(len(a) > 2 and "--json".startswith(a) for a in argv):  # argparse takes --js too
         # the top-level parser takes no option values, so its verb is the first word
         word = next((a for a in argv if not a.startswith("-")), None)
         verb = word if word in _parser().verbs else None
-        _print_envelope(verb, {}, None, [message or "the following arguments are required: verb"])
-    else:
-        parser.print_usage(sys.stderr)
-        if message:
-            print(f"error: {message}", file=sys.stderr)
-    return 1
+        return 1, _envelope(verb, {}, None, [message or "the following arguments are required: verb"]), ""
+    return 1, "", parser.format_usage() + (f"error: {message}\n" if message else "")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one request and return its exit code.
+
+    The request's output is written in one place and flushed before
+    returning.  A closed pipe (the reader went away, as under `| head -1`)
+    exits 1 quietly; any other error writing stdout prints one `error:` line
+    on stderr and exits 1.  Either way stdout is then pointed at the null
+    device, so that the interpreter's last flush of what is still buffered
+    cannot fail again at shutdown.
+    """
+    code, out, err = _run(argv)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
+    except OSError as exc:
+        _discard_stdout()
+        code, err = 1, f"error: cannot write the output: {exc}\n"
+    try:
+        sys.stderr.write(err)
+    except OSError:  # stderr is gone too: nothing is left to report to
+        pass
+    return code
+
+
+def _discard_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # an in-memory stream has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _run(argv: Optional[List[str]]) -> Tuple[int, str, str]:
+    """Parse and run one request: (exit code, stdout text, stderr text)."""
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    help_text = io.StringIO()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+        with contextlib.redirect_stdout(help_text):  # argparse prints --help itself
+            args = parser.parse_args(argv)
+    except SystemExit as exc:  # after --help
+        return int(exc.code or 0), help_text.getvalue(), ""
     except _UsageError as exc:
         return _usage_error(argv, *exc.args)
     if args.verb is None:
@@ -270,13 +312,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         diagnostics.append(str(exc))
         code = 3
     if args.json:
-        _print_envelope(args.verb, _inputs_obj(args), result, diagnostics)
-    else:
-        for line in lines:
-            print(line)
-        for msg in diagnostics:
-            print(f"error: {msg}", file=sys.stderr)
-    return code
+        return code, _envelope(args.verb, _inputs_obj(args), result, diagnostics), ""
+    return code, "".join(f"{line}\n" for line in lines), "".join(f"error: {m}\n" for m in diagnostics)
 
 
 if __name__ == "__main__":  # pragma: no cover

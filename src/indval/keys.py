@@ -10,19 +10,21 @@ An incommensurable top step admits the single class of phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .basefield import Poly
 from .chains import InductiveValuation, expansion_report, is_equivalent
 from .errors import DomainError, InvariantError
 from .residual import (
     HomogeneousUnit,
+    _Decomp,
     _decompose,
     _hu_mul,
     _hu_pow,
+    _Level,
     _public_unit,
     _require_levels,
-    residual_lift,
+    _residual_lift,
 )
 from .towers import TowerPoly, ff_factor, ff_is_irreducible, monic_irreducibles
 
@@ -66,7 +68,19 @@ def key_check(nu: InductiveValuation, chi: Poly) -> KeyCheck:
     if chi.degree == n and is_equivalent(nu, chi, nu.top.phi):
         return KeyCheck(True, branch="equivalent", s=1, respoly=None)
     levels = _require_levels(nu)
-    dec = _decompose(levels, nu.length, chi)
+    return _decomposed_key_check(levels, chi, _decompose(levels, nu.length, chi))
+
+
+def _decomposed_key_check(levels: Sequence[_Level], chi: Poly, dec: _Decomp) -> KeyCheck:
+    """The commensurable key test on chi's top-level decomposition dec.
+
+    A monic chi of the top degree n has the phi-expansion (chi - phi) + phi,
+    so s(chi) = 1 exactly when value(chi - phi) > gamma, i.e. when chi is
+    equivalent to the top key; otherwise the residual branch decides.
+    """
+    top = levels[-1]
+    if chi.degree == top.n and dec.s == 1:
+        return KeyCheck(True, branch="equivalent", s=1, respoly=None)
     if dec.s != 0:
         return KeyCheck(False, reason=f"s(chi) = {dec.s} != 0", s=dec.s)
     if dec.respoly.is_constant:
@@ -80,8 +94,7 @@ def key_check(nu: InductiveValuation, chi: Poly) -> KeyCheck:
             s=0,
             respoly=dec.respoly,
         )
-    e = levels[-1].e
-    expected = e * n * dec.respoly.degree
+    expected = top.e * top.n * dec.respoly.degree
     if chi.degree != expected:
         return KeyCheck(
             False,
@@ -118,8 +131,10 @@ def lift_key(nu: InductiveValuation, psi) -> Poly:
     psi = y maps to the top key itself; otherwise psi must be monic
     irreducible with psi(0) != 0, and the lift has degree e*n*deg(psi) with
     top coefficient 1.  The lift depends on the chain and psi alone, so it is
-    memoized on the chain object: repeated calls return the same immutable
-    Poly, and the irreducibility test and key check run once per psi.
+    memoized on the chain object together with the unit and value of its
+    initial term: repeated calls return the same immutable Poly, and the
+    irreducibility test, the key check and the one top-level decomposition
+    of the lift run once per psi and chain.
     """
     levels = _require_levels(nu)
     top = levels[-1]
@@ -128,23 +143,42 @@ def lift_key(nu: InductiveValuation, psi) -> Poly:
     psi = TowerPoly(top.field, [top.field.coerce(c) for c in psi.elems()])
     if psi == TowerPoly.y(top.field):
         return nu.top.phi
-    chi = nu._key_lifts.get(psi)
-    if chi is not None:
-        return chi
+    return _lift_record(nu, levels, psi)[0]
+
+
+def _lift_record(nu: InductiveValuation, levels: Sequence[_Level], psi: TowerPoly):
+    """The memo entry (chi, nlc, mu) of psi != y over the top residue field:
+    the lift chi, the integer unit of its decomposition and mu(chi).
+
+    s(chi) = 0 and R(chi) = psi, so H(chi) = nlc * psi(xi) and nothing else
+    about the initial term depends on the call.  A miss builds chi, takes the
+    round trip's decomposition for the key check, and stores the entry only
+    after every check passes, mu against the chain valuation among them.
+    """
+    rec = nu._key_lifts.get(psi)
+    if rec is not None:
+        return rec
+    top = levels[-1]
     if psi.is_zero or psi.is_constant:
         raise DomainError("psi must be non-constant")
     if not ff_is_irreducible(psi):
         raise DomainError(f"psi = {psi} is reducible over the residue tower")
-    chi = residual_lift(nu, 0, top.field.one(), psi)
+    chi, dec = _residual_lift(nu, 0, top.field.one(), psi)
     if not (chi.is_monic and chi.degree == top.e * top.n * psi.degree):
         raise InvariantError(
             f"lift {chi} of psi = {psi} on {nu.describe()} is not monic of degree "
             f"e*n*deg(psi) = {top.e * top.n * psi.degree}"
         )
-    if not key_check(nu, chi).ok:
+    if not _decomposed_key_check(levels, chi, dec).ok:
         raise InvariantError(f"lift {chi} of psi = {psi} on {nu.describe()} is not a key")
-    nu._key_lifts[psi] = chi
-    return chi
+    mu = nu(chi)
+    if dec.mu != mu:
+        raise InvariantError(
+            f"lift {chi} of psi = {psi} on {nu.describe()} decomposes with value "
+            f"{dec.mu} != mu(chi) = {mu}"
+        )
+    rec = nu._key_lifts[psi] = (chi, dec.nlc, mu)
+    return rec
 
 
 def enumerate_keys(
@@ -203,7 +237,10 @@ def graded_factorization(
     R(f) is factored over the tower (seeded, deterministic); each irreducible
     factor psi of multiplicity m contributes (lift_key(psi), m), and the top
     key enters with exponent s(f).  The unit part closes the value accounting
-    mu(f) = value(unit) + sum a * mu(chi) exactly.
+    mu(f) = value(unit) + sum a * mu(chi) exactly; it is checked on every
+    call, with gamma_r for the top key.  Each lift's unit and value come
+    from its memo entry, so f is the only polynomial decomposed once the
+    keys are lifted.
     """
     if f.is_zero:
         raise DomainError("factorization of the zero polynomial")
@@ -214,18 +251,17 @@ def graded_factorization(
     dec = _decompose(levels, r, f)
     factors: List[Tuple[Poly, int]] = []
     unit = dec.nlc
+    keys_value = nu.top.gamma.scaled(dec.s)  # sum a * mu(chi) over the factors
     if dec.s > 0:
         factors.append((nu.top.phi, dec.s))
     if dec.respoly.degree > 0:
         for psi, mult in ff_factor(dec.respoly, seed):
-            chi = lift_key(nu, psi)
+            chi, chi_nlc, chi_mu = _lift_record(nu, levels, psi)
             factors.append((chi, mult))
-            chi_dec = _decompose(levels, r, chi)
-            unit = _hu_mul(levels, r, unit, _hu_pow(levels, r, chi_dec.nlc, -mult))
+            unit = _hu_mul(levels, r, unit, _hu_pow(levels, r, chi_nlc, -mult))
+            keys_value = keys_value + chi_mu.scaled(mult)
     result = GradedFactorization(_public_unit(levels, r, unit), tuple(factors))
-    total = result.unit_part.value
-    for chi, a in result.factors:
-        total = total + nu(chi).scaled(a)
+    total = result.unit_part.value + keys_value
     if total != dec.mu:
         raise InvariantError(
             f"unit part of f = {f} on {nu.describe()} does not close the value "

@@ -135,6 +135,7 @@ class _Level:
     field: TowerField
     z_images: Tuple[TowerElem, ...]  # xi_j images (j < index) in `field`
     gen_lifts: Tuple[Poly, ...]  # lift of each stored tower generator
+    one: TowerPoly  # the residual polynomial 1, shared by every result
 
 
 @dataclass
@@ -233,6 +234,7 @@ def _make_level(
         field=field,
         z_images=z_images,
         gen_lifts=gen_lifts,
+        one=TowerPoly.one(field),
     )
 
 
@@ -435,7 +437,8 @@ def _decompose(
             zetas.append(TowerElem(top.field, r))
         else:
             zetas.append(top.field.zero())
-    respoly = TowerPoly(top.field, zetas)
+    # R = 1 (d = 0) is the common case: one shared object per level
+    respoly = top.one if d == 0 and zetas[0].is_one else TowerPoly(top.field, zetas)
     if not (respoly.is_monic and respoly.degree == d) or respoly.coeff(0).is_zero:
         raise InvariantError(
             f"residual polynomial {respoly} of {f} at level {i} of {top.nu.describe()} "
@@ -548,8 +551,17 @@ def residual_lift(
     The coefficient at phi^(s + j*e) lifts zeta * u^(j-d) * psi_j, so the top
     coefficient is the lift of zeta; a round trip through the decomposition
     checks (s, R) and raises InvariantError on a mismatch.  psi must be monic
-    with psi(0) != 0 (or psi = 1).
+    with psi(0) != 0 (or psi = 1).  The round trip is the lift's one
+    top-level decomposition: `lift_key` keeps its unit and value with the
+    memoized key instead of decomposing the key again.
     """
+    return _residual_lift(nu, s, zeta, psi)[0]
+
+
+def _residual_lift(
+    nu: InductiveValuation, s: int, zeta: TowerElem, psi: TowerPoly
+) -> Tuple[Poly, _Decomp]:
+    """:func:`residual_lift` with the round trip's decomposition of f."""
     levels = _require_levels(nu)
     top = levels[-1]
     r = nu.length
@@ -579,7 +591,7 @@ def residual_lift(
             f"residual lift {f} on {nu.describe()} has (s, R) = ({dec.s}, {dec.respoly}), "
             f"not ({s}, {psi})"
         )
-    return f
+    return f, dec
 
 
 # ---------------------------------------------------------------------------

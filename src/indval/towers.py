@@ -24,11 +24,19 @@ from .values import _check_digits
 class TowerField:
     """An explicit finite-field tower over F_p."""
 
-    __slots__ = ("p", "moduli")
+    __slots__ = ("p", "moduli", "_zeros", "_ones")
 
     def __init__(self, p: int, moduli: Sequence[tuple] = ()):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "moduli", tuple(tuple(m) for m in moduli))
+        # the raw zero and one at every height, built once and shared
+        zeros, ones = [0], [1 % p]
+        for m in self.moduli:
+            k = len(m) - 1
+            zeros.append((zeros[-1],) * k)
+            ones.append((ones[-1],) + (zeros[-2],) * (k - 1))
+        object.__setattr__(self, "_zeros", tuple(zeros))
+        object.__setattr__(self, "_ones", tuple(ones))
         for h, m in enumerate(self.moduli):
             if len(m) < 3:
                 raise DomainError("stored tower moduli must have degree >= 2")
@@ -92,16 +100,10 @@ class TowerField:
     # -- raw element arithmetic at height h --------------------------------
 
     def _zero(self, h: int):
-        if h == 0:
-            return 0
-        k = len(self.moduli[h - 1]) - 1
-        return tuple(self._zero(h - 1) for _ in range(k))
+        return self._zeros[h]
 
     def _one(self, h: int):
-        if h == 0:
-            return 1 % self.p
-        k = len(self.moduli[h - 1]) - 1
-        return (self._one(h - 1),) + tuple(self._zero(h - 1) for _ in range(k - 1))
+        return self._ones[h]
 
     def _is_zero(self, a, h: int) -> bool:
         if h == 0:
@@ -109,7 +111,7 @@ class TowerField:
         return all(self._is_zero(c, h - 1) for c in a)
 
     def _is_one(self, a, h: int) -> bool:
-        return a == self._one(h)
+        return a == self._ones[h]
 
     def _add(self, a, b, h: int):
         if h == 0:

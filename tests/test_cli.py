@@ -381,6 +381,64 @@ class TestParserReuse:
             assert json.loads(out)["result"] == {"keys": ["x", "x^2 + 2"]}
 
 
+class _FailingStdout:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+
+class TestOutputErrors:
+    """Output that cannot be written ends the run with exit 1 and no traceback."""
+
+    def argv(self, chains):
+        return ["factor", "--chain", chains["nu2"], "--poly", "x^4+4", "--seed", "7", "--json"]
+
+    @pytest.mark.parametrize("help", [False, True])
+    def test_closed_pipe_is_quiet(self, capsys, monkeypatch, chains, help):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(BrokenPipeError(32, "Broken pipe")))
+        assert main(["--help"] if help else self.argv(chains)) == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("help", [False, True])
+    def test_other_write_error_prints_one_line(self, capsys, monkeypatch, chains, help):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError(28, "No space left on device")))
+        assert main(["--help"] if help else self.argv(chains)) == 1
+        assert capsys.readouterr().err == "error: cannot write the output: [Errno 28] No space left on device\n"
+
+    def test_help_is_written_by_main(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: indval") and out == cli.build_parser().format_help()
+
+    def run_module(self, argv, stdout):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.Popen(
+            [sys.executable, "-m", "indval.cli", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE
+        )
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_subprocess_with_closed_pipe(self, monkeypatch, chains, unbuffered):
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        proc = self.run_module(self.argv(chains), subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1 and err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_subprocess_with_full_device(self, chains):
+        with open("/dev/full", "wb") as full:
+            proc = self.run_module(self.argv(chains), full)
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err.decode().splitlines() == ["error: cannot write the output: [Errno 28] No space left on device"]
+
+
 class TestOptimizedMode:
     """Invariant checks raise named errors, so python -O changes no output."""
 

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indval as iv
 import indval.keys as keys
+import indval.residual as residual
 from indval import (
     DomainError,
     InvariantError,
@@ -25,6 +28,9 @@ from indval import (
     residual_ideal,
     residual_poly,
 )
+from indval.keys import GradedFactorization
+from indval.residual import _decompose, _hu_mul, _hu_pow, _public_unit
+from indval.towers import ff_factor
 from conftest import make_rand_poly
 
 P = Poly.parse
@@ -307,7 +313,7 @@ class TestLiftMemo:
         nu = fresh_nu1()
         chi = lift_key(nu, "y^2+y+1")
         calls = []
-        for name in ("ff_is_irreducible", "residual_lift", "key_check"):
+        for name in ("ff_is_irreducible", "_residual_lift", "_decomposed_key_check"):
             monkeypatch.setattr(keys, name, lambda *a, name=name: calls.append(name))
         assert lift_key(nu, "y^2+y+1") is chi
         assert calls == []
@@ -363,6 +369,119 @@ class TestLiftMemo:
         assert sorted(a for _, a in gf_a.factors) == [1, 1, 2]
 
 
+def _top_decompositions(monkeypatch):
+    """Record every top-level _decompose call (level = chain length) by its f."""
+    seen = []
+    inner = residual._decompose
+
+    def counted(levels, i, f, *rest, **kw):
+        if i == len(levels):
+            seen.append(f)
+        return inner(levels, i, f, *rest, **kw)
+
+    monkeypatch.setattr(residual, "_decompose", counted)
+    monkeypatch.setattr(keys, "_decompose", counted)
+    return seen
+
+
+def _parent_factorization(nu, f, seed):
+    """graded_factorization as it was before lifts kept their graded data:
+    every lifted key is decomposed again for its unit."""
+    levels, r = nu._levels, nu.length
+    dec = _decompose(levels, r, f)
+    factors, unit = [], dec.nlc
+    if dec.s > 0:
+        factors.append((nu.top.phi, dec.s))
+    if dec.respoly.degree > 0:
+        for psi, mult in ff_factor(dec.respoly, seed):
+            chi = lift_key(nu, psi)
+            factors.append((chi, mult))
+            unit = _hu_mul(levels, r, unit, _hu_pow(levels, r, _decompose(levels, r, chi).nlc, -mult))
+    return GradedFactorization(_public_unit(levels, r, unit), tuple(factors))
+
+
+class TestLiftRecord:
+    """The memo keeps each lift with the unit and value of its initial term."""
+
+    def test_record_matches_a_fresh_decomposition(self, nu1, nu2, nu4):
+        for nu, maxd in ((nu1, 2), (nu2, 2), (nu4, 1), *((mu, 2) for mu in y1_ladder(4))):
+            ks = enumerate_keys(nu, maxd)
+            lifted = [rec[0] for rec in nu._key_lifts.values()]
+            assert all(any(chi is k for chi in lifted) for k in ks[1:])
+            levels, r = nu._levels, nu.length
+            for chi, nlc, mu in nu._key_lifts.values():
+                dec = _decompose(levels, r, chi)
+                assert (nlc, mu) == (dec.nlc, dec.mu)
+                assert mu == nu(chi)
+
+    @pytest.mark.parametrize("build, maxd", [(fresh_nu1, 2), (fresh_nu4, 1), (lambda: y1_ladder(3)[-1], 1)])
+    def test_memoized_factorization_decomposes_only_f(self, monkeypatch, build, maxd):
+        nu = build()
+        ks = enumerate_keys(nu, maxd)
+        f = (ks[0] ** 2 * ks[1] * ks[-1] ** 3).scale(F(6, 5))
+        want = graded_factorization(nu, f, seed=4)
+        seen = _top_decompositions(monkeypatch)
+        assert graded_factorization(nu, f, seed=4) == want
+        assert seen == [f]
+
+    def test_new_lift_is_decomposed_once(self, monkeypatch):
+        nu = fresh_nu4()
+        seen = _top_decompositions(monkeypatch)
+        chi = lift_key(nu, "y+[0,1]")
+        assert seen == [chi]
+        seen.clear()
+        assert lift_key(nu, "y+[0,1]") is chi and seen == []
+
+    def test_corrupted_value_fails_the_accounting(self):
+        nu = fresh_nu1()
+        chi = lift_key(nu, "y+1")
+        (psi,) = nu._key_lifts
+        _, nlc, mu = nu._key_lifts[psi]
+        nu._key_lifts[psi] = (chi, nlc, mu + iv.Value.of(1))
+        with pytest.raises(InvariantError, match="does not close the value accounting"):
+            graded_factorization(nu, chi * P("x^2+x+2"))
+
+    def test_lift_value_is_checked_against_the_chain(self, monkeypatch):
+        nu = fresh_nu1()
+        real = residual._residual_lift
+
+        def skewed(*a):
+            chi, dec = real(*a)
+            dec.mu = dec.mu + iv.Value.of(1)
+            return chi, dec
+
+        monkeypatch.setattr(keys, "_residual_lift", skewed)
+        with pytest.raises(InvariantError, match=r"psi = y \+ 1 on .* decomposes with value 2 != mu\(chi\) = 1"):
+            lift_key(nu, "y+1")
+        assert nu._key_lifts == {}
+
+
+@pytest.fixture(scope="module")
+def differential_chains(nu1, nu2, nu4, ladder):
+    return [(nu, enumerate_keys(nu, 1)) for nu in (nu1, nu2, nu4, *ladder[:4])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.fractions().filter(lambda c: c != 0 and abs(c.numerator) < 10**6 and c.denominator < 10**6),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    st.integers(0, 5),
+)
+def test_factorization_matches_the_parent(differential_chains, which, c, picks, seed):
+    nu, ks = differential_chains[which]
+    f = Poly.constant(c)
+    for k, m in picks:
+        f = f * ks[k % len(ks)] ** m
+    gf = graded_factorization(nu, f, seed=seed)
+    ref = _parent_factorization(nu, f, seed)
+    assert gf == ref and str(gf) == str(ref)
+    total = gf.unit_part.value
+    for chi, a in gf.factors:
+        total = total + nu(chi).scaled(a)
+    assert total == nu(f)
+
+
 def _irreducible_over_q(chi):
     x = sympy.Symbol("x")
     return sympy.Poly(list(reversed(chi.coeffs)), x, domain="QQ").is_irreducible
@@ -387,7 +506,7 @@ class TestLiftOracle:
 
     def test_rejected_lift_raises_invariant_error(self, monkeypatch):
         nu = fresh_nu1()
-        monkeypatch.setattr(keys, "key_check", lambda *a: KeyCheck(False, reason="rejected"))
+        monkeypatch.setattr(keys, "_decomposed_key_check", lambda *a: KeyCheck(False, reason="rejected"))
         with pytest.raises(InvariantError, match=r"psi = y \+ 1 on \[\(x, 1/2\)\]"):
             lift_key(nu, "y+1")
         assert nu._key_lifts == {}

@@ -116,6 +116,12 @@ class TestDecompose:
         assert (d.s, str(d.respoly)) == (3, "1")
         assert d.unit.value == Value.of(1)
 
+    def test_residual_polynomial_one_is_shared(self, nu1, nu4):
+        for nu in (nu1, nu4):
+            ones = [decompose(nu, P(t)).respoly for t in ("x", "2x^3", "x^2+2x+4", "3")]
+            assert all(r is ones[0] for r in ones)
+            assert ones[0] == TowerPoly.one(residual_data(nu).field)
+
     def test_equivalence_criterion(self, nu1, nu2, rand_poly):
         rng = random.Random(46)
         for nu in (nu1, nu2):
