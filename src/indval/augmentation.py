@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .basefield import PadicValuation, Poly
+from .basefield import PadicValuation, Poly, _report, check_expansion_work, phi_expansion
 from .chains import (
     InductiveValuation,
     Step,
@@ -28,18 +28,14 @@ from .chains import (
     _json_object,
     _parse_base,
     _parse_steps,
-    _report,
     _steps_json,
-    _value_of,
-    check_expansion_work,
     expansion_report,
     is_equivalent,
-    phi_expansion,
     validate_chain,
 )
 from .errors import ChainError, DomainError, InvariantError, ResourceError
 from .keys import key_check
-from .values import INFINITY, Value
+from .values import INFINITY, Value, _value_of
 
 
 def augment(nu: InductiveValuation, chi: Poly, gamma) -> InductiveValuation:

@@ -5,7 +5,9 @@ kept in integer-content form: integer numerators, constant term first and no
 trailing zero, over one positive common denominator that shares no factor
 with all of them.  Its arithmetic runs on Python integers; Fractions appear
 only where a coefficient leaves the class (``coeffs``, ``coeff``,
-``leading``, printing).
+``leading``, printing).  The expansion f = sum f_s phi^s in a monic key, its
+work budget and the monomial-value kernel every expansion feeds also live
+here, below the chains that use them.
 
 Primality of the base prime is decided by deterministic Miller-Rabin on the
 prime bases up to 41, which is exact below 3.3 * 10^24 (Sorenson-Webster,
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -462,3 +465,114 @@ def poly_ext_gcd(f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
         return r0, s0, t0
     lead = r0.leading()
     return r0.scale(1 / lead), s0.scale(1 / lead), t0.scale(1 / lead)
+
+
+# ---------------------------------------------------------------------------
+# Expansions in a monic key and their monomial values
+# ---------------------------------------------------------------------------
+
+
+def _linear_digits(coeffs: Sequence[Fraction], a: Fraction) -> List[Fraction]:
+    """Digits of f at the monic linear base x - a, by synthetic division."""
+    if a == 0:
+        return list(coeffs)
+    cs = list(coeffs)
+    out: List[Fraction] = []
+    while cs:
+        k = len(cs) - 1
+        acc = cs[k]
+        q = [Fraction(0)] * k
+        for j in range(k - 1, -1, -1):
+            q[j] = acc
+            acc = cs[j] + a * acc
+        out.append(acc)
+        cs = q
+    return out
+
+
+# The work budget: the most bits an expansion may be estimated to produce
+# (see check_expansion_work).  The estimate grows with the square of the
+# degree; 2^23 bits admits x^2048 + 1 in x^2 + 2, about 0.5 s of expansion.
+MAX_EXPANSION_BITS = 2**23
+
+
+def check_expansion_work(f: Poly, phi: Poly) -> None:
+    """Raise ResourceError when the phi-expansion of f is estimated to hold
+    more than MAX_EXPANSION_BITS bits.
+
+    Each of the n = deg(f) // deg(phi) division steps can lengthen the
+    coefficients by the bit height k of phi, so the n + 1 digits hold at most
+    about (n + 1) * deg(phi) * (h + n*k) bits, h the bit height of f (taken
+    as 64 plus its denominator's for numerators that fit in 64 bits), and
+    the time to compute them grows with that size.  Expanding in x is free.
+    Called once per top-level value, expansion or decomposition, never per
+    digit.
+    """
+    m = phi.degree
+    n = f.degree // m if f.num else 0
+    if n == 0 or (m == 1 and not phi.num[0]):
+        return
+    # numerators kept in an array fit in 64 bits, a bound that needs no scan
+    h = 64 if isinstance(f.num, array) else max(map(int.bit_length, f.num))
+    k = max(map(int.bit_length, phi.num)) + phi.den.bit_length()
+    bits = (n + 1) * m * (h + f.den.bit_length() + n * k)
+    if bits > MAX_EXPANSION_BITS:
+        raise ResourceError(
+            f"expanding a polynomial of degree {f.degree} in {phi} is estimated at "
+            f"{bits} bits, past the work budget of {MAX_EXPANSION_BITS}"
+        )
+
+
+def phi_expansion(f: Poly, phi: Poly) -> List[Poly]:
+    """Digit expansion f = sum f_s phi^s with deg f_s < deg phi.
+
+    Returned constant-coefficient-first, including interior zero coefficients;
+    the zero polynomial expands to [0].
+    """
+    if phi.degree is None or phi.degree < 1:
+        raise DomainError("expansion base must be non-constant")
+    if not phi.is_monic:
+        raise DomainError("expansion base must be monic")
+    if f.is_zero:
+        return [Poly.zero()]
+    if phi.degree == 1:
+        if phi.den == 1:  # integral root: integer Taylor shift of the numerators
+            return [Poly.from_ints((d,), f.den) for d in _linear_digits(f.num, -phi.num[0])]
+        return [Poly.constant(c) for c in _linear_digits(f.coeffs, -phi.coeff(0))]
+    out: List[Poly] = []
+    cur = f
+    while not cur.is_zero:
+        cur, r = cur.divmod_monic(phi)
+        out.append(r)
+    return out
+
+
+@dataclass(frozen=True)
+class ExpansionReport:
+    """Top-key expansion data: coefficients, monomial values and the argmin set."""
+
+    coeffs: Tuple[Poly, ...]
+    monomial_values: Tuple[Value, ...]
+    mu: Value
+    indices: Tuple[int, ...]
+    s: int
+    s_prime: int
+
+
+def _monomial_values(coeffs: Sequence[Poly], gamma: Value, value_of) -> List[Value]:
+    """The monomial values value_of(f_s) + s*gamma of an expansion sum f_s phi^s
+    in a key of value gamma, Infinity for f_s = 0.
+
+    The one kernel behind every expansion: chain evaluation (with the prefix
+    chain as value_of), expansion reports, the residual decomposition and the
+    scan path of limit valuations (with stable values as value_of).
+    """
+    return [INFINITY if c.is_zero else value_of(c) + gamma.scaled(s) for s, c in enumerate(coeffs)]
+
+
+def _report(coeffs: Sequence[Poly], gamma: Value, value_of) -> ExpansionReport:
+    """The monomial values of an expansion with their minimum and argmin set."""
+    vals = _monomial_values(coeffs, gamma, value_of)
+    mu = min(vals)
+    idx = tuple(s for s, w in enumerate(vals) if w == mu)
+    return ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])

@@ -16,16 +16,25 @@ incommensurable step supplies a fresh infinitesimal direction.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .basefield import PadicValuation, Poly
-from .errors import ChainError, DomainError, InvariantError, ResourceError
-from .values import INFINITY, Value, _check_digits, _parse_rational
+from .basefield import (
+    MAX_EXPANSION_BITS,  # re-exported: the budget of check_expansion_work
+    ExpansionReport,
+    PadicValuation,
+    Poly,
+    _linear_digits,
+    _monomial_values,
+    _report,
+    check_expansion_work,
+    phi_expansion,
+)
+from .errors import ChainError, DomainError, InvariantError
+from .residual import attach_levels, key_check
+from .values import INFINITY, Value, _check_digits, _digits_of, _parse_rational, _value_of
 
 
 @dataclass(frozen=True)
@@ -34,107 +43,6 @@ class Step:
 
     phi: Poly
     gamma: Value
-
-
-def _linear_digits(coeffs: Sequence[Fraction], a: Fraction) -> List[Fraction]:
-    """Digits of f at the monic linear base x - a, by synthetic division."""
-    if a == 0:
-        return list(coeffs)
-    cs = list(coeffs)
-    out: List[Fraction] = []
-    while cs:
-        k = len(cs) - 1
-        acc = cs[k]
-        q = [Fraction(0)] * k
-        for j in range(k - 1, -1, -1):
-            q[j] = acc
-            acc = cs[j] + a * acc
-        out.append(acc)
-        cs = q
-    return out
-
-
-def _digits_of(rows: Sequence[Tuple[int, int, int, int]], B: int) -> List[int]:
-    """Digits (c, m_1, ..., m_{i-1}) of the value B/D_i, given the digit-table
-    rows of the i-1 steps below level i (see :meth:`InductiveValuation.digit_vector`)."""
-    exps = [0] * (len(rows) + 1)
-    for j in range(len(rows), 0, -1):
-        e, _, g, inv = rows[j - 1]
-        m = B * inv % e
-        exps[j] = m
-        B = (B - m * g) // e
-    exps[0] = B
-    return exps
-
-
-@lru_cache(maxsize=4096)
-def _value_of(key: Optional[Tuple[int, ...]], den: int) -> Value:
-    """The Value with coordinates key/den, or Infinity for key None.
-
-    Equal keys share one immutable Value while it stays in the bounded cache.
-    The key tuple keeps its length, so a rank-1 q and its minor embedding
-    (0, q), which compare equal, never share an object.
-    """
-    if key is None:
-        return INFINITY
-    return Value(tuple(Fraction(k, den) for k in key))
-
-
-# The work budget: the most bits an expansion may be estimated to produce
-# (see check_expansion_work).  The estimate grows with the square of the
-# degree; 2^23 bits admits x^2048 + 1 in x^2 + 2, about 0.5 s of expansion.
-MAX_EXPANSION_BITS = 2**23
-
-
-def check_expansion_work(f: Poly, phi: Poly) -> None:
-    """Raise ResourceError when the phi-expansion of f is estimated to hold
-    more than MAX_EXPANSION_BITS bits.
-
-    Each of the n = deg(f) // deg(phi) division steps can lengthen the
-    coefficients by the bit height k of phi, so the n + 1 digits hold at most
-    about (n + 1) * deg(phi) * (h + n*k) bits, h the bit height of f (taken
-    as 64 plus its denominator's for numerators that fit in 64 bits), and
-    the time to compute them grows with that size.  Expanding in x is free.
-    Called once per top-level value, expansion or decomposition, never per
-    digit.
-    """
-    m = phi.degree
-    n = f.degree // m if f.num else 0
-    if n == 0 or (m == 1 and not phi.num[0]):
-        return
-    # numerators kept in an array fit in 64 bits, a bound that needs no scan
-    h = 64 if isinstance(f.num, array) else max(map(int.bit_length, f.num))
-    k = max(map(int.bit_length, phi.num)) + phi.den.bit_length()
-    bits = (n + 1) * m * (h + f.den.bit_length() + n * k)
-    if bits > MAX_EXPANSION_BITS:
-        raise ResourceError(
-            f"expanding a polynomial of degree {f.degree} in {phi} is estimated at "
-            f"{bits} bits, past the work budget of {MAX_EXPANSION_BITS}"
-        )
-
-
-def phi_expansion(f: Poly, phi: Poly) -> List[Poly]:
-    """Digit expansion f = sum f_s phi^s with deg f_s < deg phi.
-
-    Returned constant-coefficient-first, including interior zero coefficients;
-    the zero polynomial expands to [0].
-    """
-    if phi.degree is None or phi.degree < 1:
-        raise DomainError("expansion base must be non-constant")
-    if not phi.is_monic:
-        raise DomainError("expansion base must be monic")
-    if f.is_zero:
-        return [Poly.zero()]
-    if phi.degree == 1:
-        if phi.den == 1:  # integral root: integer Taylor shift of the numerators
-            return [Poly.from_ints((d,), f.den) for d in _linear_digits(f.num, -phi.num[0])]
-        return [Poly.constant(c) for c in _linear_digits(f.coeffs, -phi.coeff(0))]
-    out: List[Poly] = []
-    cur = f
-    while not cur.is_zero:
-        cur, r = cur.divmod_monic(phi)
-        out.append(r)
-    return out
 
 
 class InductiveValuation:
@@ -558,48 +466,14 @@ def validate_chain(
             )
 
     nu = InductiveValuation(base, steps, rank)
-
     # value and key invariants, walked level by level; builds residual data
-    from . import residual
-
-    residual.attach_levels(nu)
+    attach_levels(nu)
     return nu
 
 
 # ---------------------------------------------------------------------------
 # Expansion reports and elementary predicates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Top-key expansion data: coefficients, monomial values and the argmin set."""
-
-    coeffs: Tuple[Poly, ...]
-    monomial_values: Tuple[Value, ...]
-    mu: Value
-    indices: Tuple[int, ...]
-    s: int
-    s_prime: int
-
-
-def _monomial_values(coeffs: Sequence[Poly], gamma: Value, value_of) -> List[Value]:
-    """The monomial values value_of(f_s) + s*gamma of an expansion sum f_s phi^s
-    in a key of value gamma, Infinity for f_s = 0.
-
-    The one kernel behind every expansion: chain evaluation (with the prefix
-    chain as value_of), expansion reports, the residual decomposition and the
-    scan path of limit valuations (with stable values as value_of).
-    """
-    return [INFINITY if c.is_zero else value_of(c) + gamma.scaled(s) for s, c in enumerate(coeffs)]
-
-
-def _report(coeffs: Sequence[Poly], gamma: Value, value_of) -> ExpansionReport:
-    """The monomial values of an expansion with their minimum and argmin set."""
-    vals = _monomial_values(coeffs, gamma, value_of)
-    mu = min(vals)
-    idx = tuple(s for s, w in enumerate(vals) if w == mu)
-    return ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
 
 
 def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
@@ -663,13 +537,10 @@ def key_semivaluation(nu: InductiveValuation, chi: Poly, f: Poly) -> Value:
     Extends the chain's values on degree < deg(chi) polynomials to Q[x]/(chi),
     with value Infinity exactly on multiples of chi.
     """
-    from .keys import key_check
-
     kc = key_check(nu, chi)
     if not kc.ok:
         raise DomainError(f"chi is not a key polynomial: {kc.reason}")
     if f.is_zero:
         return INFINITY
     check_expansion_work(f, chi)
-    f0 = phi_expansion(f, chi)[0]
-    return nu(f0)
+    return nu(f.divmod_monic(chi)[1])

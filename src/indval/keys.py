@@ -1,4 +1,8 @@
-"""Key-polynomial detection, graded divisibility, lifting and factorization.
+"""Key-polynomial lifting, enumeration, graded divisibility and factorization.
+
+The key test itself (``key_check``, ``KeyCheck``, ``is_key``) lives in
+:mod:`indval.residual`, beside the decomposition it reads, and is
+re-exported here.
 
 A key polynomial generates a homogeneous prime of the graded algebra.  With a
 commensurable top step the keys split into the class of the top key phi and,
@@ -10,103 +14,26 @@ An incommensurable top step admits the single class of phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .basefield import Poly
-from .chains import InductiveValuation, expansion_report, is_equivalent
+from .chains import InductiveValuation, expansion_report
 from .errors import DomainError, InvariantError
 from .residual import (
     HomogeneousUnit,
-    _Decomp,
+    KeyCheck,
     _decompose,
+    _decomposed_key_check,
     _hu_mul,
     _hu_pow,
     _Level,
     _public_unit,
     _require_levels,
     _residual_lift,
+    is_key,
+    key_check,
 )
 from .towers import TowerPoly, ff_factor, ff_is_irreducible, monic_irreducibles
-
-
-@dataclass(frozen=True, slots=True)
-class KeyCheck:
-    """Outcome of a key test: verdict, branch taken, failure reason, and the
-    residual data computed along the way (commensurable branch only)."""
-
-    ok: bool
-    branch: Optional[str] = None  # "equivalent" | "residual" | "translate"
-    reason: Optional[str] = None
-    s: Optional[int] = None
-    respoly: Optional[TowerPoly] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def key_check(nu: InductiveValuation, chi: Poly) -> KeyCheck:
-    """Test whether chi is a key polynomial for the chain, with a reason code.
-
-    Commensurable top step: chi is a key iff it is equivalent to the top key
-    (same degree), or s(chi) = 0, R(chi) is irreducible and
-    deg(chi) = e * deg(phi) * deg(R(chi)).  Incommensurable top step: the keys
-    are exactly the translates phi + a with value(a) > gamma.
-    """
-    if chi.is_zero or chi.is_constant:
-        raise DomainError("key polynomials are non-constant")
-    if not chi.is_monic:
-        raise DomainError("key polynomials are monic")
-    n = nu.top_degree
-    if not nu.top_commensurable:
-        if chi.degree != n:
-            return KeyCheck(False, reason=f"degree must be {n}")
-        if nu(chi - nu.top.phi) > nu.top.gamma:
-            return KeyCheck(True, branch="translate")
-        return KeyCheck(
-            False, reason="difference from the top key has value <= gamma"
-        )
-    if chi.degree == n and is_equivalent(nu, chi, nu.top.phi):
-        return KeyCheck(True, branch="equivalent", s=1, respoly=None)
-    levels = _require_levels(nu)
-    return _decomposed_key_check(levels, chi, _decompose(levels, nu.length, chi))
-
-
-def _decomposed_key_check(levels: Sequence[_Level], chi: Poly, dec: _Decomp) -> KeyCheck:
-    """The commensurable key test on chi's top-level decomposition dec.
-
-    A monic chi of the top degree n has the phi-expansion (chi - phi) + phi,
-    so s(chi) = 1 exactly when value(chi - phi) > gamma, i.e. when chi is
-    equivalent to the top key; otherwise the residual branch decides.
-    """
-    top = levels[-1]
-    if chi.degree == top.n and dec.s == 1:
-        return KeyCheck(True, branch="equivalent", s=1, respoly=None)
-    if dec.s != 0:
-        return KeyCheck(False, reason=f"s(chi) = {dec.s} != 0", s=dec.s)
-    if dec.respoly.is_constant:
-        return KeyCheck(
-            False, reason="chi is a unit (constant residual polynomial)", s=0
-        )
-    if not ff_is_irreducible(dec.respoly):
-        return KeyCheck(
-            False,
-            reason=f"residual polynomial {dec.respoly} is reducible",
-            s=0,
-            respoly=dec.respoly,
-        )
-    expected = top.e * top.n * dec.respoly.degree
-    if chi.degree != expected:
-        return KeyCheck(
-            False,
-            reason=f"degree {chi.degree} != e*n*deg(R) = {expected}",
-            s=0,
-            respoly=dec.respoly,
-        )
-    return KeyCheck(True, branch="residual", s=0, respoly=dec.respoly)
-
-
-def is_key(nu: InductiveValuation, chi: Poly) -> bool:
-    return key_check(nu, chi).ok
 
 
 def graded_divides(nu: InductiveValuation, f: Poly, g: Poly) -> bool:

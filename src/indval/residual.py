@@ -43,26 +43,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .basefield import Poly
-from .chains import (
-    InductiveValuation,
-    Step,
-    _digits_of,
-    _report,
-    _value_of,
-    check_expansion_work,
-    phi_expansion,
-)
+from .basefield import Poly, _report, check_expansion_work, phi_expansion
 from .errors import ChainError, DomainError, InvariantError
-from .towers import (
-    TowerElem,
-    TowerField,
-    TowerPoly,
-    extend_with_root,
-)
-from .values import Value
+from .towers import TowerElem, TowerField, TowerPoly, extend_with_root, ff_is_irreducible
+from .values import Value, _digits_of, _value_of
+
+if TYPE_CHECKING:
+    from .chains import InductiveValuation
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,20 +149,19 @@ def attach_levels(nu: InductiveValuation) -> None:
     is checked against its prefix chain, a rank-2 top step too (its prefix
     value embedded into the major coordinate).  On success the levels are
     cached on the chain; an incommensurable final step carries no level of
-    its own.
+    its own.  Level i is built on nu.prefix(i), which is nu itself at the top
+    of a rank-1 chain.
     """
-    from .keys import key_check
-
-    demoted = [Step(s.phi, s.gamma.demote()) for s in nu.steps]
     levels: List[_Level] = []
     pre: Optional[InductiveValuation] = None
-    for i, step in enumerate(demoted, 1):
+    for i, step in enumerate(nu.steps, 1):
+        gamma = step.gamma.demote()
         psi = None
         if i >= 2:
-            mu_phi = pre.valuation(step.phi).embed(step.gamma.rank, major=True)
-            if not step.gamma > mu_phi:
+            mu_phi = pre.valuation(step.phi).embed(gamma.rank, major=True)
+            if not gamma > mu_phi:
                 raise ChainError(
-                    f"step {i}: gamma={step.gamma} must exceed the prefix value "
+                    f"step {i}: gamma={gamma} must exceed the prefix value "
                     f"{mu_phi} of the key polynomial"
                 )
             kc = key_check(pre, step.phi)
@@ -190,11 +178,9 @@ def attach_levels(nu: InductiveValuation) -> None:
             psi = kc.respoly
         if not nu.commensurable_at(i):
             break
-        new_pre = InductiveValuation(nu.base, demoted[:i], 1)
-        new_pre._levels = levels  # while its level is built: the levels so far
-        levels.append(_make_level(new_pre, i, levels, psi))
-        new_pre._levels = levels[:i]
-        pre = new_pre
+        pre = nu.prefix(i)
+        levels.append(_make_level(pre, i, levels, psi))
+        pre._levels = levels[:i]
     nu._levels = levels
 
 
@@ -491,6 +477,88 @@ def unit_residue(nu: InductiveValuation, f: Poly) -> HomogeneousUnit:
     if dec.indices != (0,):
         raise DomainError("polynomial is not a unit: expansion argmin is not {0}")
     return _public_unit(levels, nu.length, dec.nlc)
+
+
+# ---------------------------------------------------------------------------
+# The key test: s(chi), R(chi) and the degree of chi
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class KeyCheck:
+    """Outcome of a key test: verdict, branch taken, failure reason, and the
+    residual data computed along the way (commensurable branch only)."""
+
+    ok: bool
+    branch: Optional[str] = None  # "equivalent" | "residual" | "translate"
+    reason: Optional[str] = None
+    s: Optional[int] = None
+    respoly: Optional[TowerPoly] = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def key_check(nu: InductiveValuation, chi: Poly) -> KeyCheck:
+    """Test whether chi is a key polynomial for the chain, with a reason code.
+
+    Commensurable top step: chi is a key iff it is equivalent to the top key
+    (same degree and value(chi - phi) > gamma), or s(chi) = 0, R(chi) is
+    irreducible and deg(chi) = e * deg(phi) * deg(R(chi)).  Incommensurable
+    top step: the keys are exactly the translates phi + a with
+    value(a) > gamma.
+    """
+    if chi.is_zero or chi.is_constant:
+        raise DomainError("key polynomials are non-constant")
+    if not chi.is_monic:
+        raise DomainError("key polynomials are monic")
+    n, commensurable = nu.top_degree, nu.top_commensurable
+    if chi.degree == n and nu(chi - nu.top.phi) > nu.top.gamma:
+        return KeyCheck(True, branch="equivalent", s=1) if commensurable else KeyCheck(True, branch="translate")
+    if not commensurable:
+        if chi.degree != n:
+            return KeyCheck(False, reason=f"degree must be {n}")
+        return KeyCheck(False, reason="difference from the top key has value <= gamma")
+    levels = _require_levels(nu)
+    return _decomposed_key_check(levels, chi, _decompose(levels, nu.length, chi))
+
+
+def _decomposed_key_check(levels: Sequence[_Level], chi: Poly, dec: _Decomp) -> KeyCheck:
+    """The commensurable key test on chi's top-level decomposition dec.
+
+    A monic chi of the top degree n has the phi-expansion (chi - phi) + phi,
+    so s(chi) = 1 exactly when value(chi - phi) > gamma, i.e. when chi is
+    equivalent to the top key; otherwise the residual branch decides.
+    """
+    top = levels[-1]
+    if chi.degree == top.n and dec.s == 1:
+        return KeyCheck(True, branch="equivalent", s=1, respoly=None)
+    if dec.s != 0:
+        return KeyCheck(False, reason=f"s(chi) = {dec.s} != 0", s=dec.s)
+    if dec.respoly.is_constant:
+        return KeyCheck(
+            False, reason="chi is a unit (constant residual polynomial)", s=0
+        )
+    if not ff_is_irreducible(dec.respoly):
+        return KeyCheck(
+            False,
+            reason=f"residual polynomial {dec.respoly} is reducible",
+            s=0,
+            respoly=dec.respoly,
+        )
+    expected = top.e * top.n * dec.respoly.degree
+    if chi.degree != expected:
+        return KeyCheck(
+            False,
+            reason=f"degree {chi.degree} != e*n*deg(R) = {expected}",
+            s=0,
+            respoly=dec.respoly,
+        )
+    return KeyCheck(True, branch="residual", s=0, respoly=dec.respoly)
+
+
+def is_key(nu: InductiveValuation, chi: Poly) -> bool:
+    return key_check(nu, chi).ok
 
 
 def _mulred(nu: InductiveValuation, a: Poly, b: Poly) -> Poly:

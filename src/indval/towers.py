@@ -14,6 +14,7 @@ elements is equality of representations.
 from __future__ import annotations
 
 import json
+import random
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .basefield import _parse_exponent
@@ -106,9 +107,8 @@ class TowerField:
         return self._ones[h]
 
     def _is_zero(self, a, h: int) -> bool:
-        if h == 0:
-            return a == 0
-        return all(self._is_zero(c, h - 1) for c in a)
+        # element data is canonical: one comparison with the shared zero
+        return a == self._zeros[h]
 
     def _is_one(self, a, h: int) -> bool:
         return a == self._ones[h]
@@ -946,8 +946,6 @@ def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
     product of factors re-multiplies to the monic normalization of the input.
     ResourceError past MAX_FF_WORK.
     """
-    import random
-
     if psi.is_zero or psi.is_constant:
         raise DomainError("factorization is asked of non-constant polynomials")
     _check_ff_work(psi)

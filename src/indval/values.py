@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from functools import lru_cache
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError, ResourceError
 
@@ -252,102 +253,100 @@ INFINITY = Value(None)
 
 
 # ---------------------------------------------------------------------------
+# Shared values and canonical digits
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _value_of(key: Optional[Tuple[int, ...]], den: int) -> Value:
+    """The Value with coordinates key/den, or Infinity for key None.
+
+    Equal keys share one immutable Value while it stays in the bounded cache.
+    The key tuple keeps its length, so a rank-1 q and its minor embedding
+    (0, q), which compare equal, never share an object.
+    """
+    if key is None:
+        return INFINITY
+    return Value(tuple(Fraction(k, den) for k in key))
+
+
+def _digits_of(rows: Sequence[Tuple[int, int, int, int]], B: int) -> List[int]:
+    """Digits (c, m_1, ..., m_{i-1}) of the value B/D_i, given the digit-table
+    rows of the i-1 steps below level i (see ``InductiveValuation.digit_vector``)."""
+    exps = [0] * (len(rows) + 1)
+    for j in range(len(rows), 0, -1):
+        e, _, g, inv = rows[j - 1]
+        m = B * inv % e
+        exps[j] = m
+        B = (B - m * g) // e
+    exps[0] = B
+    return exps
+
+
+# ---------------------------------------------------------------------------
 # Subgroups of Q^r generated by finitely many values
 # ---------------------------------------------------------------------------
 
 
-def _common_rank(values: Iterable[Value]) -> int:
-    return max(v.rank for v in values)
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
-def _as_int_vectors(gamma: Value, gens: Sequence[Value]):
-    """Clear denominators: return (gamma_vec, gen_vecs) as integer tuples."""
-    rank = _common_rank([gamma, *gens])
-    vals = [v.embed(rank) for v in (gamma, *gens)]
-    denom = 1
-    for v in vals:
-        for c in v.coords:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [tuple(int(c * denom) for c in v.coords) for v in vals]
-    return ints[0], ints[1:], rank
+def _hermite(vecs) -> Tuple[int, int, int]:
+    """(a, b, d) with a, d >= 0 and Z*(a, b) + Z*(0, d) the lattice spanned by
+    the integer 2-vectors vecs; b = 0 when a = 0.
 
-
-def _lattice_basis_rank2(vecs):
-    """Triangular basis of the lattice spanned by integer 2-vectors.
-
-    Returns (w, d) with w = (a, b) (a >= 0) and d >= 0 such that the lattice
-    is Z*w + Z*(0, d).  Either part may degenerate to zero.
+    Merging (u, v) into the row (a, b) is the unimodular step
+    [[s, t], [-u/g, a/g]] with g = gcd(a, u) = s*a + t*u: the row becomes
+    (g, s*b + t*v) and the rest (0, (a*v - u*b)/g) joins d.
     """
-    w = (0, 0)
-    leftovers = []
-    for v in vecs:
-        if v == (0, 0):
+    a = b = d = 0
+    for u, v in vecs:
+        g, s, t = _xgcd(a, u)
+        if g == 0:
+            d = gcd(d, v)
             continue
-        if v[0] == 0:
-            leftovers.append(v[1])
-            continue
-        if w[0] == 0:
-            if w != (0, 0):
-                leftovers.append(w[1])
-            w = v
-            continue
-        # extended gcd on the first coordinates
-        a, b = w[0], v[0]
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        new_w = (old_r, old_s * w[1] + old_t * v[1])
-        # both inputs reduce to multiples of new_w plus a second-coordinate rest
-        leftovers.append(w[1] - (w[0] // old_r) * new_w[1])
-        leftovers.append(v[1] - (v[0] // old_r) * new_w[1])
-        w = new_w
-    d = 0
-    for y in leftovers:
-        d = gcd(d, abs(y))
-    if w[0] < 0:
-        w = (-w[0], -w[1])
-    if w[0] == 0:
-        d = gcd(d, abs(w[1]))
-        w = (0, 0)
-    return w, d
+        d = gcd(d, (a * v - u * b) // g)
+        a, b = g, s * b + t * v
+    return a, b, d
 
 
-def _min_multiplier_rank1(g_vec: int, gens) -> Optional[int]:
-    lattice_gcd = 0
-    for (x,) in gens:
-        lattice_gcd = gcd(lattice_gcd, abs(x))
-    v = g_vec
-    if v == 0:
-        return 1
-    if lattice_gcd == 0:
-        return None
-    return lattice_gcd // gcd(abs(v), lattice_gcd)
+def _index(gamma, gens, what: str) -> Optional[int]:
+    """Least e >= 1 with e*gamma in the Z-span of gens, or None.
 
-
-def _min_multiplier_rank2(g_vec, gens) -> Optional[int]:
-    w, d = _lattice_basis_rank2(gens)
-    u, v = g_vec
-    if (u, v) == (0, 0):
-        return 1
-    a, b = w
+    Denominators are cleared, and rank-1 values go into the minor
+    coordinate, q -> (0, q), in rank-1 and mixed input alike, so one rank-2
+    lattice serves every case; what names the caller in errors.
+    """
+    vals = [Value.of(x) for x in (gamma, *gens)]
+    if len(vals) == 1:
+        raise DomainError("generator list must be non-empty")
+    if any(v.is_infinite for v in vals):
+        raise DomainError(f"{what} requires finite values")
+    vals = [v.embed(2) for v in vals]
+    den = lcm(*(c.denominator for v in vals for c in v.coords))
+    (x, y), *vecs = [(int(v.coords[0] * den), int(v.coords[1] * den)) for v in vals]
+    a, b, d = _hermite(vecs)
     if a == 0:
-        if u != 0:
+        if x:
             return None
-        if d == 0:
-            return None
-        return d // gcd(abs(v), d)
-    e1 = a // gcd(abs(u), a) if u != 0 else 1
-    # with e = e1*t the first coordinate forces k = e*u/a copies of w
-    rest = e1 * v - (e1 * u // a) * b
+        e, rest = 1, y
+    else:
+        # e*x must be a multiple of a; k = e*x/a copies of the row leave rest
+        e = a // gcd(x, a)
+        rest = e * y - (e * x // a) * b
+    if rest == 0:
+        return e
     if d == 0:
-        return e1 if rest == 0 else None
-    t = d // gcd(abs(rest), d) if rest != 0 else 1
-    return e1 * t
+        return None
+    return e * (d // gcd(rest, d))
 
 
 def subgroup_index(gamma, gens) -> Optional[int]:
@@ -356,16 +355,7 @@ def subgroup_index(gamma, gens) -> Optional[int]:
     Returns None when no positive multiple of gamma lies in the subgroup.
     Solved exactly by clearing denominators and integer lattice reduction.
     """
-    g = Value.of(gamma)
-    gen_values = [Value.of(x) for x in gens]
-    if not gen_values:
-        raise DomainError("generator list must be non-empty")
-    if g.is_infinite or any(v.is_infinite for v in gen_values):
-        raise DomainError("subgroup_index requires finite values")
-    g_vec, gen_vecs, rank = _as_int_vectors(g, gen_values)
-    if rank == 1:
-        return _min_multiplier_rank1(g_vec[0], gen_vecs)
-    return _min_multiplier_rank2(g_vec, gen_vecs)
+    return _index(gamma, gens, "subgroup_index")
 
 
 def in_subgroup(gamma, gens) -> bool:
@@ -374,23 +364,9 @@ def in_subgroup(gamma, gens) -> bool:
 
 
 def is_commensurable(gamma, gens) -> bool:
-    """Whether some positive multiple of gamma lies in the Q-span of ``gens``."""
-    g = Value.of(gamma)
-    gen_values = [Value.of(x) for x in gens]
-    if not gen_values:
-        raise DomainError("generator list must be non-empty")
-    if g.is_infinite or any(v.is_infinite for v in gen_values):
-        raise DomainError("is_commensurable requires finite values")
-    g_vec, gen_vecs, rank = _as_int_vectors(g, gen_values)
-    if rank == 1:
-        return g_vec[0] == 0 or any(v != (0,) for v in gen_vecs)
-    nonzero = [v for v in gen_vecs if v != (0, 0)]
-    if g_vec == (0, 0):
-        return True
-    if not nonzero:
-        return False
-    first = nonzero[0]
-    if all(v[0] * first[1] == v[1] * first[0] for v in nonzero):
-        # Q-span is the line through `first`
-        return g_vec[0] * first[1] == g_vec[1] * first[0]
-    return True
+    """Whether some positive multiple of gamma lies in the Q-span of ``gens``.
+
+    For rational vectors a multiple of gamma lies in the Q-span exactly when
+    one lies in the Z-span, so this is the question of subgroup_index.
+    """
+    return _index(gamma, gens, "is_commensurable") is not None

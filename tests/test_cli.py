@@ -425,17 +425,16 @@ class TestOutputErrors:
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_subprocess_with_closed_pipe(self, monkeypatch, chains, unbuffered):
         monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
-        proc = self.run_module(self.argv(chains), subprocess.PIPE)
-        proc.stdout.close()  # the reader is gone before the first write
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 1 and err == b""
+        with self.run_module(self.argv(chains), subprocess.PIPE) as proc:
+            proc.stdout.close()  # the reader is gone before the first write
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1 and err == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_subprocess_with_full_device(self, chains):
-        with open("/dev/full", "wb") as full:
-            proc = self.run_module(self.argv(chains), full)
+        with open("/dev/full", "wb") as full, self.run_module(self.argv(chains), full) as proc:
             err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 1
+            assert proc.wait(timeout=120) == 1
         assert err.decode().splitlines() == ["error: cannot write the output: [Errno 28] No space left on device"]
 
 

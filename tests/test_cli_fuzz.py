@@ -6,7 +6,7 @@ result, diagnostics}.  Requests mix the 13 verbs, their options, stray
 tokens, chain files (valid, malformed or not JSON at all) and numbers past
 the parse caps: exponents above MAX_PARSE_DEGREE and numbers of more than
 MAX_PARSE_DIGITS digits.  Exponents below the degree cap are drawn from the
-whole range: the work budgets (``chains.MAX_EXPANSION_BITS``,
+whole range: the work budgets (``basefield.MAX_EXPANSION_BITS``,
 ``towers.MAX_FF_WORK``) refuse what would take too long.
 """
 

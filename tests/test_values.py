@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indval import (
     INFINITY,
@@ -133,6 +136,89 @@ class TestCommensurable:
         assert is_commensurable(V((Fraction(2, 3), Fraction(1, 3))), [V((2, 1))])
         assert not is_commensurable(V((Fraction(2, 3), Fraction(1, 2))), [V((2, 1))])
         assert is_commensurable(V((5, 7)), [V((1, 0)), V((0, 1))])
+
+
+# ---------------------------------------------------------------------------
+# The lattice helpers against exhaustive search
+# ---------------------------------------------------------------------------
+
+
+def _sums_mod(gens, N):
+    """Every integer combination of the integer vectors gens, reduced mod N,
+    found by closing {0} under adding a generator (-v is (N-1)*v mod N)."""
+    seen = {(0,) * len(gens[0])}
+    todo = list(seen)
+    while todo:
+        pt = todo.pop()
+        for v in gens:
+            q = tuple((a + b) % N for a, b in zip(pt, v))
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+def _searched_index(w, gens):
+    """Least e >= 1 with e*w an integer combination of gens, or None, by search.
+
+    Once N*Z^r lies in the span of gens, membership is decided mod N and
+    N*w is in the span, so the search over e = 1..N is exhaustive.  A span
+    of lower rank is a line (or {0}): w must lie on it, and the search runs
+    in the coordinate along its primitive vector.
+    """
+    nonzero = [v for v in gens if any(v)]
+    if not nonzero:
+        return 1 if not any(w) else None
+    dets = [abs(u[0] * v[1] - u[1] * v[0]) for u in nonzero for v in nonzero] if len(w) == 2 else []
+    if not any(dets):
+        u = nonzero[0]
+        g = gcd(*u)
+        p = tuple(c // g for c in u)
+        if len(w) == 2 and w[0] * p[1] != w[1] * p[0]:
+            return None
+        k = next(i for i, c in enumerate(p) if c)
+        w, gens = (w[k] // p[k],), [(v[k] // p[k],) for v in nonzero]
+        N = min(abs(v[0]) for v in gens)
+    else:
+        N = min(d for d in dets if d)
+    sums = _sums_mod(gens, N)
+    for e in range(1, N + 1):
+        if tuple(e * c % N for c in w) in sums:
+            return e
+    raise AssertionError("N*w lies in the span")
+
+
+def _int_vectors(vals):
+    """The values over one common denominator, rank-1 values in the minor
+    coordinate of a rank-2 case."""
+    rank = max(v.rank for v in vals)
+    vals = [v if v.rank == rank else Value((0, v.coords[0])) for v in vals]
+    den = lcm(*(c.denominator for v in vals for c in v.coords))
+    return [tuple(int(c * den) for c in v.coords) for v in vals]
+
+
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_rank1 = st.tuples(_coord).map(Value)
+_rank2 = st.tuples(_coord, _coord).map(Value)
+
+
+@st.composite
+def _index_cases(draw):
+    kind = draw(st.sampled_from(["rank1", "rank2", "mixed"]))
+    value = {"rank1": _rank1, "rank2": _rank2, "mixed": st.one_of(_rank1, _rank2)}[kind]
+    return draw(value), draw(st.lists(value, min_size=1, max_size=3))
+
+
+class TestAgainstSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(_index_cases())
+    def test_index_membership_and_commensurability(self, case):
+        gamma, gens = case
+        w, *vecs = _int_vectors([gamma, *gens])
+        e = _searched_index(w, vecs)
+        assert subgroup_index(gamma, gens) == e
+        assert in_subgroup(gamma, gens) == (e == 1)
+        assert is_commensurable(gamma, gens) == (e is not None)
 
 
 class TestParsePrint:
