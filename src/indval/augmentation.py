@@ -10,7 +10,9 @@ strictly at every step.  A limit augmentation assigns, to a minimal-degree
 unstable phi and a value gamma dominating every mu_alpha(phi), the valuation
 min over the phi-expansion of (stable coefficient value + s*gamma).  When the
 mu_alpha(phi) are unbounded, gamma lives in a fresh major coordinate and the
-stable values embed into the minor coordinate, q -> (0, q).
+limit valuation, whose rank is gamma's, embeds the stable values into the
+minor coordinate, q -> (0, q): the opposite side from a chain, whose rank-2
+top step puts the values below it into the major coordinate.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ from .values import INFINITY, Value, _value_of
 def augment(nu: InductiveValuation, chi: Poly, gamma) -> InductiveValuation:
     """The augmented chain [nu; chi, gamma].
 
-    chi must be a key polynomial for nu and gamma must exceed nu(chi) (after
-    embedding when gamma opens the second coordinate).  A key equivalent to
-    the top key replaces the top step instead of appending.
+    chi must be a key polynomial for nu and gamma must exceed nu(chi), a
+    rank-1 side of the comparison taken into the major coordinate as in a
+    chain.  A key equivalent to the top key replaces the top step instead of
+    appending.
     """
     gamma = Value.of(gamma).demote()
     kc = key_check(nu, chi)
@@ -288,8 +291,10 @@ class LimitValuation:
     """The limit augmentation of a family by an unstable minimal-degree phi.
 
     Values of the phi-expansion coefficients are the stable family values;
-    the key itself takes gamma.  Evaluation raises ResourceError when a
-    coefficient's stability witness lies beyond the finite prefix.
+    the key itself takes gamma, whose rank is the valuation's, and a rank-2
+    gamma puts the stable values into the minor coordinate, q -> (0, q).
+    Evaluation raises ResourceError when a coefficient's stability witness
+    lies beyond the finite prefix.
 
     When phi has the family degree d (and mu_1 is rank 1), every coefficient
     has degree < d and is stable from mu_1 on, so it is valued by mu_1 alone,
@@ -297,11 +302,11 @@ class LimitValuation:
     mu_1's values and gamma.  Results may be shared immutable objects.
     """
 
-    def __init__(self, chain: ContinuousChain, phi: Poly, gamma: Value, rank: int):
+    def __init__(self, chain: ContinuousChain, phi: Poly, gamma: Value):
         self.chain = chain
         self.phi = phi
         self.gamma = gamma
-        self.rank = rank
+        self.rank = gamma.rank
         self._mu1: Optional[InductiveValuation] = None
         mu1 = chain.member(1)
         if phi.degree <= chain.degree and mu1.rank == 1:
@@ -324,7 +329,7 @@ class LimitValuation:
                 "stability of a coefficient is not witnessed within the "
                 "prefix; extend the family"
             )
-        return rep.value.embed(self.rank)
+        return rep.value.embed(self.rank, major=False)
 
     def valuation(self, g: Poly) -> Value:
         if g.is_zero:
@@ -376,11 +381,10 @@ def limit_augment(chain: ContinuousChain, phi: Poly, gamma) -> LimitValuation:
             "phi is stable within the prefix; ordinary augmentation applies"
         )
     gamma = Value.of(gamma)
-    rank = gamma.rank if not gamma.is_infinite else 1
     if gamma.is_infinite:
         raise DomainError("the limit value must be finite")
     for alpha, v in enumerate(rep.values, 1):
-        if not gamma > v.embed(rank):
+        if not gamma > v.embed(gamma.rank, major=False):
             raise DomainError(
                 f"gamma={gamma} does not exceed mu_{alpha}(phi)={v}"
             )
@@ -395,4 +399,4 @@ def limit_augment(chain: ContinuousChain, phi: Poly, gamma) -> LimitValuation:
                     f"minimality assertion violated: {g} of degree {deg} is "
                     "unstable within the prefix"
                 )
-    return LimitValuation(chain, phi, gamma, rank)
+    return LimitValuation(chain, phi, gamma)

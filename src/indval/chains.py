@@ -8,9 +8,11 @@ values mu(f_s) + s*gamma_r.
 
 Each key value may enlarge the value group; at most the final gamma_r may be
 incommensurable with the group generated below it, in which case the chain
-values live in rank-2 lexicographic coordinates.  Inside a rank-2 chain the
-base valuation embeds into the *major* coordinate, q -> (q, 0), so an
-incommensurable step supplies a fresh infinitesimal direction.
+values live in rank-2 lexicographic coordinates.  Every gamma_i is stored at
+its own rank, so the steps below a rank-2 top step stay rank 1, and the chain
+embeds in one place, :meth:`InductiveValuation._in_rank`: the values below a
+rank-2 top step go into the *major* coordinate, q -> (q, 0), so that gamma_r
+supplies a fresh infinitesimal direction.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ class InductiveValuation:
     build instances; the raw constructor performs no invariant checking.
     """
 
-    def __init__(self, base: PadicValuation, steps: Sequence[Step], rank: int):
+    def __init__(self, base: PadicValuation, steps: Sequence[Step]):
         self.base = base
         self.steps = tuple(steps)
-        self.rank = rank
+        self.rank = self.steps[-1].gamma.rank
         self.degrees = tuple(s.phi.degree for s in self.steps)
         # every value of the chain lies in (1/_den) Z^rank
         self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
@@ -78,21 +80,12 @@ class InductiveValuation:
         return self.degrees[-1]
 
     def prefix(self, i: int) -> "InductiveValuation":
-        """The chain formed by the first i steps (1 <= i <= length).
-
-        For a rank-2 chain the prefix steps are commensurable and are returned
-        as a rank-1 chain, matching the residual level data.
-        """
+        """The chain formed by the first i steps (1 <= i <= length)."""
         if not 1 <= i <= self.length:
             raise DomainError("prefix length out of range")
         if i == self.length:
             return self
-        demoted = tuple(Step(s.phi, s.gamma.demote()) for s in self.steps[:i])
-        if any(st.gamma.rank != 1 for st in demoted):
-            raise InvariantError(
-                f"prefix {i} of the chain {self.describe()} has a rank-2 value"
-            )
-        nu = InductiveValuation(self.base, demoted, 1)
+        nu = InductiveValuation(self.base, self.steps[:i])
         if self._levels is not None:
             nu._levels = self._levels[:i]
         return nu
@@ -116,22 +109,31 @@ class InductiveValuation:
 
     # -- value groups ---------------------------------------------------------
 
+    def _in_rank(self, v: Value, i: int) -> Value:
+        """v, a value of level < i, in gamma_i's rank: the chain's one embedding.
+
+        Only a rank-2 top step changes rank, and the rank-1 values below it
+        go into the major coordinate, q -> (q, 0).
+        """
+        return v.embed(self.steps[i - 1].gamma.rank, major=True)
+
     def base_unit_value(self) -> Value:
-        """v(p) = 1, embedded into the chain's rank."""
-        one = Value.of(1)
-        return one.embed(self.rank, major=True)
+        """v(p) = 1, in the chain's rank."""
+        return self._in_rank(Value.of(1), self.length)
 
     def group_gens(self, i: int) -> Tuple[Value, ...]:
-        """Generators of the value group of polynomials of degree < deg(phi_i).
+        """Generators, in the chain's rank, of the value group of polynomials
+        of degree < deg(phi_i).
 
         For a validated chain this group is generated by v(p) = 1 together
         with gamma_1, ..., gamma_{i-1}.
         """
-        return (self.base_unit_value(),) + tuple(s.gamma for s in self.steps[: i - 1])
+        gens = (Value.of(1),) + tuple(s.gamma for s in self.steps[: i - 1])
+        return tuple(self._in_rank(g, self.length) for g in gens)
 
     def value_group_gens(self) -> Tuple[Value, ...]:
-        """Generators of the full value group of the chain."""
-        return (self.base_unit_value(),) + tuple(s.gamma for s in self.steps)
+        """Generators of the full value group of the chain, in its rank."""
+        return self.group_gens(self.length) + (self.top.gamma,)
 
     def ram_index(self, i: int) -> int:
         """Least e >= 1 with e*gamma_i in the value group below level i.
@@ -151,7 +153,7 @@ class InductiveValuation:
         last value may open the fresh direction, and one that does not is
         stored as rank 1.
         """
-        return self.rank == 1 or i < self.length
+        return self.steps[i - 1].gamma.rank == 1
 
     @property
     def top_commensurable(self) -> bool:
@@ -159,21 +161,18 @@ class InductiveValuation:
 
     # -- evaluation -------------------------------------------------------------
 
-    def base_value(self, c: Union[int, Fraction]) -> Value:
-        v = self.base.value(c)
-        return v.embed(self.rank, major=True)
-
     def _val(self, f: Poly, i: int) -> Value:
+        """The level-i value of f, in gamma_i's rank."""
         if f.is_zero:
             return INFINITY
         if i == 0:
-            return self.base_value(f.constant_value())
+            return self.base.value(f.constant_value())
         phi, gamma = self.steps[i - 1].phi, self.steps[i - 1].gamma
         if f.degree < phi.degree:
-            return self._val(f, i - 1)
+            return self._in_rank(self._val(f, i - 1), i)
         if i == 1 and phi.den == 1:
             return self._val_linear(f, -phi.num[0], gamma)
-        return min(_monomial_values(phi_expansion(f, phi), gamma, lambda c: self._val(c, i - 1)))
+        return min(_monomial_values(phi_expansion(f, phi), gamma, lambda c: self._in_rank(self._val(c, i - 1), i)))
 
     def _val_linear(self, f: Poly, a: int, gamma: Value) -> Value:
         """Level-1 value of f for the key x - a with a an integer.
@@ -236,13 +235,13 @@ class InductiveValuation:
         if self._digit_rows is None:
             rows = []
             D = 1
-            for j, st in enumerate(self.steps, 1):
-                gamma = st.gamma.demote()
-                if gamma.rank != 1:
+            for st in self.steps:
+                if st.gamma.rank != 1:
                     break
-                e = (gamma.coords[0] * D).denominator
+                q = st.gamma.coords[0]
+                e = (q * D).denominator
                 D *= e
-                g = int(gamma.coords[0] * D)
+                g = int(q * D)
                 rows.append((e, D, g, pow(g, -1, e)))
             self._digit_rows = tuple(rows)
         return self._digit_rows
@@ -254,8 +253,9 @@ class InductiveValuation:
         v(p).  Every step below the top is rank 1, so the group below level i
         is (1/D_i)Z and each digit follows by modular arithmetic from the
         chain's digit table: with B = beta' * D_{j+1}, m_j = B * g_j^-1 mod e_j,
-        and beta' - m_j*gamma_j lies in (1/D_j)Z.  Raises DomainError when
-        beta is not in the group.
+        and beta' - m_j*gamma_j lies in (1/D_j)Z.  beta is rank 1 or, in a
+        rank-2 chain, the chain's embedding (q, 0) of q.  Raises DomainError
+        when beta is not in the group.
         """
         i = self.length if level is None else level
         rows = self._digit_table()[: i - 1]
@@ -301,7 +301,7 @@ class InductiveValuation:
             raise DomainError("ramification data needs a commensurable top step")
         e = self.ram_index(i)
         u = self.canonical_monomial(self.steps[i - 1].gamma.scaled(-e), level=i)
-        if self._val(u * self.steps[i - 1].phi**e, i) != Value.of(0).embed(self.rank):
+        if self._val(u * self.steps[i - 1].phi**e, i) != 0:
             raise InvariantError(
                 f"u * phi_{i}^{e} with u = {u} is not of value 0 on the chain "
                 f"{self.describe()}"
@@ -450,11 +450,6 @@ def validate_chain(
             raise ChainError(
                 f"step {i}: incommensurable key value must be the last step"
             )
-    rank = steps[-1].gamma.rank
-    if rank == 2:
-        steps = [
-            Step(s.phi, s.gamma.embed(2, major=True)) for s in steps[:-1]
-        ] + [steps[-1]]
 
     if steps[0].phi.degree != 1:
         raise ChainError("step 1: the first key polynomial must be monic linear")
@@ -465,7 +460,7 @@ def validate_chain(
                 f"of the previous key degree {steps[i - 1].phi.degree}"
             )
 
-    nu = InductiveValuation(base, steps, rank)
+    nu = InductiveValuation(base, steps)
     # value and key invariants, walked level by level; builds residual data
     attach_levels(nu)
     return nu
@@ -487,7 +482,8 @@ def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
     if f.is_zero:
         raise DomainError("expansion report of the zero polynomial")
     nu.check_work(f)
-    rep = _report(phi_expansion(f, nu.top.phi), nu.top.gamma, lambda c: nu._val(c, nu.length - 1))
+    r = nu.length
+    rep = _report(phi_expansion(f, nu.top.phi), nu.top.gamma, lambda c: nu._in_rank(nu._val(c, r - 1), r))
     if len(rep.indices) > 1 and not nu.top_commensurable:
         # monomial values differ in the fresh direction, so ties are impossible
         raise InvariantError(

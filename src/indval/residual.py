@@ -125,6 +125,7 @@ class _Level:
     z_images: Tuple[TowerElem, ...]  # xi_j images (j < index) in `field`
     gen_lifts: Tuple[Poly, ...]  # lift of each stored tower generator
     one: TowerPoly  # the residual polynomial 1, shared by every result
+    hu_u: Optional[Tuple[int, object]] = None  # integer unit of u_poly, set by _make_level
 
 
 @dataclass
@@ -147,21 +148,20 @@ def attach_levels(nu: InductiveValuation) -> None:
 
     Raises ChainError naming the first violated invariant.  Every step i >= 2
     is checked against its prefix chain, a rank-2 top step too (its prefix
-    value embedded into the major coordinate).  On success the levels are
-    cached on the chain; an incommensurable final step carries no level of
-    its own.  Level i is built on nu.prefix(i), which is nu itself at the top
-    of a rank-1 chain.
+    value put in gamma_i's rank by the chain's embedding).  On success the
+    levels are cached on the chain; an incommensurable final step carries no
+    level of its own.  Level i is built on nu.prefix(i), which is nu itself
+    at the top of a rank-1 chain.
     """
     levels: List[_Level] = []
     pre: Optional[InductiveValuation] = None
     for i, step in enumerate(nu.steps, 1):
-        gamma = step.gamma.demote()
         psi = None
         if i >= 2:
-            mu_phi = pre.valuation(step.phi).embed(gamma.rank, major=True)
-            if not gamma > mu_phi:
+            mu_phi = nu._in_rank(pre.valuation(step.phi), i)
+            if not step.gamma > mu_phi:
                 raise ChainError(
-                    f"step {i}: gamma={gamma} must exceed the prefix value "
+                    f"step {i}: gamma={step.gamma} must exceed the prefix value "
                     f"{mu_phi} of the key polynomial"
                 )
             kc = key_check(pre, step.phi)
@@ -205,7 +205,7 @@ def _make_level(
             gen_lifts = prev.gen_lifts + (prev.u_poly * prev.phi**prev.e,)
         else:
             gen_lifts = prev.gen_lifts
-    return _Level(
+    level = _Level(
         index=i,
         nu=nu_i,
         phi=step.phi,
@@ -222,6 +222,8 @@ def _make_level(
         gen_lifts=gen_lifts,
         one=TowerPoly.one(field),
     )
+    level.hu_u = _hu_mono([*levels, level], i, u_exps)
+    return level
 
 
 def _require_levels(nu: InductiveValuation) -> List[_Level]:
@@ -263,7 +265,7 @@ def _shared_unit(field: TowerField, D: int, B: int, data) -> HomogeneousUnit:
 def _int_unit(levels: Sequence[_Level], i: int, hu: HomogeneousUnit):
     """The integer unit (B, data) of a HomogeneousUnit at level i."""
     top = levels[i - 1]
-    b = Value.of(hu.value).demote()
+    b = Value.of(hu.value)
     if b.coords is None or len(b.coords) != 1 or top.D % b.coords[0].denominator:
         raise DomainError(f"{hu.value} is not in the value group of degree<{top.n} polynomials")
     B = b.coords[0].numerator * (top.D // b.coords[0].denominator)
@@ -403,7 +405,7 @@ def _decompose(
             f"argmin {indices} of {f} at level {i} of {top.nu.describe()} is off the {e}-grid"
         )
     d = (sp - s0) // e
-    hu_u = u_override if u_override is not None else _hu_mono(levels, i, top.u_exps)
+    hu_u = u_override if u_override is not None else top.hu_u
     top_res = _residue_small(levels, i, coeffs[sp])
     nlc = _hu_mul(levels, i, top_res, _hu_pow(levels, i, hu_u, -d))
     top_inv = _hu_inv(levels, i, top_res)
@@ -644,13 +646,12 @@ def _residual_lift(
     d = psi.degree
     if d > 0 and psi.coeff(0).is_zero:
         raise DomainError("psi must have a non-zero constant term (or equal 1)")
-    hu_u = _hu_mono(levels, r, top.u_exps)
     acc = Poly.zero()
     for j in range(d + 1):
         zj = psi.coeff(j)
         if zj.is_zero:
             continue
-        u_j = _hu_mul(levels, r, _hu_mul(levels, r, (0, zeta.data), _hu_pow(levels, r, hu_u, j - d)), (0, zj.data))
+        u_j = _hu_mul(levels, r, _hu_mul(levels, r, (0, zeta.data), _hu_pow(levels, r, top.hu_u, j - d)), (0, zj.data))
         acc = acc + _unit_lift(nu, levels, u_j) * top.phi ** (j * top.e)
     f = acc * top.phi**s
     dec = _decompose(levels, r, f)
@@ -682,8 +683,7 @@ def change_normalizer(nu: InductiveValuation, f: Poly, u_star: Poly):
     if nu._val(u_star, nu.length - 1) != target:
         raise DomainError("alternative normalizer must satisfy value(u* phi^e) = 0")
     hu_star = _residue_small(levels, nu.length, u_star)
-    hu_u = _hu_mono(levels, nu.length, top.u_exps)
-    sigma_B, sigma_data = _hu_mul(levels, nu.length, hu_u, _hu_inv(levels, nu.length, hu_star))
+    sigma_B, sigma_data = _hu_mul(levels, nu.length, top.hu_u, _hu_inv(levels, nu.length, hu_star))
     if sigma_B:
         raise InvariantError(
             f"normalizer ratio on {nu.describe()} has value {_value_of((sigma_B,), top.D)}"
@@ -718,9 +718,7 @@ def change_key(nu: InductiveValuation, f: Poly, phi_star: Poly):
         raise DomainError("alternative polynomial is not a key: its value is too small")
     if top.e != 1:
         raise DomainError("all minimal-degree keys are equivalent when e > 1")
-    tau_B, tau_data = _hu_mul(
-        levels, nu.length, _hu_mono(levels, nu.length, top.u_exps), _residue_small(levels, nu.length, a)
-    )
+    tau_B, tau_data = _hu_mul(levels, nu.length, top.hu_u, _residue_small(levels, nu.length, a))
     if tau_B:
         raise InvariantError(
             f"key difference on {nu.describe()} has unit value {_value_of((tau_B,), top.D)}"

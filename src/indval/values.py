@@ -5,11 +5,13 @@ outputs, value-group generators.  Rank is capped at 2: a single incommensurable
 augmentation is the worst case reachable from a rank-one base, so two
 lexicographic coordinates always suffice, and rank > 2 input is rejected.
 
-When a rank-1 value meets a rank-2 value in raw arithmetic or comparison, the
-rank-1 value is embedded into the *minor* (second) coordinate, q -> (0, q), so
-a fresh (1, 0) dominates every embedded value.  Chain code that needs the
-opposite convention (old values in the major coordinate, with an infinitesimal
-second coordinate) performs that promotion explicitly via :meth:`Value.embed`.
+A Value never embeds on its own: arithmetic, comparison and the subgroup
+helpers raise DomainError on a rank-1 value meeting a rank-2 one (Infinity
+compares with either).  The side of an embedding depends on how rank 2 arose,
+so each valuation makes it explicitly with :meth:`Value.embed`: a chain with
+an incommensurable top step puts the values below it into the major
+coordinate, q -> (q, 0), and a limit augmentation over an unbounded family
+puts the stable values into the minor one, q -> (0, q).
 """
 
 from __future__ import annotations
@@ -127,11 +129,11 @@ class Value:
     def is_zero(self) -> bool:
         return self.coords is not None and all(c == 0 for c in self.coords)
 
-    def embed(self, rank: int, major: bool = False) -> "Value":
-        """Embed into the given rank.
+    def embed(self, rank: int, *, major: bool) -> "Value":
+        """Embed into the given rank; the caller names the side.
 
-        ``major=False`` places the old value in the second coordinate,
-        q -> (0, q); ``major=True`` places it first, q -> (q, 0).
+        ``major=True`` places the old value first, q -> (q, 0);
+        ``major=False`` places it second, q -> (0, q).
         """
         if self.coords is None:
             return self
@@ -152,11 +154,8 @@ class Value:
 
     def _pair(self, other: "Value"):
         a, b = self, Value.of(other)
-        if a.coords is None or b.coords is None:
-            return a, b
-        if a.rank != b.rank:
-            r = max(a.rank, b.rank)
-            a, b = a.embed(r), b.embed(r)
+        if a.coords is not None and b.coords is not None and len(a.coords) != len(b.coords):
+            raise DomainError(f"values of different rank: {a} and {b}; embed one explicitly")
         return a, b
 
     def __add__(self, other) -> "Value":
@@ -211,18 +210,11 @@ class Value:
     def __eq__(self, other):
         if not isinstance(other, (Value, int, Fraction)):
             return NotImplemented
-        o = Value.of(other)
-        if self.coords is None or o.coords is None:
-            return self.coords is None and o.coords is None
-        a, b = self._pair(o)
+        a, b = self._pair(other)
         return a.coords == b.coords
 
     def __hash__(self):
-        if self.coords is None:
-            return hash("Value.INF")
-        # rank-1 q and its minor embedding (0, q) compare equal, so hash alike
-        c = self.coords if len(self.coords) == 2 else (Fraction(0), self.coords[0])
-        return hash(c)
+        return hash(self.coords)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -261,9 +253,8 @@ INFINITY = Value(None)
 def _value_of(key: Optional[Tuple[int, ...]], den: int) -> Value:
     """The Value with coordinates key/den, or Infinity for key None.
 
-    Equal keys share one immutable Value while it stays in the bounded cache.
-    The key tuple keeps its length, so a rank-1 q and its minor embedding
-    (0, q), which compare equal, never share an object.
+    Equal keys share one immutable Value while it stays in the bounded cache;
+    the key's length is the Value's rank.
     """
     if key is None:
         return INFINITY
@@ -321,16 +312,18 @@ def _hermite(vecs) -> Tuple[int, int, int]:
 def _index(gamma, gens, what: str) -> Optional[int]:
     """Least e >= 1 with e*gamma in the Z-span of gens, or None.
 
-    Denominators are cleared, and rank-1 values go into the minor
-    coordinate, q -> (0, q), in rank-1 and mixed input alike, so one rank-2
-    lattice serves every case; what names the caller in errors.
+    Denominators are cleared, and rank-1 input goes into the minor
+    coordinate, q -> (0, q), so one rank-2 lattice serves both ranks; mixed
+    ranks raise DomainError.  what names the caller in errors.
     """
     vals = [Value.of(x) for x in (gamma, *gens)]
     if len(vals) == 1:
         raise DomainError("generator list must be non-empty")
     if any(v.is_infinite for v in vals):
         raise DomainError(f"{what} requires finite values")
-    vals = [v.embed(2) for v in vals]
+    if len({v.rank for v in vals}) > 1:
+        raise DomainError(f"{what} requires values of one rank")
+    vals = [v.embed(2, major=False) for v in vals]
     den = lcm(*(c.denominator for v in vals for c in v.coords))
     (x, y), *vecs = [(int(v.coords[0] * den), int(v.coords[1] * den)) for v in vals]
     a, b, d = _hermite(vecs)

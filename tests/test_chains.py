@@ -374,6 +374,21 @@ class TestIncommensurable:
         assert is_minimal(nu_inf, P("x"))
         assert is_minimal(nu_inf, P("x^2+2x"))  # s = 2 = deg
 
+    def test_prefix_steps_stay_rank_1(self, nu1, nu2):
+        # a rank-2 top step leaves the steps below it, their file text and
+        # their prefix chains at rank 1; the chain embeds only its own values
+        nu = iv.augment(nu1, P("x^2+2"), Value.of((1, 1)))
+        assert [st.gamma.rank for st in nu.steps] == [1, 2]
+        assert nu.to_json()["steps"][0]["gamma"] == "1/2"
+        assert chain_from_json(nu.to_json()) == nu
+        assert nu(P("x")) == Value.of((F(1, 2), 0))
+        chi = iv.enumerate_keys(nu2, 1)[0]
+        for chain in (nu, iv.augment(nu2, chi, Value.of((nu2(chi).coords[0], 1)))):
+            for i in range(1, chain.length):
+                pre = chain.prefix(i)
+                assert pre == validate_chain(chain.steps[:i], chain.base)
+                assert pre.steps == chain.steps[:i] and pre.rank == 1
+
 
 class TestWeightedCap:
     def test_examples(self, nu1, nu2, nu_inf):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import indval as iv
 from indval import Poly, Value, cli
 from indval.cli import main
 
@@ -134,6 +135,15 @@ class TestVerbs:
         assert code == 0
         obj = json.loads(out)
         assert obj["steps"][1]["gamma"] == "3/2"
+
+    def test_augment_rank2_writes_prefix_values_at_rank_1(self, capsys, chains, nu1):
+        want = iv.augment(nu1, Poly.parse("x^2+2"), Value.of((1, 1))).to_json()
+        assert want["steps"][0]["gamma"] == "1/2"
+        argv = ["augment", "--chain", chains["nu1"], "--phi", "x^2+2", "--gamma", "(1, 1)"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.strip() == json.dumps(want)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["result"]["chain"] == want
 
     def test_vchi(self, capsys, chains):
         code, out, _ = run(

@@ -52,7 +52,7 @@ def greedy_digits(nu, beta, i):
     rem = beta
     for j in range(i - 1, 0, -1):
         gens_j = nu.group_gens(j)
-        gamma_j = nu.steps[j - 1].gamma
+        gamma_j = nu.steps[j - 1].gamma.embed(nu.rank, major=True)
         for m in range(nu.ram_index(j)):
             cand = rem - gamma_j.scaled(m)
             if in_subgroup(cand, gens_j):
@@ -287,6 +287,29 @@ def test_decompose_runs_once_per_level(ladder, monkeypatch):
             assert sorted(calls) == list(range(1, depth + 1))
 
 
+def test_normalizer_unit_is_built_once_per_level(ladder, monkeypatch):
+    # the integer unit of each level's normalizer u is built at validation,
+    # not again by every decomposition or lift
+    nu = ladder[-1]
+    u_exps = [level.u_exps for level in nu._levels]
+    calls = []
+    inner = residual._hu_mono
+
+    def counted(levels, i, exps):
+        calls.append(any(exps is u for u in u_exps))
+        return inner(levels, i, exps)
+
+    monkeypatch.setattr(residual, "_hu_mono", counted)
+    rng = random.Random(9)
+    for _ in range(4):
+        cs = [Fraction(rng.randrange(-100, 101), rng.choice((1, 3))) for _ in range(2 * nu.top_degree)]
+        cs[-1] = Fraction(1)
+        dec = iv.decompose(nu, Poly(cs))
+        f = iv.residual_lift(nu, dec.s, dec.unit.residue, dec.respoly)
+        assert iv.decompose(nu, f).respoly == dec.respoly
+    assert calls and not any(calls)
+
+
 # ---------------------------------------------------------------------------
 # Group data from the digit table, and the monomial-value kernel
 # ---------------------------------------------------------------------------
@@ -303,7 +326,7 @@ def group_chains(nu1, nu2, nu4, nu8, nu_inf, nu2_inf, ladder):
 def test_group_data_matches_the_lattice_search(group_chains, name):
     nu = group_chains[name]
     for i in range(1, nu.length + 1):
-        gamma, gens = nu.steps[i - 1].gamma, nu.group_gens(i)
+        gamma, gens = nu.steps[i - 1].gamma.embed(nu.rank, major=True), nu.group_gens(i)
         assert nu.commensurable_at(i) == is_commensurable(gamma, gens)
         e = subgroup_index(gamma, gens)
         if e is None:

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,14 +33,14 @@ class TestLexOrder:
     def test_total_order_on_random_triples(self):
         rng = random.Random(11)
 
-        def rv():
+        def rv(r):
             if rng.random() < 0.1:
                 return INFINITY
-            r = rng.choice([1, 2])
             return Value([Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)) for _ in range(r)])
 
         for _ in range(400):
-            a, b, c = rv(), rv(), rv()
+            r = rng.choice([1, 2])  # values of different rank do not compare
+            a, b, c = rv(r), rv(r), rv(r)
             # antisymmetry
             assert (a._cmp(b) == -b._cmp(a)) or (a == b and a._cmp(b) == 0)
             # transitivity
@@ -52,6 +53,34 @@ class TestLexOrder:
         assert INFINITY > V((10**9, 10**9))
         assert INFINITY == INFINITY
         assert not INFINITY < INFINITY
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_finite = st.one_of(st.tuples(_small), st.tuples(_small, _small)).map(Value)
+
+
+class TestRankRule:
+    """A Value never embeds on its own: mixed ranks raise, Infinity meets both."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_finite, _finite, st.lists(_finite, min_size=1, max_size=3))
+    def test_mixed_ranks_raise(self, a, b, gens):
+        ops = (operator.add, operator.sub, operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+        for op in ops:
+            if a.rank != b.rank:
+                with pytest.raises(DomainError):
+                    op(a, b)
+            else:
+                op(a, b)
+        if a.rank == b.rank and a == b:
+            assert hash(a) == hash(b)
+        for v in (a, b):
+            assert v < INFINITY and INFINITY > v and v != INFINITY and not INFINITY <= v
+            assert (v + INFINITY).is_infinite and (INFINITY + v).is_infinite
+        if len({v.rank for v in (a, *gens)}) > 1:
+            for helper in (subgroup_index, in_subgroup, is_commensurable):
+                with pytest.raises(DomainError):
+                    helper(a, gens)
 
 
 class TestCombine:
@@ -189,10 +218,7 @@ def _searched_index(w, gens):
 
 
 def _int_vectors(vals):
-    """The values over one common denominator, rank-1 values in the minor
-    coordinate of a rank-2 case."""
-    rank = max(v.rank for v in vals)
-    vals = [v if v.rank == rank else Value((0, v.coords[0])) for v in vals]
+    """The values, all of one rank, over one common denominator."""
     den = lcm(*(c.denominator for v in vals for c in v.coords))
     return [tuple(int(c * den) for c in v.coords) for v in vals]
 
@@ -214,6 +240,11 @@ class TestAgainstSearch:
     @given(_index_cases())
     def test_index_membership_and_commensurability(self, case):
         gamma, gens = case
+        if len({v.rank for v in (gamma, *gens)}) > 1:
+            for helper in (subgroup_index, in_subgroup, is_commensurable):
+                with pytest.raises(DomainError):
+                    helper(gamma, gens)
+            return
         w, *vecs = _int_vectors([gamma, *gens])
         e = _searched_index(w, vecs)
         assert subgroup_index(gamma, gens) == e
