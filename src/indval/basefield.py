@@ -135,14 +135,52 @@ def _parse_exponent(digits: str) -> int:
     return int(digits)
 
 
-_TERM_RE = re.compile(
-    r"""(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*(?:\*?\s*(?P<xa>x(?:\^(?P<ka>\d+))?))?
-          | (?P<xb>x(?:\^(?P<kb>\d+))?)
-        )\s*""",
-    re.VERBOSE,
-)
+# One term of a polynomial in the variable {v}: an optional sign, then a
+# coefficient with an optional ``*{v}`` or ``*{v}^k``, or the variable alone.
+# A coefficient is a rational a or a/b, or a bracket form: nested lists of
+# integers whose minus signs stand right before a digit, so that
+# ``[1,0]-[0,1]`` is two terms.  Whitespace may separate tokens and surround
+# ``^``; it never splits a number.
+_TERM_PATTERN = r"""(?P<sign>[+-])?\s*
+    (?:
+        (?P<coeff>\d+(?:/\d+)?|\[[\d\s,\[\]]*(?:-\d[\d\s,\[\]]*)*\])
+        \s*(?:\*?\s*(?P<va>{v}(?:\s*\^\s*(?P<ka>\d+))?))?
+      | (?P<vb>{v}(?:\s*\^\s*(?P<kb>\d+))?)
+    )\s*"""
+_TERM_RE = {v: re.compile(_TERM_PATTERN.format(v=v), re.VERBOSE) for v in "xy"}
+
+
+def _terms(text: str, var: str) -> List[Tuple[int, Optional[str], int]]:
+    """Split a polynomial in ``var`` (x or y) into (sign, coefficient text or
+    None, exponent) triples: the one grammar of Poly.parse and TowerPoly.parse.
+
+    Terms after the first need a sign.  ``v^0`` is 1.  The caller converts
+    the coefficient text, so a coefficient form the field does not read (a
+    bracket in x, a fraction in y) is its ParseError.  An exponent above
+    MAX_PARSE_DEGREE, or a number of more than MAX_PARSE_DIGITS digits,
+    raises ResourceError.
+    """
+    s = text.strip()
+    if not s:
+        raise ParseError("empty polynomial")
+    _check_digits(s)
+    term_re = _TERM_RE[var]
+    terms = []
+    pos = 0
+    while pos < len(s):
+        m = term_re.match(s, pos)
+        if not m:
+            raise ParseError(f"cannot parse polynomial {text!r} at {s[pos:]!r}")
+        sign = m.group("sign")
+        if sign is None and pos:
+            raise ParseError(f"missing +/- between terms in {text!r}")
+        k = 0
+        if m.group("va") or m.group("vb"):
+            kstr = m.group("ka") or m.group("kb")
+            k = _parse_exponent(kstr) if kstr else 1
+        terms.append((-1 if sign == "-" else 1, m.group("coeff"), k))
+        pos = m.end()
+    return terms
 
 
 def _pack(num: List[int]) -> Sequence[int]:
@@ -218,51 +256,27 @@ class Poly:
         return cls((c,))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, c: Rational, k: int) -> "Poly":
         return cls((0,) * k + (c,))
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
-        """Parse sums of terms ``c*x^k``, ``x^k``, ``x`` and constants.
+        """Parse sums of terms ``c*x^k``, ``x^k``, ``x`` and constants, c a
+        rational ``a`` or ``a/b``, in the grammar of ``_terms``.
 
-        The ``*`` is optional and whitespace is ignored.  An exponent above
-        MAX_PARSE_DEGREE, or a number of more than MAX_PARSE_DIGITS digits,
-        raises ResourceError.
+        The ``*`` is optional.  An exponent above MAX_PARSE_DEGREE, or a
+        number of more than MAX_PARSE_DIGITS digits, raises ResourceError.
         """
-        s = text.strip()
-        if not s:
-            raise ParseError("empty polynomial")
-        _check_digits(s)
-        coeffs: dict[int, Fraction] = {}
-        pos = 0
-        first = True
-        while pos < len(s):
-            m = _TERM_RE.match(s, pos)
-            if not m or m.end() == pos:
-                raise ParseError(f"cannot parse polynomial {text!r} at {s[pos:]!r}")
-            sign = m.group("sign")
-            if sign is None and not first:
-                raise ParseError(f"missing +/- between terms in {text!r}")
-            sgn = -1 if sign == "-" else 1
-            coeff = m.group("coeff")
-            xpart = m.group("xa") or m.group("xb")
-            kstr = m.group("ka") or m.group("kb")
+        coeffs: dict[int, Rational] = {}
+        for sgn, c, k in _terms(text, "x"):
             try:
-                c = Fraction(coeff) if coeff else Fraction(1)
+                a = 1 if c is None else int(c) if c.isdigit() else Fraction(c)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in polynomial {text!r}") from None
-            k = 0
-            if xpart:
-                k = _parse_exponent(kstr) if kstr else 1
-            coeffs[k] = coeffs.get(k, Fraction(0)) + sgn * c
-            pos = m.end()
-            first = False
-        top = max(coeffs) if coeffs else 0
-        return cls(tuple(coeffs.get(i, Fraction(0)) for i in range(top + 1)))
+            except ValueError:
+                raise ParseError(f"cannot parse coefficient {c!r} in {text!r}") from None
+            coeffs[k] = coeffs.get(k, 0) + sgn * a
+        return cls(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
     # -- queries -----------------------------------------------------------
 
@@ -302,13 +316,6 @@ class Poly:
         if len(self.num) > 1:
             raise DomainError("polynomial is not constant")
         return Fraction(self.num[0], self.den) if self.num else Fraction(0)
-
-    def evaluate(self, a: Rational) -> Fraction:
-        a = Fraction(a)
-        acc = Fraction(0)
-        for n in reversed(self.num):
-            acc = acc * a + n
-        return acc / self.den
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -445,26 +452,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
-
-
-def poly_ext_gcd(f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
-    """Extended Euclid over Q: returns monic d and (s, t) with s*f + t*g = d.
-
-    Included for Bezout identities between coprime polynomials (a key
-    polynomial is coprime to every non-zero polynomial of smaller degree).
-    """
-    r0, r1 = f, g
-    s0, s1 = Poly.one(), Poly.zero()
-    t0, t1 = Poly.zero(), Poly.one()
-    while not r1.is_zero:
-        q, r = r0._divmod_any(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading()
-    return r0.scale(1 / lead), s0.scale(1 / lead), t0.scale(1 / lead)
 
 
 # ---------------------------------------------------------------------------

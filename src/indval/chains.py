@@ -117,10 +117,6 @@ class InductiveValuation:
         """
         return v.embed(self.steps[i - 1].gamma.rank, major=True)
 
-    def base_unit_value(self) -> Value:
-        """v(p) = 1, in the chain's rank."""
-        return self._in_rank(Value.of(1), self.length)
-
     def group_gens(self, i: int) -> Tuple[Value, ...]:
         """Generators, in the chain's rank, of the value group of polynomials
         of degree < deg(phi_i).

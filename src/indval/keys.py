@@ -108,16 +108,14 @@ def _lift_record(nu: InductiveValuation, levels: Sequence[_Level], psi: TowerPol
     return rec
 
 
-def enumerate_keys(
-    nu: InductiveValuation, max_res_deg: int, cap: int = 2**16
-) -> List[Poly]:
+def enumerate_keys(nu: InductiveValuation, max_res_deg: int) -> List[Poly]:
     """One representative per key class with residual degree <= max_res_deg.
 
     The top key represents its own class; every monic irreducible psi != y
     over the tower contributes lift_key(psi), memoized on the chain object,
     so a repeated enumeration returns the same immutable Polys.  An
     incommensurable top step has a single class.  Raises ResourceError past
-    the enumeration cap.
+    towers.MAX_ENUMERATION candidates.
     """
     if max_res_deg < 1:
         raise DomainError("max residual degree must be >= 1")
@@ -127,7 +125,7 @@ def enumerate_keys(
     top = levels[-1]
     out = [nu.top.phi]
     y = TowerPoly.y(top.field)
-    for psi in monic_irreducibles(top.field, max_res_deg, cap=cap):
+    for psi in monic_irreducibles(top.field, max_res_deg):
         if psi == y:
             continue
         out.append(lift_key(nu, psi))

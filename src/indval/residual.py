@@ -103,7 +103,6 @@ class ResidualData:
     e: int
     u: Poly
     field: TowerField
-    xi_symbol: str = "xi"
 
 
 @dataclass
@@ -526,15 +525,9 @@ def key_check(nu: InductiveValuation, chi: Poly) -> KeyCheck:
 
 
 def _decomposed_key_check(levels: Sequence[_Level], chi: Poly, dec: _Decomp) -> KeyCheck:
-    """The commensurable key test on chi's top-level decomposition dec.
-
-    A monic chi of the top degree n has the phi-expansion (chi - phi) + phi,
-    so s(chi) = 1 exactly when value(chi - phi) > gamma, i.e. when chi is
-    equivalent to the top key; otherwise the residual branch decides.
-    """
+    """The residual branch of the commensurable key test, on chi's top-level
+    decomposition dec; chi is not equivalent to the top key."""
     top = levels[-1]
-    if chi.degree == top.n and dec.s == 1:
-        return KeyCheck(True, branch="equivalent", s=1, respoly=None)
     if dec.s != 0:
         return KeyCheck(False, reason=f"s(chi) = {dec.s} != 0", s=dec.s)
     if dec.respoly.is_constant:

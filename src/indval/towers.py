@@ -17,7 +17,7 @@ import json
 import random
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .basefield import _parse_exponent
+from .basefield import _terms
 from .errors import DomainError, InvariantError, ParseError, ResourceError
 from .values import _check_digits
 
@@ -298,10 +298,6 @@ class TowerElem:
     def is_one(self) -> bool:
         return self.data == self.field._one(self.field.height)
 
-    def _check(self, other: "TowerElem"):
-        if self.field != other.field:
-            raise DomainError("elements of different towers")
-
     def __add__(self, other):
         other = self.field.coerce(other)
         return TowerElem(self.field, self.field._add(self.data, other.data, self.field.height))
@@ -544,23 +540,18 @@ class TowerPoly:
 
     @classmethod
     def parse(cls, field: TowerField, text: str) -> "TowerPoly":
-        """Parse sums of terms ``c*y^k`` where c is an int or a bracket form.
+        """Parse sums of terms ``c*y^k``, ``y^k``, ``y`` and constants, c an
+        integer or a bracket form (see TowerField.parse_elem), in the grammar
+        of Poly.parse (``basefield._terms``).
 
         An exponent above MAX_PARSE_DEGREE, or a number of more than
         MAX_PARSE_DIGITS digits, raises ResourceError.
         """
-        _check_digits(text)
-        terms = _split_terms(text)
-        if not terms:
-            raise ParseError(f"empty polynomial {text!r}")
         acc: dict[int, TowerElem] = {}
-        for sgn, coeff_text, k in terms:
-            c = field.parse_elem(coeff_text) if coeff_text else field.one()
-            if sgn < 0:
-                c = -c
-            acc[k] = acc.get(k, field.zero()) + c
-        top = max(acc)
-        return cls(field, [acc.get(i, field.zero()) for i in range(top + 1)])
+        for sgn, c, k in _terms(text, "y"):
+            a = field.one() if c is None else field.parse_elem(c)
+            acc[k] = acc.get(k, field.zero()) + (a if sgn > 0 else -a)
+        return cls(field, [acc.get(i, field.zero()) for i in range(max(acc) + 1)])
 
     # -- queries --------------------------------------------------------------
 
@@ -643,24 +634,6 @@ class TowerPoly:
             return other.is_zero
         return other.divmod(self)[1].is_zero
 
-    def monic(self) -> "TowerPoly":
-        return self._wrap(_pmonic(self.field, self.field.height, self._raw()))
-
-    def gcd(self, other: "TowerPoly") -> "TowerPoly":
-        self._check(other)
-        return self._wrap(_pgcd(self.field, self.field.height, self._raw(), other._raw()))
-
-    def derivative(self) -> "TowerPoly":
-        return self._wrap(_pderiv(self.field, self.field.height, self._raw()))
-
-    def evaluate(self, a: TowerElem) -> TowerElem:
-        a = self.field.coerce(a)
-        F, h = self.field, self.field.height
-        acc = F._zero(h)
-        for c in reversed(self.coeffs):
-            acc = F._add(F._mul(acc, a.data, h), c, h)
-        return TowerElem(F, acc)
-
     def compose_linear(self, a: TowerElem, b: TowerElem) -> "TowerPoly":
         """Substitute y -> a*y + b."""
         inner = TowerPoly(self.field, (b, a))
@@ -689,67 +662,6 @@ class TowerPoly:
 
     def sort_key(self):
         return (len(self.coeffs), self.coeffs)
-
-
-def _split_terms(text: str):
-    """Split into (sign, coeff_text|None, power) triples, bracket-aware."""
-    s = text.replace(" ", "")
-    if not s:
-        return []
-    terms = []
-    i = 0
-    n = len(s)
-    first = True
-    while i < n:
-        sgn = 1
-        if s[i] in "+-":
-            sgn = -1 if s[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise ParseError(f"missing +/- between terms in {text!r}")
-        first = False
-        coeff_text = None
-        if i < n and s[i] == "[":
-            depth = 0
-            j = i
-            while j < n:
-                if s[j] == "[":
-                    depth += 1
-                elif s[j] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-            coeff_text = s[i : j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < n and (s[j].isdigit() or s[j] == "/"):
-                j += 1
-            if j > i:
-                coeff_text = s[i:j]
-                i = j
-        if i < n and s[i] == "*":
-            i += 1
-        k = 0
-        if i < n and s[i] == "y":
-            i += 1
-            k = 1
-            if i < n and s[i] == "^":
-                i += 1
-                j = i
-                while j < n and s[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ParseError(f"missing exponent in {text!r}")
-                k = _parse_exponent(s[i:j])
-                i = j
-        if coeff_text is None and k == 0:
-            raise ParseError(f"cannot parse term in {text!r}")
-        terms.append((sgn, coeff_text, k))
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +716,10 @@ def _prime_factors(n: int) -> List[int]:
 # in all.  2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over
 # F_16, each factored in under a second on a 2-vCPU host.
 MAX_FF_WORK = 2**21
+
+# The most candidates monic_irreducibles, and so enumerate_keys, may test:
+# |field|^max_deg must not exceed it.
+MAX_ENUMERATION = 2**16
 
 
 def _check_ff_work(psi: TowerPoly) -> None:
@@ -961,21 +877,21 @@ def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
     return out
 
 
-def monic_irreducibles(field: TowerField, max_deg: int, cap: int = 2**16):
+def monic_irreducibles(field: TowerField, max_deg: int):
     """Yield all monic irreducibles of degree 1..max_deg in a fixed order.
 
     The order is by degree, then by the coefficient counter with the constant
     term as the least-significant digit.  Raises ResourceError when the
-    candidate count |field|^max_deg exceeds the cap.
+    candidate count |field|^max_deg exceeds MAX_ENUMERATION.
     """
     if max_deg < 1:
         raise DomainError("max degree must be >= 1")
     # order >= 2, so a degree past the cap's bit length exceeds it: the power
     # is then not computed
-    if max_deg >= cap.bit_length() or field.order**max_deg > cap:
+    if max_deg >= MAX_ENUMERATION.bit_length() or field.order**max_deg > MAX_ENUMERATION:
         raise ResourceError(
             f"irreducible enumeration over a field of order {field.order} up to "
-            f"degree {max_deg} exceeds the candidate cap {cap}"
+            f"degree {max_deg} exceeds the candidate cap {MAX_ENUMERATION}"
         )
     one = field.one()
     for d in range(1, max_deg + 1):

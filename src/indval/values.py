@@ -125,10 +125,6 @@ class Value:
             raise DomainError("Infinity has no rank")
         return len(self.coords)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coords is not None and all(c == 0 for c in self.coords)
-
     def embed(self, rank: int, *, major: bool) -> "Value":
         """Embed into the given rank; the caller names the side.
 

@@ -10,7 +10,6 @@ from indval import (
     Poly,
     ResourceError,
     Value,
-    poly_ext_gcd,
 )
 from indval.basefield import MAX_PARSE_DEGREE, _is_prime
 from indval.values import MAX_PARSE_DIGITS
@@ -157,19 +156,3 @@ class TestPolyParsePrint:
         assert Poly.zero().degree is None
         assert Poly.constant(3).degree == 0
 
-
-class TestExtGcd:
-    def test_bezout_for_coprime(self):
-        # a key polynomial is coprime to anything of smaller degree
-        chi = Poly.parse("x^2+2")
-        for a in [Poly.parse("x"), Poly.parse("x+1"), Poly.constant(3)]:
-            d, s, t = poly_ext_gcd(a, chi)
-            assert d == Poly.one()
-            assert s * a + t * chi == Poly.one()
-
-    def test_common_factor(self):
-        f = Poly.parse("x^2-1")
-        g = Poly.parse("x^2+2x+1")
-        d, s, t = poly_ext_gcd(f, g)
-        assert d == Poly.parse("x+1")
-        assert s * f + t * g == d

@@ -83,3 +83,26 @@ def test_every_boundary_resolves():
             assert hasattr(owner, part), f"bench boundary indval.{mod_name}.{attr} does not resolve"
             owner = getattr(owner, part)
         assert callable(owner), f"bench boundary indval.{mod_name}.{attr} is not callable"
+
+
+def test_split_and_key_counters_read_their_arguments(nu2):
+    """The counters of ``layers._POST_HOOKS`` read a boundary's arguments by
+    position (``_count_split`` takes f and d from ``_equal_degree(F, h, f, d,
+    rng)``), so a changed signature must fail here, not only in traced runs."""
+    import indval.cli  # noqa: F401  (every module the boundaries name)
+
+    layers = load("layers")
+    F2 = iv.TowerField(2)
+    # two distinct cubics: the distinct-degree split leaves their product of
+    # degree 6 for the equal-degree split at d = 3
+    psi = iv.TowerPoly.parse(F2, "y^3+y+1") * iv.TowerPoly.parse(F2, "y^3+y^2+1")
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        factors = iv.ff_factor(psi, 0)
+        ok = iv.key_check(nu2, iv.Poly.parse("x^2+2")).ok
+    finally:
+        tracer.uninstall()
+    assert sorted(str(g) for g, _m in factors) == ["y^3 + y + 1", "y^3 + y^2 + 1"] and ok
+    assert tracer.counts["towers.cz_splits"] >= 1
+    assert tracer.counts["keys.key_check.ok"] >= 1

@@ -170,6 +170,12 @@ class TestExitCodes:
     def test_bad_poly_is_usage(self, capsys, chains):
         assert run(capsys, "eval", "--chain", chains["nu1"], "--poly", "y^2")[0] == 1
 
+    def test_space_never_joins_digits(self, capsys, chains):
+        # "1 1" is two terms with no sign between them, not 11
+        code, out, _ = run(capsys, "liftkey", "--chain", chains["nu1"], "--psi", "y^2+y+1 1", "--json")
+        assert code == 1
+        assert json.loads(out)["diagnostics"] == ["missing +/- between terms in 'y^2+y+1 1'"]
+
     def test_invalid_chain(self, capsys, chains):
         code, _, err = run(capsys, "stability", "--chain", chains["bad"], "--poly", "x")
         assert code == 2 and "condition (1)" in err

@@ -2,12 +2,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from indval import (
     DomainError,
     ParseError,
+    Poly,
     ResourceError,
     TowerField,
     TowerPoly,
@@ -252,6 +255,62 @@ class TestTowerPolyParse:
     def test_deep_brackets(self, F4):
         with pytest.raises(ParseError):
             F4.parse_elem("[" * 100000 + "]" * 100000)
+
+
+# One term in the grammar Poly.parse and TowerPoly.parse share, with the
+# variable left as {v}: integer coefficients only, so that the x form read
+# mod p must equal the y form over F_p.
+_ws = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def _term(draw, first):
+    sign = draw(st.sampled_from(["", "+", "-"] if first else ["+", "-"]))
+    coeff = draw(st.one_of(st.none(), st.integers(0, 40).map(str)))
+    var = draw(st.sampled_from(["{v}", "{v}^"] if coeff is None else ["", "{v}", "{v}^"]))
+    if var == "{v}^":
+        var = "{v}" + draw(_ws) + "^" + draw(_ws) + str(draw(st.integers(0, 12)))
+    star = draw(st.sampled_from(["", "*"])) if coeff is not None and var else ""
+    parts = [sign, coeff or "", star, var]
+    return draw(_ws).join(p for p in parts if p) + draw(_ws)
+
+
+@st.composite
+def _polynomial_text(draw):
+    n = draw(st.integers(1, 6))
+    return "".join([draw(_term(True))] + [draw(_term(False)) for _ in range(n - 1)])
+
+
+class TestOneGrammar:
+    """Poly.parse and TowerPoly.parse read one grammar (basefield._terms);
+    only the coefficients they accept differ."""
+
+    @pytest.mark.parametrize("text", ["1 0*{v}", "{v}^2+{v}+1 1", "1/ 2*{v}", "{v}^", "2*", "{v} 2"])
+    def test_both_reject(self, F3, text):
+        with pytest.raises(ParseError):
+            Poly.parse(text.format(v="x"))
+        with pytest.raises(ParseError):
+            TowerPoly.parse(F3, text.format(v="y"))
+
+    def test_exponent_zero_and_spaced_caret(self, F3):
+        assert Poly.parse("x^0") == Poly.one() == Poly.parse("3 x^0 - 2")
+        assert TowerPoly.parse(F3, "y^0") == TowerPoly.one(F3) == TowerPoly.parse(F3, "4 y^0")
+        assert Poly.parse("x ^ 2") == Poly.monomial(1, 2) == Poly.parse("x^ 2")
+        assert TowerPoly.parse(F3, "y ^ 2") == TowerPoly.parse(F3, "y^2") == TowerPoly.parse(F3, "y ^2")
+
+    def test_field_specific_coefficients(self, F3, F4):
+        with pytest.raises(ParseError):
+            Poly.parse("[1]*x")
+        with pytest.raises(ParseError):
+            TowerPoly.parse(F3, "1/2*y")
+        assert TowerPoly.parse(F4, "[1, 0] - [0,1]") == TowerPoly.parse(F4, "[1,1]")
+
+    @settings(max_examples=150, deadline=None)
+    @given(_polynomial_text(), st.sampled_from([2, 3, 5]))
+    def test_x_mod_p_is_y_over_fp(self, text, p):
+        f = Poly.parse(text.format(v="x"))
+        assert f.den == 1
+        assert TowerPoly.parse(TowerField(p), text.format(v="y")) == TowerPoly(TowerField(p), [c % p for c in f.num])
 
 
 class TestSympyOracle:
