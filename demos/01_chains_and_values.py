@@ -35,8 +35,8 @@ print("nu2(x^4+4) =", nu2(Poly.parse("x^4+4")))
 # Values never decrease under augmentation; they grow exactly on multiples of
 # the new key in the graded sense.
 for g in (Poly.parse("x"), f, Poly.parse("x^4+4")):
-    a, b, eq = iv.compare_augmented(nu1, nu2, g)
-    print(f"  mu1({g}) = {a}   mu2({g}) = {b}   equal: {eq}")
+    grows = iv.graded_divides(nu1, f, g)
+    print(f"  mu1({g}) = {nu1(g)}   mu2({g}) = {nu2(g)}   x^2+2 divides H(g): {grows}")
 
 # Each level carries exact ramification data: the least e with e*gamma in the
 # lower value group, and a canonical normalizer u with value(u * phi^e) = 0.

@@ -43,10 +43,12 @@ print("lift of (s=0, zeta=1, psi=y+1):", lift)
 hu = iv.unit_residue(nu2, Poly.parse("x^2").scale(Fraction(1, 2)))
 print("unit residue of x^2/2:", hu)
 
-# Changing the normalizer u, or the key phi itself, transforms R by an exact
-# law; both sides are computed independently and compared.
-pred, obs = iv.change_normalizer(nu1, Poly.parse("x^2+2"), Poly.constant(Fraction(3, 2)))
-print("normalizer change: predicted", pred, "| recomputed", obs)
+# R depends on the key: x+2 is a minimal-degree key for the Gauss valuation
+# [(x, 1)] that is not equivalent to x (value(2) = gamma), and re-keying the
+# chain by it shifts R(x) from 1 to y+1, as the key-change law predicts
+# (tests/test_residual.py checks that law and the normalizer-change law).
 gauss = iv.validate_chain([("x", 1)], v2)
-pred, obs = iv.change_key(gauss, Poly.parse("x"), Poly.parse("x+2"))
-print("key change:        predicted", pred, "| recomputed", obs)
+rekeyed = iv.validate_chain([("x+2", 1)], v2)
+x = Poly.parse("x")
+print("R(x) on", gauss.describe(), "=", iv.residual_poly(gauss, x))
+print("R(x) on", rekeyed.describe(), "=", iv.residual_poly(rekeyed, x))

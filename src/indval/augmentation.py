@@ -65,34 +65,6 @@ def augment(nu: InductiveValuation, chi: Poly, gamma) -> InductiveValuation:
     return validate_chain(steps, nu.base)
 
 
-def compare_augmented(
-    nu: InductiveValuation, nu_prime: InductiveValuation, f: Poly
-) -> Tuple[Value, Value, bool]:
-    """(nu(f), nu'(f), equal?) for nu' built from nu by a single augmentation.
-
-    The values never decrease, and equality holds exactly when the top key of
-    nu' does not divide f in the graded algebra of nu (or f = 0).
-    """
-    if nu_prime.base != nu.base:
-        raise DomainError("chains over different base valuations")
-    same_prefix = [s.phi for s in nu_prime.steps[:-1]] == [s.phi for s in nu.steps] or (
-        [s.phi for s in nu_prime.steps[:-1]] == [s.phi for s in nu.steps[:-1]]
-        and nu_prime.top_degree == nu.top_degree
-        and is_equivalent(nu, nu_prime.top.phi, nu.top.phi)
-    )
-    if not same_prefix:
-        raise DomainError("nu' is not an augmentation of nu")
-    a, b = nu(f), nu_prime(f)
-    rank = max(nu.rank, nu_prime.rank)
-    a_e, b_e = a.embed(rank, major=True), b.embed(rank, major=True)
-    if not a_e <= b_e:
-        raise InvariantError(
-            f"augmentation lowered the value of {f}: {a} on {nu.describe()}, "
-            f"{b} on {nu_prime.describe()}"
-        )
-    return a, b, a_e == b_e
-
-
 # ---------------------------------------------------------------------------
 # Continuous families
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Key-polynomial lifting, enumeration, graded divisibility and factorization.
 
 The key test itself (``key_check``, ``KeyCheck``, ``is_key``) lives in
-:mod:`indval.residual`, beside the decomposition it reads, and is
+:mod:`indval.residual`, beside the decomposition it reads; ``key_check`` is
 re-exported here.
 
 A key polynomial generates a homogeneous prime of the graded algebra.  With a
@@ -21,7 +21,6 @@ from .chains import InductiveValuation, expansion_report
 from .errors import DomainError, InvariantError
 from .residual import (
     HomogeneousUnit,
-    KeyCheck,
     _decompose,
     _decomposed_key_check,
     _hu_mul,
@@ -30,7 +29,6 @@ from .residual import (
     _public_unit,
     _require_levels,
     _residual_lift,
-    is_key,
     key_check,
 )
 from .towers import TowerPoly, ff_factor, ff_is_irreducible, monic_irreducibles

@@ -8,8 +8,9 @@ canonical normalizer).  Every initial term H(f) factors as
     H(f)  =  unit * H(phi)^s(f) * R(f)(xi),
 
 with R(f) a monic polynomial over k whose constant term is non-zero.  This
-module computes that decomposition exactly, inverts it (lifting residual data
-back to Q[x]), and verifies the two change-of-data transformation laws.
+module computes that decomposition exactly and inverts it (lifting residual
+data back to Q[x]).  The normalizer-change and key-change laws are verified
+as properties in ``tests/test_residual.py``.
 
 Computation scheme
 ------------------
@@ -377,26 +378,17 @@ def _residue_small(levels: Sequence[_Level], i: int, a: Poly):
     return B, F._mul(r, acc, h)
 
 
-def _decompose(
-    levels: Sequence[_Level],
-    i: int,
-    f: Poly,
-    phi_override: Optional[Poly] = None,
-    u_override=None,
-) -> _Decomp:
-    """Expansion data and the graded decomposition of f at level i.
-
-    u_override, an integer unit, replaces the canonical normalizer u."""
+def _decompose(levels: Sequence[_Level], i: int, f: Poly) -> _Decomp:
+    """Expansion data and the graded decomposition of f at level i."""
     if f.is_zero:
         raise DomainError("decomposition of the zero polynomial")
     top = levels[i - 1]
-    phi = phi_override if phi_override is not None else top.phi
     if i == len(levels):  # a call from outside: the digits recurse below it
-        if f.degree >= phi.degree:
-            check_expansion_work(f, phi)
+        if f.degree >= top.n:
+            check_expansion_work(f, top.phi)
         else:
             top.nu.check_work(f)
-    rep = _report(phi_expansion(f, phi), top.gamma, lambda c: top.nu._val(c, i - 1))
+    rep = _report(phi_expansion(f, top.phi), top.gamma, lambda c: top.nu._val(c, i - 1))
     coeffs, indices, s0, sp = rep.coeffs, rep.indices, rep.s, rep.s_prime
     e = top.e
     if any((j - s0) % e for j in indices):
@@ -404,9 +396,8 @@ def _decompose(
             f"argmin {indices} of {f} at level {i} of {top.nu.describe()} is off the {e}-grid"
         )
     d = (sp - s0) // e
-    hu_u = u_override if u_override is not None else top.hu_u
     top_res = _residue_small(levels, i, coeffs[sp])
-    nlc = _hu_mul(levels, i, top_res, _hu_pow(levels, i, hu_u, -d))
+    nlc = _hu_mul(levels, i, top_res, _hu_pow(levels, i, top.hu_u, -d))
     top_inv = _hu_inv(levels, i, top_res)
     zetas: List[TowerElem] = []
     idxset = set(indices)
@@ -415,7 +406,7 @@ def _decompose(
         if sj in idxset:
             # the top coefficient reuses top_res: one residue per argmin index
             res = top_res if sj == sp else _residue_small(levels, i, coeffs[sj])
-            B, r = _hu_mul(levels, i, _hu_mul(levels, i, res, _hu_pow(levels, i, hu_u, d - j)), top_inv)
+            B, r = _hu_mul(levels, i, _hu_mul(levels, i, res, _hu_pow(levels, i, top.hu_u, d - j)), top_inv)
             if B:
                 raise InvariantError(
                     f"unit {sj} of {f} at level {i} of {top.nu.describe()} has value "
@@ -654,79 +645,3 @@ def _residual_lift(
             f"not ({s}, {psi})"
         )
     return f, dec
-
-
-# ---------------------------------------------------------------------------
-# Change-of-data transformation laws
-# ---------------------------------------------------------------------------
-
-
-def change_normalizer(nu: InductiveValuation, f: Poly, u_star: Poly):
-    """Compare the residual polynomial under an alternative normalizer.
-
-    Returns (predicted, observed): the law R*(y) = sigma^d R(sigma^{-1} y)
-    with sigma the residue of u/u*, against a recomputation from scratch.
-    """
-    levels = _require_levels(nu)
-    top = levels[-1]
-    n = nu.top_degree
-    if u_star.is_zero or u_star.degree >= n:
-        raise DomainError("alternative normalizer must be non-zero of degree < deg(phi)")
-    target = top.gamma.scaled(-top.e)
-    if nu._val(u_star, nu.length - 1) != target:
-        raise DomainError("alternative normalizer must satisfy value(u* phi^e) = 0")
-    hu_star = _residue_small(levels, nu.length, u_star)
-    sigma_B, sigma_data = _hu_mul(levels, nu.length, top.hu_u, _hu_inv(levels, nu.length, hu_star))
-    if sigma_B:
-        raise InvariantError(
-            f"normalizer ratio on {nu.describe()} has value {_value_of((sigma_B,), top.D)}"
-        )
-    sigma = TowerElem(top.field, sigma_data)
-    dec = _decompose(levels, nu.length, f)
-    d = dec.respoly.degree
-    predicted = dec.respoly.compose_linear(sigma.inv(), top.field.zero()).scale(sigma**d)
-    observed = _decompose(levels, nu.length, f, u_override=hu_star).respoly
-    return predicted, observed
-
-
-def change_key(nu: InductiveValuation, f: Poly, phi_star: Poly):
-    """Compare the residual polynomial under an alternative minimal-degree key.
-
-    For an equivalent key the operator is unchanged.  Otherwise e = 1 and
-    y^s R(f)(y) = (y+tau)^{s*} R*(f)(y+tau) with tau the residue of
-    u*(phi*-phi); the predicted R* is solved from that identity and compared
-    with a recomputation from the phi*-expansion.
-    """
-    levels = _require_levels(nu)
-    top = levels[-1]
-    if not phi_star.is_monic or phi_star.degree != top.n:
-        raise DomainError("alternative key must be monic of the minimal degree")
-    a = phi_star - top.phi
-    dec = _decompose(levels, nu.length, f)
-    mu_a = nu(a)
-    if mu_a > top.gamma:
-        observed = _decompose(levels, nu.length, f, phi_override=phi_star).respoly
-        return dec.respoly, observed
-    if mu_a < top.gamma:
-        raise DomainError("alternative polynomial is not a key: its value is too small")
-    if top.e != 1:
-        raise DomainError("all minimal-degree keys are equivalent when e > 1")
-    tau_B, tau_data = _hu_mul(levels, nu.length, top.hu_u, _residue_small(levels, nu.length, a))
-    if tau_B:
-        raise InvariantError(
-            f"key difference on {nu.describe()} has unit value {_value_of((tau_B,), top.D)}"
-        )
-    tau = TowerElem(top.field, tau_data)
-    one = top.field.one()
-    shifted = dec.respoly.compose_linear(one, -tau)
-    lhs = shifted * TowerPoly(top.field, [-tau, one]) ** dec.s
-    m = 0
-    while lhs.coeff(m).is_zero:
-        m += 1
-    predicted = TowerPoly(top.field, lhs.coeffs[m:])
-    observed_dec = _decompose(levels, nu.length, f, phi_override=phi_star)
-    if observed_dec.s != m:
-        raise InvariantError(
-            f"s({f}) for the key {phi_star} on {nu.describe()} is {observed_dec.s}, not {m}"
-        )
-    return predicted, observed_dec.respoly

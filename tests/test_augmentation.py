@@ -13,7 +13,6 @@ from indval import (
     ResourceError,
     Value,
     augment,
-    compare_augmented,
     continuous_chain_from_json,
     graded_divides,
     is_key,
@@ -79,13 +78,9 @@ class TestAugment:
         chi = P("x^2+2")
         for _ in range(150):
             f = rand_poly(rng, 10)
-            a, b, eq = compare_augmented(nu1, nu2, f)
+            a, b = nu1(f), nu2(f)
             assert a <= b
-            assert eq == (not graded_divides(nu1, chi, f))
-
-    def test_compare_unrelated_rejected(self, nu1, nu3p):
-        with pytest.raises(DomainError):
-            compare_augmented(nu1, nu3p, P("x"))
+            assert (a == b) == (not graded_divides(nu1, chi, f))
 
 
 class TestContinuousValidation:

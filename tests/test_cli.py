@@ -11,6 +11,7 @@ from indval import Poly, Value, cli
 from indval.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+LAM_FAMILY = [{"phi": f"x-{2 ** (i + 1) - 2}", "gamma": str(i + 1)} for i in range(1, 7)]
 
 
 @pytest.fixture()
@@ -34,10 +35,7 @@ def chains(tmp_path):
         json.dumps(
             {
                 "prime": 2,
-                "family": [
-                    {"phi": f"x-{2 ** (i + 1) - 2}", "gamma": str(i + 1)}
-                    for i in range(1, 7)
-                ],
+                "family": LAM_FAMILY,
                 "limit_phi": "x+2",
                 "limit_gamma": ["1", "0"],
             }
@@ -279,21 +277,29 @@ class TestMalformedChainFiles:
         assert code == 2 and obj["result"] is None and obj["diagnostics"]
 
     LIMITS = {
-        "limit_phi_not_string": {"limit_phi": 5, "limit_gamma": ["1", "0"]},
-        "limit_gamma_list_junk": {"limit_phi": "x+2", "limit_gamma": ["a", "0"]},
-        "limit_gamma_not_value": {"limit_phi": "x+2", "limit_gamma": {"a": 1}},
-        "limit_gamma_null": {"limit_phi": "x+2", "limit_gamma": None},
-        "limit_gamma_nested": {"limit_phi": "x+2", "limit_gamma": [1, [2]]},
+        "limit_phi_not_string": ({"limit_phi": 5, "limit_gamma": ["1", "0"]}, 2, ""),
+        "limit_gamma_list_junk": ({"limit_phi": "x+2", "limit_gamma": ["a", "0"]}, 2, ""),
+        "limit_gamma_not_value": ({"limit_phi": "x+2", "limit_gamma": {"a": 1}}, 2, ""),
+        "limit_gamma_null": ({"limit_phi": "x+2", "limit_gamma": None}, 2, ""),
+        "limit_gamma_nested": ({"limit_phi": "x+2", "limit_gamma": [1, [2]]}, 2, ""),
+        # x + 2 is unstable in the lam family, so (x+2)^2 is not of minimal degree
+        "limit_phi_not_minimal": (
+            {"family": LAM_FAMILY, "limit_phi": "x^2+4x+4", "limit_gamma": ["1", "0"]},
+            3,
+            "minimality assertion violated",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(LIMITS))
     def test_limit_step(self, capsys, tmp_path, name):
+        fields, want, message = self.LIMITS[name]
         family = [{"phi": "x", "gamma": "1"}, {"phi": "x-2", "gamma": "2"}]
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"prime": 2, "family": family, **self.LIMITS[name]}))
+        path.write_text(json.dumps({"prime": 2, "family": family, **fields}))
         code, out, err = run(capsys, "limit", "--chain", str(path), "--poly", "x", "--json")
         obj = json.loads(out)
-        assert code == 2 and obj["verb"] == "limit" and obj["result"] is None and obj["diagnostics"]
+        assert code == want and obj["verb"] == "limit" and obj["result"] is None
+        assert message in obj["diagnostics"][0]
         assert "Traceback" not in err
 
     def test_limit_gamma_number_still_reads(self, capsys, tmp_path):

@@ -3,15 +3,20 @@
 A module of ``src/indval`` imports, at run time, only modules below it in
 LAYERS; an import needed only for annotations sits under ``if TYPE_CHECKING:``.
 ``errors`` is the leaf every module may import, and ``__init__`` re-exports
-the whole package.
+the whole package, as the README's export list says, module by module.
 """
 
 import ast
+import inspect
 import pathlib
+import re
 
 import pytest
 
+import indval
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "indval"
+README = SRC.parent.parent / "README.md"
 LAYERS = ("errors", "values", "basefield", "towers", "residual", "chains", "keys", "augmentation", "cli")
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
@@ -75,3 +80,28 @@ def test_runtime_imports_follow_the_layer_order(name):
         if target not in LAYERS or LAYERS.index(target) >= rank
     ]
     assert upward == []
+
+
+def _readme_exports():
+    """{module: [names]} from the README list "exported from `indval` ... by module"."""
+    text = README.read_text(encoding="utf-8")
+    listing = text.split("by module:", 1)[1].strip().split("\n\n", 1)[0]
+    bullets = re.split(r"^- ", listing, flags=re.M)[1:]
+    out = {}
+    for bullet in bullets:
+        module, names = bullet.split(":", 1)
+        out[module.strip("`")] = re.findall(r"`(\w+)`", names)
+    return out
+
+
+def test_readme_export_list_is_the_public_api():
+    listed = _readme_exports()
+    names = [n for ns in listed.values() for n in ns]
+    assert sorted(names) == sorted(indval.__all__)
+    misplaced = [
+        f"{name} is listed under {module}, defined in {obj.__module__}"
+        for module, ns in listed.items()
+        for name in ns
+        if (inspect.isclass(obj := getattr(indval, name)) or inspect.isfunction(obj)) and obj.__module__ != module
+    ]
+    assert misplaced == []

@@ -11,8 +11,6 @@ from indval import (
     Poly,
     TowerPoly,
     Value,
-    change_key,
-    change_normalizer,
     decompose,
     expansion_report,
     graded_factorization,
@@ -26,7 +24,7 @@ from indval import (
     unit_residue,
 )
 from indval.residual import _hu_mul
-from conftest import make_rand_poly
+from conftest import key_change_law, make_rand_poly, normalizer_law, rekeyed, respoly_under
 
 P = Poly.parse
 F = Fraction
@@ -259,23 +257,36 @@ class TestLifts:
 
 
 class TestTransformLaws:
+    """The normalizer-change and key-change laws, from the public API: the
+    predicted side from (s, R) under the chain's own data (conftest), the
+    observed side recomputed under the new normalizer (respoly_under) or on
+    the re-keyed chain."""
+
     def test_normalizer_examples(self, nu1, nu3p):
-        pred, obs = change_normalizer(nu1, P("x^2+2"), Poly.constant(F(3, 2)))
-        assert pred == obs and str(obs) == "y + 1"
-        pred, obs = change_normalizer(nu3p, P("x^2+3"), Poly.constant(F(2, 3)))
-        assert pred == obs and str(obs) == "y + 2"
+        for nu, f, c, want in ((nu1, "x^2+2", F(3, 2), "y + 1"), (nu3p, "x^2+3", F(2, 3), "y + 2")):
+            u_star = Poly.constant(c)
+            obs = respoly_under(nu, P(f), u_star)
+            assert normalizer_law(nu, P(f), u_star) == obs and str(obs) == want
+
+    def test_normalizer_off_the_prime_field(self, nu4):
+        # u* = u * x^2/2 mod phi_r: sigma is a cube root of unity in F_4, so
+        # sigma^d R(y/sigma) and sigma^-d R(sigma y) differ whenever d >= 1
+        data = residual_data(nu4)
+        u_star = (data.u * P("x^2").scale(F(1, 2))) % nu4.top.phi
+        sigma = unit_residue(nu4, u_star).residue * unit_residue(nu4, data.u).residue.inv()
+        assert sigma != data.field.one() and sigma**3 == data.field.one()
+        for text in ("y + [0,1]", "y + 1", "y^2 + [0,1]", "y^3 + y + [1,1]"):
+            psi = TowerPoly.parse(data.field, text)
+            f = residual_lift(nu4, 1, data.field.one(), psi)
+            obs = respoly_under(nu4, f, u_star)
+            assert normalizer_law(nu4, f, u_star) == obs != psi
 
     def test_key_change_example(self, gauss2):
         d = decompose(gauss2, P("x"))
         assert d.s == 1 and str(d.respoly) == "1"
-        pred, obs = change_key(gauss2, P("x"), P("x+2"))
-        assert pred == obs and str(obs) == "y + 1"
-
-    def test_invalid_alternatives(self, nu1):
-        with pytest.raises(DomainError):
-            change_normalizer(nu1, P("x"), Poly.constant(2))  # wrong value
-        with pytest.raises(DomainError):
-            change_key(nu1, P("x"), P("x+1"))  # value of difference too small
+        obs = decompose(rekeyed(gauss2, P("x+2")), P("x"))
+        assert key_change_law(gauss2, P("x"), P("x+2")) == (obs.s, obs.respoly)
+        assert str(obs.respoly) == "y + 1"
 
     def test_random_normalizers(self, nu1, nu2, nu3p, nu4, rand_poly):
         rng = random.Random(52)
@@ -291,8 +302,8 @@ class TestTransformLaws:
                 while den % p == 0:
                     den += 1
                 u_star = u.scale(F(num, den))
-                pred, obs = change_normalizer(nu, f, u_star)
-                assert pred == obs
+                assert respoly_under(nu, f, u) == residual_poly(nu, f)
+                assert normalizer_law(nu, f, u_star) == respoly_under(nu, f, u_star)
 
     def test_random_key_changes(self, nu2, gauss2, rand_poly):
         rng = random.Random(53)
@@ -303,16 +314,16 @@ class TestTransformLaws:
                 c = F(2 * rng.randrange(0, 15) + 1, 2 * rng.randrange(0, 15) + 1)
                 phi_star = mk(c)
                 f = rand_poly(rng, 9)
-                pred, obs = change_key(nu, f, phi_star)
-                assert pred == obs
+                obs = decompose(rekeyed(nu, phi_star), f)
+                assert key_change_law(nu, f, phi_star) == (obs.s, obs.respoly)
 
     def test_equivalent_key_change_identity(self, nu2, rand_poly):
         rng = random.Random(54)
         for _ in range(10):
             f = rand_poly(rng, 8)
             phi_star = P("x^2+2") + Poly.constant(8 * rng.randrange(1, 5))
-            pred, obs = change_key(nu2, f, phi_star)
-            assert pred == obs == residual_poly(nu2, f)
+            obs = decompose(rekeyed(nu2, phi_star), f)
+            assert key_change_law(nu2, f, phi_star) == (obs.s, obs.respoly) == (decompose(nu2, f).s, residual_poly(nu2, f))
 
 
 class TestIntegerUnitKernel:
