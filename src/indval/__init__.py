@@ -5,6 +5,8 @@ and lifting, graded factorization, and limit augmentations of continuous
 families; all arithmetic exact.
 """
 
+from types import ModuleType as _ModuleType
+
 from .augmentation import (
     ContinuousChain,
     LimitValuation,
@@ -55,7 +57,6 @@ from .residual import (
     residual_ideal,
     residual_lift,
     residual_poly,
-    residual_unit,
     unit_lift,
     unit_residue,
 )
@@ -78,64 +79,6 @@ from .values import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainError",
-    "ContinuousChain",
-    "DomainError",
-    "ExpansionReport",
-    "GradedDecomposition",
-    "GradedFactorization",
-    "HomogeneousUnit",
-    "INFINITY",
-    "IndvalError",
-    "InductiveValuation",
-    "InvariantError",
-    "KeyCheck",
-    "LimitValuation",
-    "PadicValuation",
-    "ParseError",
-    "Poly",
-    "ResidualData",
-    "ResidualIdeal",
-    "ResourceError",
-    "StabilityReport",
-    "Step",
-    "TowerElem",
-    "TowerField",
-    "TowerPoly",
-    "Value",
-    "augment",
-    "chain_from_json",
-    "continuous_chain_from_json",
-    "decompose",
-    "enumerate_keys",
-    "expansion_report",
-    "ff_factor",
-    "ff_is_irreducible",
-    "graded_divides",
-    "graded_factorization",
-    "in_subgroup",
-    "is_commensurable",
-    "is_equivalent",
-    "is_key",
-    "is_minimal",
-    "is_unit",
-    "key_check",
-    "key_semivaluation",
-    "lift_key",
-    "limit_augment",
-    "monic_irreducibles",
-    "phi_expansion",
-    "residual_data",
-    "residual_ideal",
-    "residual_lift",
-    "residual_poly",
-    "residual_unit",
-    "stability",
-    "subgroup_index",
-    "tower_extend",
-    "unit_lift",
-    "unit_residue",
-    "validate_chain",
-    "validate_continuous_chain",
-]
+__all__ = sorted(
+    name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)

@@ -231,16 +231,12 @@ def stability(chain: ContinuousChain, f: Poly) -> StabilityReport:
     At each alpha the expansion of f in phi_alpha is valued with mu_alpha; a
     singleton argmin at the 0-th coefficient makes f equivalent to a
     polynomial of degree < d, on which all later family members agree.
-    Without a witness the value list must be strictly increasing.
-
-    f of degree < d is its own expansion, so it is stable at alpha = 1 with
-    the value mu_1(f); that report is returned without a scan.
+    Without a witness the value list must be strictly increasing.  f of
+    degree < d is its own expansion, so the scan stops at alpha = 1 with the
+    value mu_1(f).
     """
     if f.is_zero:
         raise DomainError("stability of the zero polynomial")
-    if f.degree < chain.degree:
-        v = chain.member(1)(f)
-        return StabilityReport(True, v, 1, (v,))
     values: List[Value] = []
     for alpha in range(1, chain.length + 1):
         mu = chain.member(alpha)
@@ -327,13 +323,6 @@ class LimitValuation:
 
     def __call__(self, g: Poly) -> Value:
         return self.valuation(g)
-
-    def is_equivalent(self, f: Poly, g: Poly) -> bool:
-        if f.is_zero and g.is_zero:
-            return True
-        if f.is_zero or g.is_zero:
-            return False
-        return self.valuation(f - g) > self.valuation(g)
 
 
 def limit_augment(chain: ContinuousChain, phi: Poly, gamma) -> LimitValuation:

@@ -4,10 +4,10 @@ Everything is exact.  Rationals are `fractions.Fraction`.  A polynomial is
 kept in integer-content form: integer numerators, constant term first and no
 trailing zero, over one positive common denominator that shares no factor
 with all of them.  Its arithmetic runs on Python integers; Fractions appear
-only where a coefficient leaves the class (``coeffs``, ``coeff``,
-``leading``, printing).  The expansion f = sum f_s phi^s in a monic key, its
-work budget and the monomial-value kernel every expansion feeds also live
-here, below the chains that use them.
+only where a coefficient leaves the class (``coeffs``, ``coeff``, printing).
+The expansion f = sum f_s phi^s in a monic key, its work budget and the
+monomial-value kernel every expansion feeds also live here, below the chains
+that use them.
 
 Primality of the base prime is decided by deterministic Miller-Rabin on the
 prime bases up to 41, which is exact below 3.3 * 10^24 (Sorenson-Webster,
@@ -59,11 +59,8 @@ def _is_prime(n: int) -> bool:
 
 
 class PadicValuation:
-    """The p-adic valuation v on Q, normalized so v(p) = 1.
-
-    The value group is Z (embedded in Q) and the residue field is F_p,
-    reached through :meth:`residue` / :meth:`lift`.
-    """
+    """The p-adic valuation v on Q, normalized so v(p) = 1; its value group
+    is Z (embedded in Q)."""
 
     __slots__ = ("p",)
 
@@ -103,17 +100,6 @@ class PadicValuation:
         if a == 0:
             return INFINITY
         return Value.of(self.int_order(a.numerator) - self.int_order(a.denominator))
-
-    def residue(self, a: Rational) -> int:
-        """Image of a in F_p = Z/p; requires value(a) >= 0."""
-        a = Fraction(a)
-        if a.denominator % self.p == 0:
-            raise DomainError(f"{a} has negative {self.p}-adic value; no residue")
-        return (a.numerator * pow(a.denominator, -1, self.p)) % self.p
-
-    def lift(self, z: int) -> Fraction:
-        """Canonical rational lift of a residue class, in [0, p)."""
-        return Fraction(z % self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +167,24 @@ def _terms(text: str, var: str) -> List[Tuple[int, Optional[str], int]]:
         terms.append((-1 if sign == "-" else 1, m.group("coeff"), k))
         pos = m.end()
     return terms
+
+
+def _power(x, n: int, mul, one):
+    """x^n for n >= 0 by left-to-right binary powering.
+
+    The loop starts at the top set bit of n, so it takes no product by one
+    and no squaring after the last bit: x^(2^k) costs exactly k squarings.
+    The one powering loop of the package, for Poly, tower elements and
+    TowerPoly alike.
+    """
+    if n == 0:
+        return one
+    result = x
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def _pack(num: List[int]) -> Sequence[int]:
@@ -303,11 +307,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.num) <= 1
 
-    def leading(self) -> Fraction:
-        if not self.num:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
     def coeff(self, k: int) -> Fraction:
         return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
@@ -364,20 +363,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly.from_ints([0] * k + list(self.num), self.den)
+        return _power(self, n, Poly.__mul__, Poly.one())
 
     def _divmod_any(self, g: "Poly") -> Tuple["Poly", "Poly"]:
         """f = q*g + r with deg r < deg g, for any non-zero g.
@@ -459,16 +445,17 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def _linear_digits(coeffs: Sequence[Fraction], a: Fraction) -> List[Fraction]:
-    """Digits of f at the monic linear base x - a, by synthetic division."""
+def _linear_digits(coeffs: Sequence[int], a: int) -> List[int]:
+    """Digits of the integer coefficients at the integral linear base x - a,
+    by synthetic division (an integer Taylor shift)."""
     if a == 0:
         return list(coeffs)
     cs = list(coeffs)
-    out: List[Fraction] = []
+    out: List[int] = []
     while cs:
         k = len(cs) - 1
         acc = cs[k]
-        q = [Fraction(0)] * k
+        q = [0] * k
         for j in range(k - 1, -1, -1):
             q[j] = acc
             acc = cs[j] + a * acc
@@ -514,7 +501,9 @@ def phi_expansion(f: Poly, phi: Poly) -> List[Poly]:
     """Digit expansion f = sum f_s phi^s with deg f_s < deg phi.
 
     Returned constant-coefficient-first, including interior zero coefficients;
-    the zero polynomial expands to [0].
+    the zero polynomial expands to [0].  An integral linear key x - a takes
+    the integer Taylor shift of f's numerators; every other key, x - a/b
+    included, takes repeated division by the monic phi.
     """
     if phi.degree is None or phi.degree < 1:
         raise DomainError("expansion base must be non-constant")
@@ -522,10 +511,8 @@ def phi_expansion(f: Poly, phi: Poly) -> List[Poly]:
         raise DomainError("expansion base must be monic")
     if f.is_zero:
         return [Poly.zero()]
-    if phi.degree == 1:
-        if phi.den == 1:  # integral root: integer Taylor shift of the numerators
-            return [Poly.from_ints((d,), f.den) for d in _linear_digits(f.num, -phi.num[0])]
-        return [Poly.constant(c) for c in _linear_digits(f.coeffs, -phi.coeff(0))]
+    if phi.degree == 1 and phi.den == 1:
+        return [Poly.from_ints((d,), f.den) for d in _linear_digits(f.num, -phi.num[0])]
     out: List[Poly] = []
     cur = f
     while not cur.is_zero:

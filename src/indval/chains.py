@@ -216,7 +216,7 @@ class InductiveValuation:
 
     def weighted_cap(self) -> Value:
         """gamma_r / deg(phi_r): the maximal weighted value mu(f)/deg(f)."""
-        return self.top.gamma.over(self.top_degree)
+        return self.top.gamma.scaled(Fraction(1, self.top_degree))
 
     # -- canonical monomials -------------------------------------------------------
 
@@ -290,13 +290,15 @@ class InductiveValuation:
 
     def ramification_data(self, level: Optional[int] = None) -> Tuple[int, Poly]:
         """(e, u): least e with e*gamma_r in the lower value group, and the
-        canonical monomial u of degree < deg(phi_r) with value(u * phi_r^e) = 0.
+        canonical monomial u of degree < deg(phi_r) with value(u * phi_r^e) = 0,
+        as stored in the level data that validation builds.
         """
         i = self.length if level is None else level
         if not self.commensurable_at(i):
             raise DomainError("ramification data needs a commensurable top step")
-        e = self.ram_index(i)
-        u = self.canonical_monomial(self.steps[i - 1].gamma.scaled(-e), level=i)
+        if self._levels is None:
+            raise DomainError("chain has no residual data; build it with validate_chain")
+        e, u = self._levels[i - 1].e, self._levels[i - 1].u_poly
         if self._val(u * self.steps[i - 1].phi**e, i) != 0:
             raise InvariantError(
                 f"u * phi_{i}^{e} with u = {u} is not of value 0 on the chain "
@@ -489,8 +491,11 @@ def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
     return rep
 
 
-def is_equivalent(nu: InductiveValuation, f: Poly, g: Poly) -> bool:
-    """Whether f and g share their initial term: value(f - g) > value(g)."""
+def is_equivalent(nu, f: Poly, g: Poly) -> bool:
+    """Whether f and g share their initial term: value(f - g) > value(g).
+
+    nu is any valuation on Q[x]: a chain, or a LimitValuation.
+    """
     if f.is_zero and g.is_zero:
         return True
     if f.is_zero or g.is_zero:

@@ -336,10 +336,6 @@ def _hu_pow(levels, i: int, a, k: int):
     return k * B, F._mul(F._pow(r, k, h), acc, h)
 
 
-def _hu_inv(levels, i: int, a):
-    return _hu_pow(levels, i, a, -1)
-
-
 # ---------------------------------------------------------------------------
 # Residues of units and the graded decomposition, per level
 # ---------------------------------------------------------------------------
@@ -398,7 +394,7 @@ def _decompose(levels: Sequence[_Level], i: int, f: Poly) -> _Decomp:
     d = (sp - s0) // e
     top_res = _residue_small(levels, i, coeffs[sp])
     nlc = _hu_mul(levels, i, top_res, _hu_pow(levels, i, top.hu_u, -d))
-    top_inv = _hu_inv(levels, i, top_res)
+    top_inv = _hu_pow(levels, i, top_res, -1)
     zetas: List[TowerElem] = []
     idxset = set(indices)
     for j in range(d + 1):
@@ -431,7 +427,11 @@ def _decompose(levels: Sequence[_Level], i: int, f: Poly) -> _Decomp:
 
 
 def decompose(nu: InductiveValuation, f: Poly) -> GradedDecomposition:
-    """The triple (s, unit, R) with H(f) = unit * H(phi)^s * R(xi)."""
+    """The triple (s, unit, R) with H(f) = unit * H(phi)^s * R(xi).
+
+    The unit is the normalized leading unit: its value is mu(f) - s*gamma_r
+    and it is multiplicative in f.
+    """
     levels = _require_levels(nu)
     dec = _decompose(levels, nu.length, f)
     return GradedDecomposition(dec.s, _public_unit(levels, nu.length, dec.nlc), dec.respoly)
@@ -441,15 +441,6 @@ def residual_poly(nu: InductiveValuation, f: Poly) -> TowerPoly:
     """The monic residual polynomial R(f) over the residue tower."""
     levels = _require_levels(nu)
     return _decompose(levels, nu.length, f).respoly
-
-
-def residual_unit(nu: InductiveValuation, f: Poly) -> HomogeneousUnit:
-    """The normalized leading unit of the decomposition of H(f).
-
-    Its value is mu(f) - s(f)*gamma_r and it is multiplicative in f.
-    """
-    levels = _require_levels(nu)
-    return _public_unit(levels, nu.length, _decompose(levels, nu.length, f).nlc)
 
 
 def residual_ideal(nu: InductiveValuation, f: Poly) -> ResidualIdeal:

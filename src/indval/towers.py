@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import random
+from math import prod
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .basefield import _terms
+from .basefield import _power, _terms
 from .errors import DomainError, InvariantError, ParseError, ResourceError
 from .values import _check_digits
 
@@ -62,31 +63,15 @@ class TowerField:
         return len(self.moduli)
 
     @property
-    def level_degrees(self) -> Tuple[int, ...]:
-        return tuple(len(m) - 1 for m in self.moduli)
-
-    @property
     def degree(self) -> int:
-        d = 1
-        for k in self.level_degrees:
-            d *= k
-        return d
+        return prod(len(m) - 1 for m in self.moduli)
 
     @property
     def order(self) -> int:
         return self.p ** self.degree
 
     def order_at(self, h: int) -> int:
-        d = 1
-        for k in self.level_degrees[:h]:
-            d *= k
-        return self.p ** d
-
-    def is_prefix_of(self, other: "TowerField") -> bool:
-        return (
-            self.p == other.p
-            and self.moduli == other.moduli[: len(self.moduli)]
-        )
+        return self.p ** prod(len(m) - 1 for m in self.moduli[:h])
 
     def describe(self) -> str:
         out = f"F_{self.p}"
@@ -235,7 +220,7 @@ class TowerField:
         if isinstance(x, TowerElem):
             if x.field == self:
                 return x
-            if x.field.is_prefix_of(self):
+            if x.field.p == self.p and x.field.moduli == self.moduli[: x.field.height]:
                 return TowerElem(
                     self, self._coerce_up(x.data, x.field.height, self.height)
                 )
@@ -253,13 +238,9 @@ class TowerField:
             obj = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
             raise ParseError(f"cannot parse tower element {text!r}: {exc}") from None
-        return self.elem_from_obj(obj)
-
-    def elem_from_obj(self, obj) -> "TowerElem":
         if isinstance(obj, int):
             return self.from_int(obj)
-        data = self._obj_to_data(obj, self.height)
-        return TowerElem(self, data)
+        return TowerElem(self, self._obj_to_data(obj, self.height))
 
     def _obj_to_data(self, obj, h: int):
         if isinstance(obj, int):
@@ -336,22 +317,6 @@ class TowerElem:
 
     def __repr__(self):
         return f"TowerElem({self})"
-
-
-def _power(x, n: int, mul, one):
-    """x^n for n >= 0 by left-to-right binary powering.
-
-    The loop starts at the top set bit of n, so it takes no product by one
-    and no squaring after the last bit: x^(2^k) costs exactly k squarings.
-    """
-    if n == 0:
-        return one
-    result = x
-    for bit in bin(n)[3:]:
-        result = mul(result, result)
-        if bit == "1":
-            result = mul(result, x)
-    return result
 
 
 def _data_str(data) -> str:

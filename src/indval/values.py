@@ -179,14 +179,6 @@ class Value:
             return INFINITY
         return Value(tuple(Fraction(m) * c for c in self.coords))
 
-    def over(self, n: Scalar) -> "Value":
-        """Exact componentwise division by a non-zero scalar."""
-        if Fraction(n) == 0:
-            raise DomainError("division by zero")
-        if self.coords is None:
-            return INFINITY
-        return Value(tuple(c / Fraction(n) for c in self.coords))
-
     # -- order -------------------------------------------------------------
 
     def _cmp(self, other) -> int:

@@ -49,6 +49,15 @@ def nu4(nu1):
 
 
 @pytest.fixture(scope="session")
+def ram3(v2):
+    """[(x, 2/3), (x^3+4, 7/3)] over p=2: e_1 = 3, so g_1^-1 mod e_1 = 2 in
+    the digit table, the one fixture whose inverse column is not 1."""
+    nu = iv.validate_chain([("x", Fraction(2, 3)), ("x^3+4", Fraction(7, 3))], v2)
+    assert nu._digit_table() == ((3, 3, 2, 2), (1, 3, 7, 0))
+    return nu
+
+
+@pytest.fixture(scope="session")
 def lam(v2):
     """Continuous family phi_i = x - (2^(i+1)-2), gamma_i = i+1, i = 1..6."""
     fam = [(Poly([-(2 ** (i + 1) - 2), 1]), i + 1) for i in range(1, 7)]

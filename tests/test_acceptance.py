@@ -191,7 +191,7 @@ def test_criterion_5_bijection_slice(nu1):
             assert not is_equivalent(nu1, chi, other)
         if not is_equivalent(nu1, chi, P("x")):
             assert chi.degree == e * n * residual_poly(nu1, chi).degree
-        assert nu1(chi).over(chi.degree) == cap
+        assert nu1(chi).scaled(Fraction(1, chi.degree)) == cap
 
 
 @criterion(6, "change-of-data laws, tagged examples + 100 random per fixture")

@@ -203,7 +203,7 @@ class TestLimit:
                 continue
             coeffs = iv.phi_expansion(a * b, P("x+2"))
             c = coeffs[0]
-            assert lim.is_equivalent(a * b, c)
+            assert iv.is_equivalent(lim, a * b, c)
 
     def test_minimality_spot_check(self, v2):
         fam = [(Poly([-(2 ** (i + 1) - 2), 1]), i + 1) for i in range(1, 7)]

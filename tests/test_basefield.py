@@ -22,18 +22,6 @@ class TestPadic:
         assert v2.value(Fraction(3, 4)) == Value.of(-2)
         assert v2.value(0).is_infinite
 
-    def test_residue_examples(self):
-        assert PadicValuation(2).residue(3) == 1
-        assert PadicValuation(5).residue(Fraction(7, 3)) == 4
-        with pytest.raises(DomainError):
-            PadicValuation(2).residue(Fraction(1, 2))
-
-    def test_residue_lift_inverse(self):
-        v5 = PadicValuation(5)
-        for z in range(5):
-            assert v5.residue(v5.lift(z)) == z
-        assert v5.residue(Fraction(12, 7) - v5.lift(v5.residue(Fraction(12, 7)))) == 0
-
     def test_valuation_axioms_random(self):
         rng = random.Random(3)
         v3 = PadicValuation(3)
@@ -44,15 +32,6 @@ class TestPadic:
                 assert v3.value(a * b) == v3.value(a) + v3.value(b)
             if a + b:
                 assert v3.value(a + b) >= min(v3.value(a), v3.value(b))
-
-    def test_residue_homomorphism(self):
-        rng = random.Random(4)
-        v7 = PadicValuation(7)
-        for _ in range(200):
-            a = Fraction(rng.randrange(-60, 61), rng.choice([1, 2, 3, 4, 5, 6, 8, 9]))
-            b = Fraction(rng.randrange(-60, 61), rng.choice([1, 2, 3, 4, 5, 6, 8, 9]))
-            assert v7.residue(a * b) == (v7.residue(a) * v7.residue(b)) % 7
-            assert v7.residue(a + b) == (v7.residue(a) + v7.residue(b)) % 7
 
     def test_prime_check(self):
         with pytest.raises(DomainError):

@@ -343,7 +343,7 @@ class TestPredicates:
                 f = rand_poly(rng, 9, monic=True)
                 if f.is_constant:
                     continue
-                w = nu(f).over(f.degree)
+                w = nu(f).scaled(Fraction(1, f.degree))
                 assert w <= cap
                 assert (w == cap) == is_minimal(nu, f)
 

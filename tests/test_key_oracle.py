@@ -10,7 +10,8 @@ product of g over the roots of chi, so
 sympy computes the left side with no part of indval.  The keys are every
 rank-1 fixture chain's top key phi_r, the key lifts that enumerate_keys(nu, 2)
 returns, and the lift_key of a cubic; hypothesis draws g of degree at most
-deg(chi) + 2.
+deg(chi) + 2.  ram3 and its prefix have e_1 = 3, so their digit tables hold
+an inverse g_1^-1 mod e_1 other than 1; every other fixture has e_j <= 2.
 """
 
 from fractions import Fraction
@@ -23,7 +24,10 @@ from hypothesis import strategies as st
 import indval as iv
 from indval import INFINITY, Poly
 
-CHAINS = ("nu1", "nu2", "nu3p", "gauss2", "nu4", "ladder1", "ladder2", "ladder3", "ladder4", "ladder5")
+CHAINS = (
+    "nu1", "nu2", "nu3p", "gauss2", "nu4", "ram3", "ram3_1",
+    "ladder1", "ladder2", "ladder3", "ladder4", "ladder5",
+)
 CUBIC = {2: "y^3+y+1", 3: "y^3+2y+1"}  # irreducible over F_2, F_4 and F_3
 X = sympy.Symbol("x")
 
@@ -36,9 +40,11 @@ class _Keyed(dict):
 
 
 @pytest.fixture(scope="module")
-def keyed(nu1, nu2, nu3p, gauss2, nu4, ladder):
-    """Each fixture chain by name, with the keys the oracle checks on it."""
+def keyed(nu1, nu2, nu3p, gauss2, nu4, ram3, ladder):
+    """Each fixture chain by name, with the keys the oracle checks on it;
+    ram3_1 is the level-1 prefix of ram3."""
     named = {"nu1": nu1, "nu2": nu2, "nu3p": nu3p, "gauss2": gauss2, "nu4": nu4}
+    named.update(ram3=ram3, ram3_1=ram3.prefix(1))
     named.update((f"ladder{d}", nu) for d, nu in enumerate(ladder, 1))
     out = _Keyed()
     for name, nu in named.items():

@@ -184,7 +184,7 @@ class TestEnumerate:
         for nu in (nu1, nu2, nu4):
             cap = nu.weighted_cap()
             for chi in enumerate_keys(nu, 1):
-                assert nu(chi).over(chi.degree) == cap
+                assert nu(chi).scaled(Fraction(1, chi.degree)) == cap
                 assert is_minimal(nu, chi)
 
     def test_value_group_from_lower_degrees(self, nu1):

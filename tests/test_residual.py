@@ -19,7 +19,6 @@ from indval import (
     residual_ideal,
     residual_lift,
     residual_poly,
-    residual_unit,
     unit_lift,
     unit_residue,
 )
@@ -76,11 +75,11 @@ class TestResidualPoly:
 
 class TestResidualUnit:
     def test_examples(self, nu1):
-        nl = residual_unit(nu1, P("x^2+2"))
+        nl = decompose(nu1, P("x^2+2")).unit
         assert nl.value == Value.of(1) and nl.residue.is_one
-        nl = residual_unit(nu1, P("x^3"))
+        nl = decompose(nu1, P("x^3")).unit
         assert nl.value == Value.of(0) and nl.residue.is_one
-        nl = residual_unit(nu1, P("x^4+4"))
+        nl = decompose(nu1, P("x^4+4")).unit
         assert nl.value == Value.of(2) and nl.residue.is_one
 
     def test_value_formula(self, nu2, nu4, rand_poly):
@@ -89,7 +88,7 @@ class TestResidualUnit:
             for _ in range(30):
                 f = rand_poly(rng, 11)
                 rep = expansion_report(nu, f)
-                nl = residual_unit(nu, f)
+                nl = decompose(nu, f).unit
                 assert nl.value == rep.mu - nu.top.gamma.scaled(rep.s)
 
     def test_multiplicative(self, nu2, nu4, rand_poly):
@@ -98,9 +97,9 @@ class TestResidualUnit:
             levels = nu._levels
             for _ in range(30):
                 f, g = rand_poly(rng, 9), rand_poly(rng, 9)
-                a = residual_unit(nu, f)
-                b = residual_unit(nu, g)
-                assert _hu_mul(levels, nu.length, a, b) == residual_unit(nu, f * g)
+                a = decompose(nu, f).unit
+                b = decompose(nu, g).unit
+                assert _hu_mul(levels, nu.length, a, b) == decompose(nu, f * g).unit
 
 
 class TestDecompose:
@@ -347,7 +346,7 @@ class TestIntegerUnitKernel:
         r = nu.length
         df, dg, dfg = decompose(nu, f), decompose(nu, g), decompose(nu, f * g)
         assert dfg.unit == _hu_mul(nu._levels, r, df.unit, dg.unit)
-        assert residual_unit(nu, f).value == nu(f) - nu.top.gamma.scaled(df.s)
+        assert df.unit.value == nu(f) - nu.top.gamma.scaled(df.s)
         # equal units come back as one shared immutable object
         assert decompose(nu, f).unit.value is df.unit.value
         gf = graded_factorization(nu, f)
