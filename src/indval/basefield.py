@@ -260,10 +260,6 @@ class Poly:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, c: Rational, k: int) -> "Poly":
-        return cls((0,) * k + (c,))
-
-    @classmethod
     def parse(cls, text: str) -> "Poly":
         """Parse sums of terms ``c*x^k``, ``x^k``, ``x`` and constants, c a
         rational ``a`` or ``a/b``, in the grammar of ``_terms``.

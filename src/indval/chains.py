@@ -127,10 +127,6 @@ class InductiveValuation:
         gens = (Value.of(1),) + tuple(s.gamma for s in self.steps[: i - 1])
         return tuple(self._in_rank(g, self.length) for g in gens)
 
-    def value_group_gens(self) -> Tuple[Value, ...]:
-        """Generators of the full value group of the chain, in its rank."""
-        return self.group_gens(self.length) + (self.top.gamma,)
-
     def ram_index(self, i: int) -> int:
         """Least e >= 1 with e*gamma_i in the value group below level i.
 

@@ -8,15 +8,26 @@ minimally (every stored level has degree >= 2).
 Raw element data is nested: an element of the bottom field is an int in
 [0, p); an element at level h is a fixed-length tuple (length = degree of the
 level-h modulus) of level-(h-1) data, constant coefficient first.  Equality of
-elements is equality of representations.
+elements is equality of representations.  A product at level 1 sums plain
+integers and reduces mod p once; higher levels skip zero factors.  Both reduce
+with the level's negated modulus, computed once per field.  A ``TowerPoly``
+takes its coefficient data from a bounded cache, so equal coefficients of
+different polynomials may be one object.
+
+Factoring is squarefree decomposition, then the distinct-degree split, then
+Cantor-Zassenhaus on each product of same-degree factors.  The q-power map on
+F_q[y]/(m) is F_q-linear, so its rows y^(jq) mod m are built once per
+squarefree part and handed from the distinct-degree split to the equal-degree
+split, which in characteristic 2 takes the trace of a trial from them.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from functools import lru_cache
 from math import prod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .basefield import _power, _terms
 from .errors import DomainError, InvariantError, ParseError, ResourceError
@@ -26,7 +37,7 @@ from .values import _check_digits
 class TowerField:
     """An explicit finite-field tower over F_p."""
 
-    __slots__ = ("p", "moduli", "_zeros", "_ones")
+    __slots__ = ("p", "moduli", "_zeros", "_ones", "_negmods")
 
     def __init__(self, p: int, moduli: Sequence[tuple] = ()):
         object.__setattr__(self, "p", p)
@@ -44,6 +55,9 @@ class TowerField:
                 raise DomainError("stored tower moduli must have degree >= 2")
             if not self._is_one(m[-1], h):
                 raise DomainError("tower moduli must be monic")
+        # -m_j, j < deg m, of each level modulus m: y^k = sum_j (-m_j) y^j
+        negmods = tuple(tuple(self._neg(c, h) for c in m[:-1]) for h, m in enumerate(self.moduli))
+        object.__setattr__(self, "_negmods", negmods)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TowerField is immutable")
@@ -101,36 +115,63 @@ class TowerField:
     def _add(self, a, b, h: int):
         if h == 0:
             return (a + b) % self.p
-        return tuple(self._add(x, y, h - 1) for x, y in zip(a, b))
+        if h == 1:
+            p = self.p
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        add = self._add
+        return tuple([add(x, y, h - 1) for x, y in zip(a, b)])
 
     def _neg(self, a, h: int):
         if h == 0:
             return (-a) % self.p
-        return tuple(self._neg(x, h - 1) for x in a)
+        neg = self._neg
+        return tuple([neg(x, h - 1) for x in a])
 
     def _sub(self, a, b, h: int):
-        return self._add(a, self._neg(b, h), h)
+        if h == 0:
+            return (a - b) % self.p
+        if h == 1:
+            p = self.p
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+        sub = self._sub
+        return tuple([sub(x, y, h - 1) for x, y in zip(a, b)])
 
     def _mul(self, a, b, h: int):
         if h == 0:
             return (a * b) % self.p
-        m = self.moduli[h - 1]
-        k = len(m) - 1
-        prod = [self._zero(h - 1) for _ in range(2 * k - 1)]
+        negm = self._negmods[h - 1]
+        k = len(negm)
+        if h == 1:
+            # coefficients in F_p: sum plain ints and reduce mod p at the end
+            p = self.p
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        prod[j] += x * y
+            for i in range(2 * k - 2, k - 1, -1):
+                c = prod[i] % p
+                if c:
+                    for j, n in enumerate(negm, i - k):
+                        prod[j] += c * n
+            return tuple([c % p for c in prod[:k]])
+        z = self._zeros[h - 1]
+        add, mul = self._add, self._mul
+        prod = [z] * (2 * k - 1)
         for i, x in enumerate(a):
-            if self._is_zero(x, h - 1):
+            if x == z:
                 continue
-            for j, y in enumerate(b):
-                prod[i + j] = self._add(prod[i + j], self._mul(x, y, h - 1), h - 1)
-        # reduce modulo the (monic) level modulus
+            for j, y in enumerate(b, i):
+                if y != z:
+                    prod[j] = add(prod[j], mul(x, y, h - 1), h - 1)
+        # reduce with y^k = sum_j (-m_j) y^j, highest power first
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i]
-            if self._is_zero(c, h - 1):
+            if c == z:
                 continue
-            for j in range(len(m) - 1):
-                prod[i - k + j] = self._sub(
-                    prod[i - k + j], self._mul(c, m[j], h - 1), h - 1
-                )
+            for j, n in enumerate(negm, i - k):
+                if n != z:
+                    prod[j] = add(prod[j], mul(c, n, h - 1), h - 1)
         return tuple(prod[:k])
 
     def _inv(self, a, h: int):
@@ -197,10 +238,6 @@ class TowerField:
         if not 0 <= idx < self.order:
             raise DomainError("element index out of range")
         return TowerElem(self, self._from_index(idx, self.height))
-
-    def elements(self) -> Iterator["TowerElem"]:
-        for idx in range(self.order):
-            yield self.from_index(idx)
 
     def generator(self) -> "TowerElem":
         """The class of the top-level modulus variable; the bottom field has 1."""
@@ -468,8 +505,19 @@ def _poly_str(F: TowerField, h: int, f: List, var: str = "y") -> str:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
+def _shared_data(data):
+    """Equal coefficient data share one immutable object while it stays in the
+    bounded cache; element data carry no field, so towers share it too."""
+    return data
+
+
 class TowerPoly:
-    """A dense polynomial in y with coefficients in a tower field."""
+    """A dense polynomial in y with coefficients in a tower field.
+
+    Its coefficient data come from a bounded cache (``_shared_data``), so
+    equal coefficients of different polynomials may be one object.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -484,7 +532,7 @@ class TowerPoly:
                 data.append(c)
         data = _ptrim(field, field.height, data)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(data))
+        object.__setattr__(self, "coeffs", tuple([_shared_data(c) for c in data]))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TowerPoly is immutable")
@@ -598,14 +646,6 @@ class TowerPoly:
         if self.is_zero:
             return other.is_zero
         return other.divmod(self)[1].is_zero
-
-    def compose_linear(self, a: TowerElem, b: TowerElem) -> "TowerPoly":
-        """Substitute y -> a*y + b."""
-        inner = TowerPoly(self.field, (b, a))
-        acc = TowerPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + TowerPoly(self.field, (c,))
-        return acc
 
     # -- equality / rendering ----------------------------------------------------
 
@@ -757,7 +797,15 @@ def _squarefree_decomposition(F, h, f) -> List[Tuple[List, int]]:
     return out
 
 
-def _distinct_degree(F, h, f) -> List[Tuple[List, int]]:
+def _distinct_degree(F, h, f) -> List[Tuple[List, int, List[List]]]:
+    """Split a monic squarefree f into (g, d, rows): g the product of the
+    irreducible factors of f of degree d, and rows the Frobenius rows of a
+    multiple of g (see :func:`_frobenius_rows`), which :func:`_equal_degree`
+    reduces mod g when it needs them.
+
+    The rows of f are built once; after a split they are reduced mod the
+    cofactor.
+    """
     out = []
     y = [F._zero(h), F._one(h)]
     cur = list(f)
@@ -771,12 +819,12 @@ def _distinct_degree(F, h, f) -> List[Tuple[List, int]]:
         frob = _frobenius_apply(F, h, rows, frob)
         g = _pgcd(F, h, _psub(F, h, frob, y), cur)
         if len(g) > 1:
-            out.append((g, d))
+            out.append((g, d, rows))
             cur = _pdivmod(F, h, cur, g)[0]
             frob = _pdivmod(F, h, frob, cur)[1]
             rows = [_pdivmod(F, h, row, cur)[1] for row in rows[: len(cur) - 1]]
     if len(cur) > 1:
-        out.append((cur, len(cur) - 1))
+        out.append((cur, len(cur) - 1, rows))
     return out
 
 
@@ -786,12 +834,25 @@ def _random_poly(F: TowerField, h: int, deg: int, rng) -> List:
     return _ptrim(F, h, coeffs)
 
 
-def _equal_degree(F, h, f, d: int, rng) -> List[List]:
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
+def _equal_degree(F, h, f, d: int, rng, rows) -> List[List]:
+    """Cantor-Zassenhaus split of a monic product f of degree-d irreducibles.
+
+    rows are the Frobenius rows of a multiple of f.  Each trial draws r of
+    degree < deg f and splits f by gcd(r, f), else by gcd(T(r), f) for q = 2^k
+    and by gcd(r^((q^d - 1)/2) - 1, f) for odd q.  T(r) is the trace of r
+    from F_(q^d) to F_2 in every factor, taken in two steps (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 14): the trace to F_q,
+    t = sum_{i<d} r^(q^i), from d - 1 applications of the rows, then the trace
+    of t to F_2, sum_{j<k} t^(2^j), from k - 1 squarings mod f.  That is the
+    sum of r^(2^i) over i < kd, in k + d - 2 steps instead of kd - 1
+    squarings.  A split hands each part the rows reduced mod f.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
     q = F.order
+    if F.p == 2:
+        rows = [_pdivmod(F, h, row, f)[1] for row in rows[:n]]
     while True:
         r = _random_poly(F, h, n, rng)
         if len(r) <= 1:
@@ -801,11 +862,12 @@ def _equal_degree(F, h, f, d: int, rng) -> List[List]:
             u = g
         else:
             if F.p == 2:
-                # trace map sum r^(2^i), i < k*d, where q = 2^k
-                k = q.bit_length() - 1
-                t = list(r)
-                acc = list(r)
-                for _ in range(k * d - 1):
+                t = acc = r
+                for _ in range(d - 1):
+                    t = _frobenius_apply(F, h, rows, t)
+                    acc = _padd(F, h, acc, t)
+                t = acc
+                for _ in range(q.bit_length() - 2):
                     t = _ppowmod(F, h, t, 2, f)
                     acc = _padd(F, h, acc, t)
                 u = _pgcd(F, h, acc, f)
@@ -815,7 +877,14 @@ def _equal_degree(F, h, f, d: int, rng) -> List[List]:
             if not (1 < len(u) < len(f)):
                 continue
         rest = _pdivmod(F, h, f, u)[0]
-        return _equal_degree(F, h, u, d, rng) + _equal_degree(F, h, rest, d, rng)
+        return _equal_degree(F, h, u, d, rng, rows) + _equal_degree(F, h, rest, d, rng, rows)
+
+
+@lru_cache(maxsize=4096)
+def _shared_factor(F: TowerField, coeffs: tuple, mult: int) -> Tuple[TowerPoly, int]:
+    """The pair (factor, multiplicity); equal pairs share one immutable object
+    while it stays in the bounded cache."""
+    return TowerPoly(F, coeffs), mult
 
 
 def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
@@ -835,9 +904,9 @@ def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
     work = _pmonic(F, h, psi._raw())
     out: List[Tuple[TowerPoly, int]] = []
     for sqf, mult in _squarefree_decomposition(F, h, work):
-        for prod, d in _distinct_degree(F, h, sqf):
-            for irr in _equal_degree(F, h, prod, d, rng):
-                out.append((TowerPoly(F, _pmonic(F, h, irr)), mult))
+        for prod, d, rows in _distinct_degree(F, h, sqf):
+            for irr in _equal_degree(F, h, prod, d, rng, rows):
+                out.append(_shared_factor(F, tuple(_pmonic(F, h, irr)), mult))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 

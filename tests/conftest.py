@@ -134,13 +134,22 @@ def respoly_under(nu, f, u):
     return TowerPoly(data.field, zetas)
 
 
+def compose_linear(r, a, b):
+    """r(a*y + b) for a TowerPoly r and elements a, b of its field."""
+    inner = TowerPoly(r.field, (b, a))
+    acc = TowerPoly.zero(r.field)
+    for c in reversed(r.elems()):
+        acc = acc * inner + TowerPoly(r.field, (c,))
+    return acc
+
+
 def normalizer_law(nu, f, u_star):
     """R(f) under the normalizer u* as the law predicts:
     R*(y) = sigma^d R(y / sigma), sigma the residue of u*/u and d = deg R."""
     data = iv.residual_data(nu)
     sigma = iv.unit_residue(nu, u_star).residue * iv.unit_residue(nu, data.u).residue.inv()
     r = iv.residual_poly(nu, f)
-    return r.compose_linear(sigma.inv(), data.field.zero()).scale(sigma**r.degree)
+    return compose_linear(r, sigma.inv(), data.field.zero()).scale(sigma**r.degree)
 
 
 def rekeyed(nu, phi_star):
@@ -163,7 +172,7 @@ def key_change_law(nu, f, phi_star):
     assert data.e == 1, "all minimal-degree keys are equivalent when e > 1"
     tau = iv.unit_residue(nu, mulred(nu, data.u, a)).residue
     one = data.field.one()
-    lhs = dec.respoly.compose_linear(one, -tau) * TowerPoly(data.field, [-tau, one]) ** dec.s
+    lhs = compose_linear(dec.respoly, one, -tau) * TowerPoly(data.field, [-tau, one]) ** dec.s
     m = 0
     while lhs.coeff(m).is_zero:
         m += 1

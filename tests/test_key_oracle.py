@@ -32,26 +32,21 @@ CUBIC = {2: "y^3+y+1", 3: "y^3+2y+1"}  # irreducible over F_2, F_4 and F_3
 X = sympy.Symbol("x")
 
 
-class _Keyed(dict):
-    """name -> (chain, keys); a short repr keeps hypothesis reports readable."""
-
-    def __repr__(self):
-        return f"<keys on {len(self)} chains>"
-
-
-@pytest.fixture(scope="module")
-def keyed(nu1, nu2, nu3p, gauss2, nu4, ram3, ladder):
-    """Each fixture chain by name, with the keys the oracle checks on it;
-    ram3_1 is the level-1 prefix of ram3."""
-    named = {"nu1": nu1, "nu2": nu2, "nu3p": nu3p, "gauss2": gauss2, "nu4": nu4}
-    named.update(ram3=ram3, ram3_1=ram3.prefix(1))
-    named.update((f"ladder{d}", nu) for d, nu in enumerate(ladder, 1))
-    out = _Keyed()
-    for name, nu in named.items():
-        keys = iv.enumerate_keys(nu, 2) + [iv.lift_key(nu, CUBIC[nu.base.p])]
-        assert nu.rank == 1 and nu.top.phi in keys
-        out[name] = (nu, keys)
-    return out
+@pytest.fixture(scope="module", params=CHAINS)
+def keyed(request):
+    """One fixture chain, by the case's name, with the keys the oracle checks
+    on it; ram3_1 is the level-1 prefix of ram3.  Each case builds only its
+    own chain's keys, so a chain that fails to build fails its case alone."""
+    name = request.param
+    if name == "ram3_1":
+        nu = request.getfixturevalue("ram3").prefix(1)
+    elif name.startswith("ladder"):
+        nu = request.getfixturevalue("ladder")[int(name[len("ladder"):]) - 1]
+    else:
+        nu = request.getfixturevalue(name)
+    keys = iv.enumerate_keys(nu, 2) + [iv.lift_key(nu, CUBIC[nu.base.p])]
+    assert nu.rank == 1 and nu.top.phi in keys
+    return nu, keys
 
 
 def _vp_resultant(p: int, chi: Poly, g: Poly):
@@ -64,11 +59,10 @@ def _vp_resultant(p: int, chi: Poly, g: Poly):
     return iv.PadicValuation(p).value(Fraction(int(res.p), int(res.q)))
 
 
-@pytest.mark.parametrize("name", CHAINS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_resultant_matches_key_semivaluation(keyed, name, data):
-    nu, keys = keyed[name]
+def test_resultant_matches_key_semivaluation(keyed, data):
+    nu, keys = keyed
     chi = data.draw(st.sampled_from(keys), label="chi")
     p = nu.base.p
     # p-adic scales from p^-2 to p^6, so that the values of g vary

@@ -193,7 +193,7 @@ class TestEnumerate:
         # monomials (digits over 1, gamma_1, ..., gamma_r) witness this
         for chi in enumerate_keys(nu1, 2)[1:]:
             aug = iv.augment(nu1, chi, nu1(chi) + iv.Value.of(1))
-            for g in nu1.value_group_gens():
+            for g in nu1.group_gens(nu1.length) + (nu1.top.gamma,):
                 mono = aug.canonical_monomial(g.demote())
                 assert mono.degree < chi.degree
                 assert nu1(mono) == g

@@ -1,4 +1,4 @@
-"""Two reports on the library in ``src/indval``.
+"""Three reports on the library in ``src/indval``.
 
 ``lines``: code lines per module, not counting blank lines, comment-only
 lines and docstrings (a docstring is a string expression that opens the body
@@ -16,17 +16,35 @@ the following call it, recorded with ``sys.setprofile``:
 ``bench/workloads.py`` is loaded from its file with no bytecode written.
 Functions that none of them reach are listed at the end.
 
+``retain``: the bytes that the outputs of one block of each benchmark
+workload (seed 11) keep alive per operation when every output is kept, as
+``bench/run.py`` keeps them until its checks.  Only the outputs count, not
+the harness's own record of each operation.  An output's bytes are the
+``sys.getsizeof`` of the objects it reaches that nothing else reaches: not
+the set-up, the inputs, the loaded modules or the interpreter's constants.
+The contents of ``functools`` caches are not excluded, so an object that an
+output shares with a bounded cache counts as the output's: in a long run the
+cache evicts it and the output alone holds it.  Objects that outputs share
+with each other count once.  (``tracemalloc`` cannot give this figure per
+output: objects freed onto the interpreter's free lists still count as
+allocated.)  ``finite_fields`` is split by field order and ``keys_ladder`` by
+cell (kind and depth).  ``peak_rss_mb`` grows with this figure times the
+operations a run completes.
+
 Usage, from anywhere in the checkout::
 
-    python tools/census.py            # both reports
+    python tools/census.py            # every report
     python tools/census.py lines
     python tools/census.py reach
+    python tools/census.py retain
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import functools
+import gc
 import importlib.util
 import io
 import random
@@ -34,6 +52,7 @@ import runpy
 import sys
 import tempfile
 import tokenize
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,7 +171,64 @@ def report_reach() -> None:
     print(f"\n{len(unreached)} of {len(names)} functions reached by none: " + ", ".join(unreached))
 
 
-REPORTS = {"lines": report_lines, "reach": report_reach}
+def _part(wl, spec) -> str:
+    """The share of a workload an operation's spec belongs to."""
+    if wl.name == "finite_fields":
+        return f"F_{wl.orders[spec[0]]}"
+    if wl.name == "keys_ladder":
+        kind = f"key_check_{spec[2]}" if spec[0] == "key_check" else spec[0]
+        return f"{kind} d{spec[1]}"
+    return "all"
+
+
+def _reach(roots, seen):
+    """Add to seen the ids of every object reachable from roots that is not
+    already in it, walking ``gc.get_referents`` but not into ``functools``
+    caches; return the sum of ``sys.getsizeof`` over the objects added."""
+    total, stack = 0, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, functools._lru_cache_wrapper):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def report_retain() -> None:
+    sys.path.insert(0, str(SRC))
+    import indval as iv
+    import indval.cli  # noqa: F401  (the CLI workload drives it)
+
+    wls = _load_workloads()
+    # objects that cost nothing to keep: the interpreter's own constants
+    constants = [None, True, False, (), "", *range(-5, 257), *map(chr, range(256))]
+    print(f"{'workload':<15}{'part':<24}{'ops':>5}{'bytes/op':>10}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, wl in wls.WORKLOADS.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                ctx = wl.setup(iv, tmp)
+                specs = wl.generate(random.Random(11), 1)
+                ops = [wl.prepare(iv, ctx, spec) for spec in specs]
+                outs = [wl.run(iv, ctx, op) for op in ops]
+            # everything the process holds without the outputs, but for the
+            # caches' contents, which a long run evicts
+            seen = set()
+            _reach([ctx, ops, sys.modules, constants], seen)
+            kept, count = defaultdict(int), defaultdict(int)
+            for spec, out in zip(specs, outs):
+                part = _part(wl, spec)
+                kept[part] += _reach([out], seen)
+                count[part] += 1
+            rows = sorted(kept, key=lambda part: (len(part), part)) if len(kept) > 1 else []
+            for part in rows + ["all"]:
+                n = sum(count.values()) if part == "all" else count[part]
+                b = sum(kept.values()) if part == "all" else kept[part]
+                print(f"{name:<15}{part:<24}{n:>5}{b / n:>10.0f}")
+
+
+REPORTS = {"lines": report_lines, "reach": report_reach, "retain": report_retain}
 
 
 def main(argv=None) -> int:
