@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .basefield import PadicValuation, Poly, _report, check_expansion_work, phi_expansion
+from .basefield import PadicValuation, Poly, _monomial_values, check_expansion_work, phi_expansion
 from .chains import (
     InductiveValuation,
     Step,
@@ -305,21 +305,14 @@ class LimitValuation:
         check_expansion_work(g, self.phi)
         if self._mu1 is not None:
             return self._int_valuation(g)
-        return _report(phi_expansion(g, self.phi), self.gamma, self.stable_value).mu
+        return min(_monomial_values(phi_expansion(g, self.phi), self.gamma, self.stable_value))
 
     def _int_valuation(self, g: Poly) -> Value:
         """min_s (B * mu_1(g_s) + s * B * gamma) as integer vectors, with the
         stable values in the minor coordinate, q -> (0, q), at rank 2."""
         G = self._G
-        best = None
-        for s, coeff in enumerate(phi_expansion(g, self.phi)):
-            if coeff.is_zero:
-                continue
-            q = self._stable_int(coeff)
-            key = (q + s * G[0],) if len(G) == 1 else (s * G[0], q + s * G[1])
-            if best is None or key < best:
-                best = key
-        return _value_of(best, self._B)
+        qs = [(s, self._stable_int(c)) for s, c in enumerate(phi_expansion(g, self.phi)) if not c.is_zero]
+        return _value_of(min((q + s * G[0],) if len(G) == 1 else (s * G[0], q + s * G[1]) for s, q in qs), self._B)
 
     def __call__(self, g: Poly) -> Value:
         return self.valuation(g)

@@ -28,9 +28,8 @@ from .basefield import (
     ExpansionReport,
     PadicValuation,
     Poly,
-    _linear_digits,
+    _expand_ints,
     _monomial_values,
-    _report,
     check_expansion_work,
     phi_expansion,
 )
@@ -61,6 +60,10 @@ class InductiveValuation:
         self.degrees = tuple(s.phi.degree for s in self.steps)
         # every value of the chain lies in (1/_den) Z^rank
         self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
+        # gamma_1 in units of 1/B, as (B, major, minor): see _val_linear
+        g = self.steps[0].gamma.coords
+        B = lcm(*(c.denominator for c in g))
+        self._gamma1 = (B, *[c.numerator * (B // c.denominator) for c in g], 0)[:3]
         self._levels = None  # residual level data, attached by validation
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
         self._key_lifts: dict = {}  # psi over the top residue field -> (lift, unit, value)
@@ -162,29 +165,30 @@ class InductiveValuation:
         phi, gamma = self.steps[i - 1].phi, self.steps[i - 1].gamma
         if f.degree < phi.degree:
             return self._in_rank(self._val(f, i - 1), i)
-        if i == 1 and phi.den == 1:
-            return self._val_linear(f, -phi.num[0], gamma)
+        if i == 1:
+            return self._val_linear(*_expand_ints(f, phi))[0]
         return min(_monomial_values(phi_expansion(f, phi), gamma, lambda c: self._in_rank(self._val(c, i - 1), i)))
 
-    def _val_linear(self, f: Poly, a: int, gamma: Value) -> Value:
-        """Level-1 value of f for the key x - a with a an integer.
+    def _val_linear(self, digits: Sequence[int], den: int) -> Tuple[Value, List[int]]:
+        """The level-1 value of f = sum (digits[s]/den) * phi_1^s, and its
+        argmin set.
 
-        The digits of f's numerators at x - a are integers (Taylor shift), so
-        each monomial value is compared as an integer vector: the base order
-        in the major coordinate and s*gamma, both in units of 1/B with B the
-        common denominator of gamma's coordinates.
+        The digits of f's numerators in the linear key are integers
+        (:func:`_expand_ints`), so each monomial value is compared as an
+        integer pair: the base order plus s times gamma_1's major coordinate,
+        then s times its minor one (0 at rank 1), in units of 1/B with B the
+        common denominator of gamma_1's coordinates.
         """
-        order = self.base.int_order
-        B = lcm(*(c.denominator for c in gamma.coords))
-        G = [c.numerator * (B // c.denominator) for c in gamma.coords]
-        best = None
-        for s, d in enumerate(_linear_digits(f.num, a)):
+        order, (B, G0, G1) = self.base.int_order, self._gamma1
+        best, argmin = None, []
+        for s, d in enumerate(digits):
             if d:
-                key = [order(d) * B + s * G[0]] + [s * g for g in G[1:]]
+                key = (order(d) * B + s * G0, s * G1)
                 if best is None or key < best:
-                    best = key
-        best[0] -= order(f.den) * B
-        return _value_of(tuple(best), B)
+                    best, argmin = key, [s]
+                elif key == best:
+                    argmin.append(s)
+        return _value_of((best[0] - order(den) * B, best[1])[: self.steps[0].gamma.rank], B), argmin
 
     def valuation(self, f: Poly) -> Value:
         """The chain's value of f; Infinity exactly for f = 0.
@@ -477,7 +481,11 @@ def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
         raise DomainError("expansion report of the zero polynomial")
     nu.check_work(f)
     r = nu.length
-    rep = _report(phi_expansion(f, nu.top.phi), nu.top.gamma, lambda c: nu._in_rank(nu._val(c, r - 1), r))
+    coeffs = phi_expansion(f, nu.top.phi)
+    vals = _monomial_values(coeffs, nu.top.gamma, lambda c: nu._in_rank(nu._val(c, r - 1), r))
+    mu = min(vals)
+    idx = tuple(s for s, w in enumerate(vals) if w == mu)
+    rep = ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
     if len(rep.indices) > 1 and not nu.top_commensurable:
         # monomial values differ in the fresh direction, so ties are impossible
         raise InvariantError(

@@ -21,10 +21,11 @@ from .chains import InductiveValuation, expansion_report
 from .errors import DomainError, InvariantError
 from .residual import (
     HomogeneousUnit,
-    _decompose,
+    _decompose_top,
     _decomposed_key_check,
     _hu_mul,
     _hu_pow,
+    _interned,
     _Level,
     _public_unit,
     _require_levels,
@@ -45,8 +46,7 @@ def graded_divides(nu: InductiveValuation, f: Poly, g: Poly) -> bool:
     if not nu.top_commensurable:
         return expansion_report(nu, f).s <= expansion_report(nu, g).s
     levels = _require_levels(nu)
-    df = _decompose(levels, nu.length, f)
-    dg = _decompose(levels, nu.length, g)
+    df, dg = _decompose_top(levels, f), _decompose_top(levels, g)
     return df.s <= dg.s and df.respoly.divides(dg.respoly)
 
 
@@ -171,7 +171,7 @@ def graded_factorization(
         raise DomainError("graded factorization needs a commensurable top step")
     levels = _require_levels(nu)
     r = nu.length
-    dec = _decompose(levels, r, f)
+    dec = _decompose_top(levels, f)
     factors: List[Tuple[Poly, int]] = []
     unit = dec.nlc
     keys_value = nu.top.gamma.scaled(dec.s)  # sum a * mu(chi) over the factors
@@ -190,4 +190,4 @@ def graded_factorization(
             f"unit part of f = {f} on {nu.describe()} does not close the value "
             f"accounting: {total} != mu(f) = {dec.mu}"
         )
-    return result
+    return _interned(result)

@@ -37,16 +37,20 @@ The recursion has linear depth: the decomposition at level i takes one
 residue per argmin coefficient of the phi_i-expansion (the top coefficient's
 residue also normalizes the others), and each of those decomposes once at
 level i-1.  When every argmin set met on the way down is a singleton, a
-top-level decomposition makes exactly one call per level.
+top-level decomposition makes exactly one call per level.  The expansion
+(``_expand``) comes first and values every coefficient through that
+coefficient's own expansion one level down; the argmin coefficients keep
+theirs, and the decomposition below starts from it, so every (coefficient,
+level) pair is expanded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .basefield import Poly, _report, check_expansion_work, phi_expansion
+from .basefield import Poly, _expand_ints, phi_expansion
 from .errors import ChainError, DomainError, InvariantError
 from .towers import TowerElem, TowerField, TowerPoly, extend_with_root, ff_is_irreducible
 from .values import Value, _digits_of, _value_of
@@ -131,11 +135,20 @@ class _Level:
 @dataclass
 class _Decomp:
     s: int
-    s_prime: int
-    indices: Tuple[int, ...]
     mu: Value
     nlc: Tuple[int, object]  # integer unit (B, residue data), see _hu_mono
     respoly: TowerPoly
+
+
+class _Expansion(NamedTuple):
+    """A polynomial f with its value mu at one level and, for each argmin
+    index s of its expansion there, the expansion of the coefficient f_s one
+    level down (at level 1, the constant f_s as its integer numerator and
+    denominator)."""
+
+    f: Poly
+    mu: Value
+    argmin: Dict[int, object]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +275,14 @@ def _shared_unit(field: TowerField, D: int, B: int, data) -> HomogeneousUnit:
     return HomogeneousUnit(_value_of((B,), D), TowerElem(field, data))
 
 
+@lru_cache(maxsize=4096)
+def _interned(result):
+    """The first of equal immutable results (key checks, factorizations)
+    still in the bounded cache, so that results kept by a caller share one
+    object per distinct value."""
+    return result
+
+
 def _int_unit(levels: Sequence[_Level], i: int, hu: HomogeneousUnit):
     """The integer unit (B, data) of a HomogeneousUnit at level i."""
     top = levels[i - 1]
@@ -341,15 +362,35 @@ def _hu_pow(levels, i: int, a, k: int):
 # ---------------------------------------------------------------------------
 
 
-def _residue_small(levels: Sequence[_Level], i: int, a: Poly):
-    """Integer unit of a non-zero polynomial of degree < deg(phi_i) at level i."""
+def _expand(levels: Sequence[_Level], i: int, f: Poly) -> _Expansion:
+    """The level-i expansion of a non-zero f that :func:`_decompose` starts from.
+
+    Each coefficient is valued through its own expansion one level down, and
+    the argmin coefficients keep theirs for the decomposition below, so a
+    decomposition expands every (coefficient, level) pair once.  Level 1
+    reads the integer digits and argmin set of ``_val_linear``.
+    """
     top = levels[i - 1]
     if i == 1:
-        # a = n/d: the order and the residue of the unit part come from the
-        # integers n and d directly
-        (n,), d = a.num, a.den
-        base = top.nu.base
-        p, order = base.p, base.int_order
+        digits, den = _expand_ints(f, top.phi)
+        mu, argmin = top.nu._val_linear(digits, den)
+        return _Expansion(f, mu, {s: (digits[s], den) for s in argmin})
+    coeffs = [f] if f.degree < top.n else phi_expansion(f, top.phi)
+    subs = {s: _expand(levels, i - 1, c) for s, c in enumerate(coeffs) if not c.is_zero}
+    vals = {s: sub.mu + top.gamma.scaled(s) for s, sub in subs.items()}
+    mu = min(vals.values())
+    return _Expansion(f, mu, {s: subs[s] for s, w in vals.items() if w == mu})
+
+
+def _residue_small(levels: Sequence[_Level], i: int, a):
+    """Integer unit at level i of a non-zero polynomial of degree < deg(phi_i),
+    given by its level-(i-1) expansion (at level 1, the constant as its
+    integer (numerator, denominator) pair)."""
+    top = levels[i - 1]
+    if i == 1:
+        # a = (n, d), the constant n/d: the order and the residue of the unit
+        # part come from the integers n and d directly
+        (n, d), p, order = a, top.nu.base.p, top.nu.base.int_order
         kn, kd = order(n), order(d)
         return kn - kd, n // p**kn * pow(d // p**kd, -1, p) % p
     dec = _decompose(levels, i - 1, a)
@@ -364,7 +405,7 @@ def _residue_small(levels: Sequence[_Level], i: int, a: Poly):
         acc = F._add(F._mul(acc, z.data, h), up, h)
     if F._is_zero(acc, h):
         raise InvariantError(
-            f"residual polynomial of {a} at level {i} of {top.nu.describe()} vanished at xi"
+            f"residual polynomial of {a.f} at level {i} of {top.nu.describe()} vanished at xi"
         )
     # D_i = D_{i-1} * e_{i-1}: the unit one level down, carried up
     B, r = dec.nlc
@@ -374,34 +415,27 @@ def _residue_small(levels: Sequence[_Level], i: int, a: Poly):
     return B, F._mul(r, acc, h)
 
 
-def _decompose(levels: Sequence[_Level], i: int, f: Poly) -> _Decomp:
-    """Expansion data and the graded decomposition of f at level i."""
-    if f.is_zero:
-        raise DomainError("decomposition of the zero polynomial")
-    top = levels[i - 1]
-    if i == len(levels):  # a call from outside: the digits recurse below it
-        if f.degree >= top.n:
-            check_expansion_work(f, top.phi)
-        else:
-            top.nu.check_work(f)
-    rep = _report(phi_expansion(f, top.phi), top.gamma, lambda c: top.nu._val(c, i - 1))
-    coeffs, indices, s0, sp = rep.coeffs, rep.indices, rep.s, rep.s_prime
+def _decompose(levels: Sequence[_Level], i: int, ex: _Expansion) -> _Decomp:
+    """The graded decomposition at level i of the polynomial ex.f, from its
+    level-i expansion ex; each argmin residue starts from the expansion that
+    ex keeps for its coefficient."""
+    top, f, argmin, indices = levels[i - 1], ex.f, ex.argmin, tuple(ex.argmin)
+    s0, sp = indices[0], indices[-1]
     e = top.e
     if any((j - s0) % e for j in indices):
         raise InvariantError(
             f"argmin {indices} of {f} at level {i} of {top.nu.describe()} is off the {e}-grid"
         )
     d = (sp - s0) // e
-    top_res = _residue_small(levels, i, coeffs[sp])
+    top_res = _residue_small(levels, i, argmin[sp])
     nlc = _hu_mul(levels, i, top_res, _hu_pow(levels, i, top.hu_u, -d))
     top_inv = _hu_pow(levels, i, top_res, -1)
     zetas: List[TowerElem] = []
-    idxset = set(indices)
     for j in range(d + 1):
         sj = s0 + j * e
-        if sj in idxset:
+        if sj in argmin:
             # the top coefficient reuses top_res: one residue per argmin index
-            res = top_res if sj == sp else _residue_small(levels, i, coeffs[sj])
+            res = top_res if sj == sp else _residue_small(levels, i, argmin[sj])
             B, r = _hu_mul(levels, i, _hu_mul(levels, i, res, _hu_pow(levels, i, top.hu_u, d - j)), top_inv)
             if B:
                 raise InvariantError(
@@ -418,7 +452,16 @@ def _decompose(levels: Sequence[_Level], i: int, f: Poly) -> _Decomp:
             f"residual polynomial {respoly} of {f} at level {i} of {top.nu.describe()} "
             f"is not monic of degree {d} with a non-zero constant"
         )
-    return _Decomp(s0, sp, indices, rep.mu, nlc, respoly)
+    return _Decomp(s0, ex.mu, nlc, respoly)
+
+
+def _decompose_top(levels: Sequence[_Level], f: Poly) -> _Decomp:
+    """The decomposition of f at the top level: a call from outside, whose
+    work is checked once before the digits recurse below it."""
+    if f.is_zero:
+        raise DomainError("decomposition of the zero polynomial")
+    levels[-1].nu.check_work(f)
+    return _decompose(levels, len(levels), _expand(levels, len(levels), f))
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +476,19 @@ def decompose(nu: InductiveValuation, f: Poly) -> GradedDecomposition:
     and it is multiplicative in f.
     """
     levels = _require_levels(nu)
-    dec = _decompose(levels, nu.length, f)
+    dec = _decompose_top(levels, f)
     return GradedDecomposition(dec.s, _public_unit(levels, nu.length, dec.nlc), dec.respoly)
 
 
 def residual_poly(nu: InductiveValuation, f: Poly) -> TowerPoly:
     """The monic residual polynomial R(f) over the residue tower."""
-    levels = _require_levels(nu)
-    return _decompose(levels, nu.length, f).respoly
+    return _decompose_top(_require_levels(nu), f).respoly
 
 
 def residual_ideal(nu: InductiveValuation, f: Poly) -> ResidualIdeal:
     """The degree-zero ideal of H(f): xi^ceil(s/e) * R(f)(xi)."""
     levels = _require_levels(nu)
-    dec = _decompose(levels, nu.length, f)
+    dec = _decompose_top(levels, f)
     e = levels[-1].e
     return ResidualIdeal(-(-dec.s // e), dec.respoly)
 
@@ -456,8 +498,8 @@ def unit_residue(nu: InductiveValuation, f: Poly) -> HomogeneousUnit:
     levels = _require_levels(nu)
     if f.is_zero:
         raise DomainError("the zero polynomial is not a unit")
-    dec = _decompose(levels, nu.length, f)
-    if dec.indices != (0,):
+    dec = _decompose_top(levels, f)
+    if dec.s or dec.respoly.degree:  # the argmin set is not {0}
         raise DomainError("polynomial is not a unit: expansion argmin is not {0}")
     return _public_unit(levels, nu.length, dec.nlc)
 
@@ -503,7 +545,7 @@ def key_check(nu: InductiveValuation, chi: Poly) -> KeyCheck:
             return KeyCheck(False, reason=f"degree must be {n}")
         return KeyCheck(False, reason="difference from the top key has value <= gamma")
     levels = _require_levels(nu)
-    return _decomposed_key_check(levels, chi, _decompose(levels, nu.length, chi))
+    return _interned(_decomposed_key_check(levels, chi, _decompose_top(levels, chi)))
 
 
 def _decomposed_key_check(levels: Sequence[_Level], chi: Poly, dec: _Decomp) -> KeyCheck:
@@ -579,7 +621,7 @@ def _unit_lift(nu: InductiveValuation, levels: Sequence[_Level], u) -> Poly:
     B, zeta = u
     w = _lift_data(nu, levels, zeta, levels[-1].field.height)
     out = _mulred(nu, w, nu.monomial_from_exps(_digits(levels, r, B)))
-    back = _residue_small(levels, r, out)
+    back = _residue_small(levels, r, _expand(levels, r, out).argmin[0])
     if back != (B, zeta):
         raise InvariantError(
             f"unit lift {out} of {_public_unit(levels, r, u)} on {nu.describe()} has residue "
@@ -629,7 +671,7 @@ def _residual_lift(
         u_j = _hu_mul(levels, r, _hu_mul(levels, r, (0, zeta.data), _hu_pow(levels, r, top.hu_u, j - d)), (0, zj.data))
         acc = acc + _unit_lift(nu, levels, u_j) * top.phi ** (j * top.e)
     f = acc * top.phi**s
-    dec = _decompose(levels, r, f)
+    dec = _decompose_top(levels, f)
     if dec.s != s or dec.respoly != psi:
         raise InvariantError(
             f"residual lift {f} on {nu.describe()} has (s, R) = ({dec.s}, {dec.respoly}), "

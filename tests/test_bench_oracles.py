@@ -60,7 +60,10 @@ def test_tracer_wraps_every_boundary_and_restores_it(nu2):
     tracer = layers.Tracer()
     try:
         tracer.install()
+        # a decomposition values its coefficients through their expansions,
+        # not through _val; the value of f takes the _val path
         iv.decompose(nu2, iv.Poly.parse("x^4+4"))
+        nu2(iv.Poly.parse("x^4+4"))
     finally:
         tracer.uninstall()
     spans = {tracer.names[i] for i in tracer.name_ids}

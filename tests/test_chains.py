@@ -469,12 +469,12 @@ class TestInvariantErrors:
 
     def test_decompose_argmin_off_the_grid(self, nu1, monkeypatch):
         # nu1 has e = 2, so a forged argmin {0, 1} is off the e-grid
-        real = residual._report
+        real = residual._expand
 
-        def forged(*args):
-            rep = real(*args)
-            return chains.ExpansionReport(rep.coeffs, rep.monomial_values, rep.mu, (0, 1), 0, 1)
+        def forged(levels, i, f):
+            ex = real(levels, i, f)
+            return ex._replace(argmin={0: (1, 1), 1: (1, 1)})
 
-        monkeypatch.setattr(residual, "_report", forged)
+        monkeypatch.setattr(residual, "_expand", forged)
         with pytest.raises(InvariantError, match=r"of \[\(x, 1/2\)\] over v_2 is off the 2-grid"):
             iv.residual_poly(nu1, P("x+1"))

@@ -201,10 +201,21 @@ def test_poly_ring_ops_match_reference(a, b, c, n):
     assert (f**n).coeffs == tuple(want)
 
 
-# x - 1/2: a monic linear key with a rational root, expanded by division
+# x - 1/2: a monic linear key with a rational root, expanded through x = y/2
 @example([], [Fraction(-1, 2), Fraction(1)])
 @example([Fraction(1), Fraction(2), Fraction(3)], [Fraction(-1, 2), Fraction(1)])
 @example([Fraction(1, 3), Fraction(0), Fraction(-5, 7), Fraction(0), Fraction(2**70)], [Fraction(-1, 2), Fraction(1)])
+# the paths that the one division loop merges: synthetic division with a large
+# shift, keys with interior zero coefficients, a rational key of degree 2,
+# numerators past 2^63 (tuple storage), f = phi, deg f < deg phi and f = 0
+@example([Fraction(3), Fraction(-1), Fraction(4), Fraction(1), Fraction(-5), Fraction(9)], [Fraction(2**40), Fraction(1)])
+@example([Fraction(k) for k in range(1, 10)], [Fraction(2), Fraction(0), Fraction(1)])
+@example([Fraction(k) for k in range(-6, 6)], [Fraction(4), Fraction(0), Fraction(2), Fraction(0), Fraction(1)])
+@example([Fraction(1, 2), Fraction(5), Fraction(-3), Fraction(0), Fraction(7, 5), Fraction(1)], [Fraction(1, 3), Fraction(0), Fraction(1)])
+@example([Fraction(2**70 + 1), Fraction(-(2**66)), Fraction(3), Fraction(2**64)], [Fraction(2**65), Fraction(1), Fraction(1)])
+@example([Fraction(2), Fraction(0), Fraction(1)], [Fraction(2), Fraction(0), Fraction(1)])
+@example([Fraction(5), Fraction(-1, 3)], [Fraction(2), Fraction(0), Fraction(1)])
+@example([], [Fraction(1), Fraction(1)])
 @settings(max_examples=150, deadline=None)
 @given(coeff_lists, monic_lists)
 def test_poly_division_and_expansion_match_reference(a, g):
@@ -245,7 +256,7 @@ LINEAR_CHAINS = [
     (3, "x+7", Fraction(2, 5)),
     (5, "x-1", 1),
     (2, "x-1", (0, 1)),
-    (3, "x + 1/2", Fraction(3, 2)),  # fractional root: the Fraction path
+    (3, "x + 1/2", Fraction(3, 2)),  # fractional root: the change of variable x = y/2
 ]
 
 
@@ -314,6 +325,58 @@ def test_normalizer_unit_is_built_once_per_level(ladder, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Work counts of expansions (counts, not timings)
+# ---------------------------------------------------------------------------
+
+
+class TestWork:
+    """Deterministic operation counts, taken by wrapping the counted routine."""
+
+    @staticmethod
+    def _record(monkeypatch, owner, name):
+        calls = []
+        inner = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_expansion_divides_on_integers(self, monkeypatch):
+        # The parent made 25 Poly._divmod_any calls and 49 Poly._set calls:
+        # a reduced quotient and a reduced remainder per digit.
+        rng = random.Random(48)
+        f, phi = Poly([rng.randrange(-1000, 1001) for _ in range(48)] + [1]), Poly.parse("x^2+2")
+        divisions = self._record(monkeypatch, Poly, "_divmod_any")
+        built = self._record(monkeypatch, Poly, "_set")
+        digits = phi_expansion(f, phi)
+        assert len(digits) == 25
+        assert len(divisions) == 0 and len(built) == len(digits)
+        monkeypatch.undo()
+        assert sum((c * phi**s for s, c in enumerate(digits)), Poly.zero()) == f
+
+    def test_decomposition_expands_each_coefficient_once(self, ladder, monkeypatch):
+        # The parent made 27 phi_expansion calls here, 16 of them distinct:
+        # every argmin coefficient was expanded again one level down.
+        import indval.chains as chains
+
+        nu = ladder[-1]
+        rng = random.Random(19)
+        f = Poly([Fraction(rng.randrange(-100, 101), rng.choice((1, 3, 7))) for _ in range(2 * nu.top_degree)])
+        by_value = self._record(monkeypatch, chains, "phi_expansion")
+        expansions = self._record(monkeypatch, residual, "phi_expansion")
+        level_one = self._record(monkeypatch, residual, "_expand_ints")
+        want = iv.decompose(nu, f)
+        assert by_value == []
+        assert len(expansions) == 15
+        assert len(set(expansions + level_one)) == len(expansions) + len(level_one)
+        monkeypatch.undo()
+        assert iv.decompose(nu, f) == want
+
+
+# ---------------------------------------------------------------------------
 # Group data from the digit table, and the monomial-value kernel
 # ---------------------------------------------------------------------------
 
@@ -351,4 +414,4 @@ def test_every_caller_of_the_kernel_agrees(group_chains, name, cs):
     mu = expansion_report(nu, f).mu
     assert nu(f) == mu
     if nu.top_commensurable:
-        assert residual._decompose(nu._levels, nu.length, f).mu == mu
+        assert residual._decompose_top(nu._levels, f).mu == mu

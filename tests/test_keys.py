@@ -29,7 +29,7 @@ from indval import (
     residual_poly,
 )
 from indval.keys import GradedFactorization
-from indval.residual import _decompose, _hu_mul, _hu_pow, _public_unit
+from indval.residual import _decompose_top, _hu_mul, _hu_pow, _public_unit
 from indval.towers import ff_factor
 from conftest import make_rand_poly
 
@@ -374,13 +374,12 @@ def _top_decompositions(monkeypatch):
     seen = []
     inner = residual._decompose
 
-    def counted(levels, i, f, *rest, **kw):
+    def counted(levels, i, ex):
         if i == len(levels):
-            seen.append(f)
-        return inner(levels, i, f, *rest, **kw)
+            seen.append(ex.f)
+        return inner(levels, i, ex)
 
     monkeypatch.setattr(residual, "_decompose", counted)
-    monkeypatch.setattr(keys, "_decompose", counted)
     return seen
 
 
@@ -388,7 +387,7 @@ def _parent_factorization(nu, f, seed):
     """graded_factorization as it was before lifts kept their graded data:
     every lifted key is decomposed again for its unit."""
     levels, r = nu._levels, nu.length
-    dec = _decompose(levels, r, f)
+    dec = _decompose_top(levels, f)
     factors, unit = [], dec.nlc
     if dec.s > 0:
         factors.append((nu.top.phi, dec.s))
@@ -396,7 +395,7 @@ def _parent_factorization(nu, f, seed):
         for psi, mult in ff_factor(dec.respoly, seed):
             chi = lift_key(nu, psi)
             factors.append((chi, mult))
-            unit = _hu_mul(levels, r, unit, _hu_pow(levels, r, _decompose(levels, r, chi).nlc, -mult))
+            unit = _hu_mul(levels, r, unit, _hu_pow(levels, r, _decompose_top(levels, chi).nlc, -mult))
     return GradedFactorization(_public_unit(levels, r, unit), tuple(factors))
 
 
@@ -410,7 +409,7 @@ class TestLiftRecord:
             assert all(any(chi is k for chi in lifted) for k in ks[1:])
             levels, r = nu._levels, nu.length
             for chi, nlc, mu in nu._key_lifts.values():
-                dec = _decompose(levels, r, chi)
+                dec = _decompose_top(levels, chi)
                 assert (nlc, mu) == (dec.nlc, dec.mu)
                 assert mu == nu(chi)
 
