@@ -8,11 +8,17 @@ minimally (every stored level has degree >= 2).
 Raw element data is nested: an element of the bottom field is an int in
 [0, p); an element at level h is a fixed-length tuple (length = degree of the
 level-h modulus) of level-(h-1) data, constant coefficient first.  Equality of
-elements is equality of representations.  A product at level 1 sums plain
-integers and reduces mod p once; higher levels skip zero factors.  Both reduce
-with the level's negated modulus, computed once per field.  A ``TowerPoly``
-takes its coefficient data from a bounded cache, so equal coefficients of
-different polynomials may be one object.
+elements is equality of representations.  A ``TowerPoly`` takes its
+coefficient data from a bounded cache, so equal coefficients of different
+polynomials may be one object.
+
+Polynomials over F_p run on one integer kernel (the ``_k*`` routines): lists
+of ints, products summed as plain ints and reduced mod p once per
+coefficient, one inverse of a divisor's lead per division step.  It is the
+only height-0 path of the list routines ``_padd`` ... ``_frobenius_apply``,
+and an element product or inverse at level 1 is the same kernel's product,
+division or extended gcd mod the level-1 modulus.  Higher levels skip zero
+factors and reduce with the level's negated modulus, computed once per field.
 
 Factoring is squarefree decomposition, then the distinct-degree split, then
 Cantor-Zassenhaus on each product of same-degree factors.  The q-power map on
@@ -142,19 +148,9 @@ class TowerField:
         negm = self._negmods[h - 1]
         k = len(negm)
         if h == 1:
-            # coefficients in F_p: sum plain ints and reduce mod p at the end
-            p = self.p
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        prod[j] += x * y
-            for i in range(2 * k - 2, k - 1, -1):
-                c = prod[i] % p
-                if c:
-                    for j, n in enumerate(negm, i - k):
-                        prod[j] += c * n
-            return tuple([c % p for c in prod[:k]])
+            p, r = self.p, _kconv(a, b)
+            _kdivide(p, r, negm, 1)
+            return tuple([c % p for c in r[:k]])
         z = self._zeros[h - 1]
         add, mul = self._add, self._mul
         prod = [z] * (2 * k - 1)
@@ -180,21 +176,10 @@ class TowerField:
         if h == 0:
             return pow(a, -1, self.p)
         # extended Euclid of a against the level modulus, over the sublevel
-        m = list(self.moduli[h - 1])
-        r0, r1 = m, _ptrim(self, h - 1, list(a))
-        s0, s1 = [], [self._one(h - 1)]
-        while r1:
-            q, r = _pdivmod(self, h - 1, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(self, h - 1, s0, _pmul(self, h - 1, q, s1))
-        # r0 is a non-zero constant gcd (modulus irreducible)
-        if len(r0) != 1:
+        s, d = _pgcdex(self, h - 1, list(a), list(self.moduli[h - 1]))
+        if len(d) != 1:  # a non-constant gcd: the modulus is reducible
             raise InvariantError(f"modulus {h} of {self.describe()} is not irreducible")
-        c_inv = self._inv(r0[0], h - 1)
-        inv = [self._mul(c, c_inv, h - 1) for c in s0]
-        k = len(self.moduli[h - 1]) - 1
-        inv += [self._zero(h - 1)] * (k - len(inv))
-        return tuple(inv[:k])
+        return tuple(s + [self._zeros[h - 1]] * (len(a) - len(s)))
 
     def _pow(self, a, n: int, h: int):
         if n < 0:
@@ -363,6 +348,107 @@ def _data_str(data) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The F_p[y] kernel: polynomials over the prime field as lists of ints
+# ---------------------------------------------------------------------------
+#
+# Dense arithmetic in F_p[y] (von zur Gathen-Gerhard, Modern Computer Algebra,
+# ch. 2-3): a polynomial is a list of ints in [0, p), constant first, with no
+# trailing zero.  Products are summed as plain ints and each coefficient is
+# reduced mod p once; a division or gcd step inverts its divisor's lead once,
+# and not at all when it is 1.  It is the only height-0 path of the routines
+# below, and level-1 element products and inverses run on it too.
+
+
+def _ktrim(f: List[int]) -> List[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _kadd(p: int, f, g) -> List[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    out = [(a + b) % p for a, b in zip(f, g)]
+    out.extend(f[len(g):])
+    return _ktrim(out)
+
+
+def _ksub(p: int, f, g) -> List[int]:
+    out = [(a - b) % p for a, b in zip(f, g)]
+    out.extend(f[len(g):])
+    out.extend([-b % p for b in g[len(f):]])
+    return _ktrim(out)
+
+
+def _kconv(f, g) -> List[int]:
+    """The product of two non-empty coefficient lists as plain, unreduced ints."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
+
+
+def _kmul(p: int, f, g) -> List[int]:
+    if not f or not g:
+        return []
+    return _ktrim([c % p for c in _kconv(f, g)])
+
+
+def _kdivide(p: int, r: List[int], negm, li: int) -> None:
+    """Divide the plain ints r in place by g, given by the inverse li of its
+    lead and negm = -g_j mod p for j < deg g: the one division loop.
+
+    Afterwards r[deg g:] holds the quotient, reduced mod p, and r[:deg g] the
+    remainder, still plain ints.
+    """
+    dg = len(negm)
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i] = r[i] * li % p
+        if c:
+            for j, n in enumerate(negm, i - dg):
+                r[j] += c * n
+
+
+def _kdivmod(p: int, f, g) -> Tuple[List[int], List[int]]:
+    """(quotient, remainder) of f by g, both reduced and g non-zero."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], list(f)
+    r = list(f)
+    _kdivide(p, r, [-b % p for b in g[:dg]], 1 if g[-1] == 1 else pow(g[-1], -1, p))
+    return r[dg:], _ktrim([c % p for c in r[:dg]])
+
+
+def _kmonic(p: int, f) -> List[int]:
+    if not f or f[-1] == 1:
+        return list(f)
+    li = pow(f[-1], -1, p)
+    return [c * li % p for c in f]
+
+
+def _kgcd(p: int, f, g) -> List[int]:
+    while g:
+        f, g = g, _kdivmod(p, f, g)[1]
+    return _kmonic(p, f)
+
+
+def _kgcdex(p: int, f, g) -> Tuple[List[int], List[int]]:
+    """(s, d): d the monic gcd of f and g, not both zero, and s*f = d mod g
+    with deg s < deg g - deg d (s = 0 when g divides f)."""
+    f = _ktrim(list(f))
+    r0, r1 = list(g), (_kdivmod(p, f, g)[1] if g else f)
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _kdivmod(p, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ksub(p, s0, _kmul(p, q, s1))
+    li = pow(r0[-1], -1, p)
+    return [c * li % p for c in s0], [c * li % p for c in r0]
+
+
+# ---------------------------------------------------------------------------
 # Dense polynomial arithmetic over a tower level (internal, list-based)
 # ---------------------------------------------------------------------------
 
@@ -374,6 +460,8 @@ def _ptrim(F: TowerField, h: int, f: List) -> List:
 
 
 def _padd(F, h, f, g):
+    if h == 0:
+        return _kadd(F.p, f, g)
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -384,10 +472,14 @@ def _padd(F, h, f, g):
 
 
 def _psub(F, h, f, g):
+    if h == 0:
+        return _ksub(F.p, f, g)
     return _padd(F, h, f, [F._neg(c, h) for c in g])
 
 
 def _pmul(F, h, f, g):
+    if h == 0:
+        return _kmul(F.p, f, g)
     if not f or not g:
         return []
     out = [F._zero(h)] * (len(f) + len(g) - 1)
@@ -403,23 +495,26 @@ def _pdivmod(F, h, f, g):
     """(quotient, remainder) of f by g; a monic g needs no inverse."""
     if not g:
         raise DomainError("polynomial division by zero")
+    if h == 0:
+        return _kdivmod(F.p, f, g)
     lead_inv = None if F._is_one(g[-1], h) else F._inv(g[-1], h)
     r = list(f)
     dg = len(g) - 1
-    if dg == 0:
-        return (r if lead_inv is None else [F._mul(c, lead_inv, h) for c in r]), []
     q = [F._zero(h)] * max(len(r) - dg, 0)
+    low = g[:dg]
     for i in range(len(r) - dg - 1, -1, -1):
         c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv, h)
         if F._is_zero(c, h):
             continue
         q[i] = c
-        for j, b in enumerate(g):
-            r[i + j] = F._sub(r[i + j], F._mul(c, b, h), h)
+        for j, b in enumerate(low, i):
+            r[j] = F._sub(r[j], F._mul(c, b, h), h)
     return _ptrim(F, h, q), _ptrim(F, h, r[:dg])
 
 
 def _pmonic(F, h, f):
+    if h == 0:
+        return _kmonic(F.p, f)
     if not f:
         return f
     if F._is_one(f[-1], h):
@@ -429,11 +524,27 @@ def _pmonic(F, h, f):
 
 
 def _pgcd(F, h, f, g):
+    if h == 0:
+        return _kgcd(F.p, f, g)
     a, b = list(f), list(g)
     while b:
         _, r = _pdivmod(F, h, a, b)
         a, b = b, r
     return _pmonic(F, h, a)
+
+
+def _pgcdex(F, h, f, g):
+    """(s, d): d the monic gcd of f and g, not both zero, and s*f = d mod g."""
+    if h == 0:
+        return _kgcdex(F.p, f, g)
+    r0, r1 = list(g), _ptrim(F, h, list(f))
+    s0, s1 = [], [F._one(h)]
+    while r1:
+        q, r = _pdivmod(F, h, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(F, h, s0, _pmul(F, h, q, s1))
+    li = F._inv(r0[-1], h)
+    return [F._mul(c, li, h) for c in s0], [F._mul(c, li, h) for c in r0]
 
 
 def _ppowmod(F, h, f, n: int, m):
@@ -461,6 +572,13 @@ def _frobenius_rows(F, h, m):
 
 def _frobenius_apply(F, h, rows, g):
     """g^q mod m for g reduced mod m, from the rows of m."""
+    if h == 0:
+        out = [0] * len(rows)
+        for c, row in zip(g, rows):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return _ktrim([c % F.p for c in out])
     out = [F._zero(h)] * len(rows)
     for c, row in zip(g, rows):
         if F._is_zero(c, h):
@@ -471,6 +589,8 @@ def _frobenius_apply(F, h, rows, g):
 
 
 def _pderiv(F, h, f):
+    if h == 0:
+        return _ktrim([i * c % F.p for i, c in enumerate(f)][1:])
     out = []
     for i in range(1, len(f)):
         # i * c by repeated addition; only i mod p matters in characteristic p
@@ -900,11 +1020,13 @@ def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
         raise DomainError("factorization is asked of non-constant polynomials")
     _check_ff_work(psi)
     F, h = psi.field, psi.field.height
-    rng = random.Random(seed)
+    rng = None  # built at the first equal-degree split that draws a trial
     work = _pmonic(F, h, psi._raw())
     out: List[Tuple[TowerPoly, int]] = []
     for sqf, mult in _squarefree_decomposition(F, h, work):
         for prod, d, rows in _distinct_degree(F, h, sqf):
+            if rng is None and len(prod) - 1 > d:
+                rng = random.Random(seed)
             for irr in _equal_degree(F, h, prod, d, rng, rows):
                 out.append(_shared_factor(F, tuple(_pmonic(F, h, irr)), mult))
     out.sort(key=lambda t: t[0].sort_key())

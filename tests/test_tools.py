@@ -1,0 +1,42 @@
+"""Smoke tests of the reports in tools/census.py, run as a script."""
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CENSUS = os.path.join(ROOT, "tools", "census.py")
+MODULES = sorted(n for n in os.listdir(os.path.join(ROOT, "src", "indval")) if n.endswith(".py"))
+
+
+def _census(*reports):
+    proc = subprocess.run([sys.executable, CENSUS, *reports], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_lines_counts_every_module_and_sums_them():
+    rows = [line.split() for line in _census("lines") if line.strip()]
+    counts = {name: int(n) for name, n in rows}
+    assert sorted(counts) == sorted(MODULES + ["total"])
+    assert all(n > 0 for n in counts.values())
+    assert counts["total"] == sum(n for name, n in counts.items() if name != "total")
+
+
+def test_cells_covers_every_cell_and_marks_both_edges():
+    rows = [line.split() for line in _census("cells")[1:] if line.strip()]
+    cells = {}
+    for row in rows:
+        workload, label, ops, mean, share, marks = row[0], " ".join(row[1:3]), int(row[3]), float(row[4]), row[5], row[6:]
+        assert ops > 0 and mean > 0 and share.endswith("%")
+        cells.setdefault(workload, {})[label] = marks
+    fields = [f"F_{q} d{d}" for q, top in ((2, 12), (3, 12), (4, 12), (16, 6)) for d in range(1, top + 1)]
+    assert sorted(cells["finite_fields"]) == sorted(fields)
+    kinds = ("decompose", "factor", "key_check_lifted", "key_check_random", "enumerate")
+    assert sorted(cells["keys_ladder"]) == sorted(f"{k} d{d}" for k in kinds for d in range(1, 6))
+    # the median and the tail percentile each fall inside some cell
+    for workload, tail in (("finite_fields", "p99"), ("keys_ladder", "p95")):
+        marks = [m for ms in cells[workload].values() for m in ms]
+        assert "p50" in marks and tail in marks
+        assert all(re.fullmatch(r"p\d+", m) for m in marks)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_irreducible_p
+from sympy.polys.galoistools import gf_factor, gf_gcd, gf_gcdex, gf_irreducible_p, gf_mul, gf_quo, gf_rem
 
 from indval import (
     DomainError,
@@ -352,7 +352,7 @@ class TestOneGrammar:
 
 class TestSympyOracle:
     """ff_factor and ff_is_irreducible against sympy's galoistools over prime
-    fields, on seeded random monic inputs of degree 1-8."""
+    fields, on seeded random monic inputs of degree 1-16."""
 
     @staticmethod
     def _ints(poly):  # highest degree first, as galoistools expects
@@ -364,10 +364,10 @@ class TestSympyOracle:
         F = TowerField(p)
         rng = random.Random(5000 + p)
         for _ in range(40):
-            d = rng.randrange(1, 9)
+            d = rng.randrange(1, 17)
             yield TowerPoly(F, [F.from_index(rng.randrange(p)) for _ in range(d)] + [F.one()])
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_factor(self, p):
         for psi in self._cases(p):
             _lc, ref = gf_factor(self._ints(psi), p, ZZ)
@@ -375,10 +375,67 @@ class TestSympyOracle:
             got = Counter({tuple(int(c) for c in self._ints(g)): m for g, m in ff_factor(psi, 7)})
             assert got == want, str(psi)
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_irreducible(self, p):
         for psi in self._cases(p):
             assert ff_is_irreducible(psi) == gf_irreducible_p(self._ints(psi), p, ZZ), str(psi)
+
+
+def _to_gf(f):
+    """Constant-first ints as galoistools' highest-first list, zeros stripped."""
+    return [ZZ(c) for c in reversed(towers._ktrim(list(f)))]
+
+
+def _from_gf(g):
+    return [int(c) for c in reversed(g)]
+
+
+@st.composite
+def _kernel_pair(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    poly = st.lists(st.integers(0, p - 1), max_size=14).map(towers._ktrim)
+    return p, draw(poly), draw(poly)
+
+
+# level-1 fields F_4, F_8 and F_9: (p, modulus)
+_LEVEL_ONE = {4: (2, "y^2+y+1"), 8: (2, "y^3+y+1"), 9: (3, "y^2+1")}
+
+
+class TestKernelOracle:
+    """The F_p[y] kernel, and the level-1 element products and inverses built
+    on it, against sympy's galoistools."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_pair())
+    def test_products_divisions_and_gcds(self, case):
+        p, f, g = case
+        gf, gg = _to_gf(f), _to_gf(g)
+        assert towers._kmul(p, f, g) == _from_gf(gf_mul(gf, gg, p, ZZ))
+        assert towers._kgcd(p, f, g) == _from_gf(gf_gcd(gf, gg, p, ZZ))
+        if g:
+            assert towers._kdivmod(p, f, g) == (_from_gf(gf_quo(gf, gg, p, ZZ)), _from_gf(gf_rem(gf, gg, p, ZZ)))
+        if f or g:
+            s_ref, t_ref, d_ref = gf_gcdex(gf, gg, p, ZZ)
+            s, d = towers._kgcdex(p, f, g)
+            assert (s, d) == (_from_gf(s_ref), _from_gf(d_ref))
+            if g:  # the cofactor t = (d - s*f) / g, exactly
+                t, rest = towers._kdivmod(p, towers._ksub(p, d, towers._kmul(p, s, f)), g)
+                assert (t, rest) == (_from_gf(t_ref), [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(_LEVEL_ONE)), st.data())
+    def test_level_one_products_and_inverses(self, order, data):
+        p, modulus = _LEVEL_ONE[order]
+        Fp = TowerField(p)
+        F = tower_extend(Fp, TowerPoly.parse(Fp, modulus))
+        m = _to_gf(F.moduli[0])
+        a, b = (F.from_index(data.draw(st.integers(0, order - 1))) for _ in range(2))
+        want = gf_rem(gf_mul(_to_gf(a.data), _to_gf(b.data), p, ZZ), m, p, ZZ)
+        assert towers._ktrim(list((a * b).data)) == _from_gf(want)
+        if not a.is_zero:
+            s, _t, d = gf_gcdex(_to_gf(a.data), m, p, ZZ)
+            assert _from_gf(d) == [1]
+            assert towers._ktrim(list(a.inv().data)) == _from_gf(s)
 
 
 class TestWork:
@@ -424,11 +481,33 @@ class TestWork:
             for d in range(1, top + 1) for _ in range(2)
         ]
         # The parent of the lean element products made 67,751: it recursed
-        # into F_p for every product over F_4 and multiplied by zero.
+        # into F_p for every product over F_4 and multiplied by zero.  The
+        # parent of the F_p[y] integer kernel made 18,956: each division step
+        # also multiplied by the divisor's lead, and an inverse in F_4 made
+        # its products in F_p one coefficient at a time.  Now 13,908.
         calls = self._count(monkeypatch, TowerField, "_mul")
         for psi in cases:
             assert all(ff_is_irreducible(g) for g, _m in ff_factor(psi, 3))
         assert calls[0] <= 0.15 * 141_461
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_prime_field_makes_no_element_calls(self, monkeypatch, p):
+        # Over F_p every polynomial routine runs on the integer kernel: no
+        # coefficient goes through the tower's element arithmetic.  The seeds
+        # give a repeated factor and two cubics for the equal-degree split:
+        # (y^2+y+1)^3 times two cubics over F_2, a square of a linear factor,
+        # two cubics and a quartic over F_3.
+        F = TowerField(p)
+        psi = _random_monic(F, 12, random.Random({2: 25, 3: 26}[p]))
+        calls = [self._count(monkeypatch, TowerField, name) for name in ("_mul", "_add", "_sub")]
+        factors = ff_factor(psi, 5)
+        assert all(ff_is_irreducible(g) for g, _m in factors)
+        assert [c[0] for c in calls] == [0, 0, 0]
+        assert sorted(g.degree for g, _m in factors) == ([2, 3, 3] if p == 2 else [1, 3, 3, 4])
+        prod = TowerPoly.one(F)
+        for g, m in factors:
+            prod = prod * g**m
+        assert prod == psi
 
     def test_characteristic_two_trace_from_the_rows(self, monkeypatch, F4):
         # y^30 + y + 1 is two irreducibles of degree 15 over F_4.  Squaring

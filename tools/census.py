@@ -31,12 +31,22 @@ allocated.)  ``finite_fields`` is split by field order and ``keys_ladder`` by
 cell (kind and depth).  ``peak_rss_mb`` grows with this figure times the
 operations a run completes.
 
+``cells``: the mean latency of each cell of ``finite_fields`` (field order
+and degree) and ``keys_ladder`` (kind and depth), over CELL_BLOCKS blocks
+(seed 11) timed after one untimed pass over them, with each cell's share of
+the workload's time.  A cell whose fastest and slowest operations lie on
+either side of the workload's median, or of its tail percentile (both by
+nearest rank), is marked ``p50`` or ``pNN``: those are the cells a change
+must speed up to move that metric.  Times are ``time.perf_counter`` on this host, not scaled as
+``bench/run.py`` scales them.
+
 Usage, from anywhere in the checkout::
 
     python tools/census.py            # every report
     python tools/census.py lines
     python tools/census.py reach
     python tools/census.py retain
+    python tools/census.py cells
 """
 
 from __future__ import annotations
@@ -47,10 +57,13 @@ import functools
 import gc
 import importlib.util
 import io
+import math
 import random
 import runpy
+import statistics
 import sys
 import tempfile
+import time
 import tokenize
 from collections import defaultdict
 from pathlib import Path
@@ -171,13 +184,24 @@ def report_reach() -> None:
     print(f"\n{len(unreached)} of {len(names)} functions reached by none: " + ", ".join(unreached))
 
 
+def _cell(wl, spec) -> tuple:
+    """The cell of a ``finite_fields`` or ``keys_ladder`` operation's spec:
+    (field order, degree) or (kind, depth)."""
+    if wl.name == "finite_fields":
+        return wl.orders[spec[0]], len(spec[1])
+    return (f"key_check_{spec[2]}" if spec[0] == "key_check" else spec[0]), spec[1]
+
+
+def _label(wl, cell) -> str:
+    return (f"F_{cell[0]}" if wl.name == "finite_fields" else cell[0]) + f" d{cell[1]}"
+
+
 def _part(wl, spec) -> str:
     """The share of a workload an operation's spec belongs to."""
     if wl.name == "finite_fields":
-        return f"F_{wl.orders[spec[0]]}"
+        return f"F_{_cell(wl, spec)[0]}"
     if wl.name == "keys_ladder":
-        kind = f"key_check_{spec[2]}" if spec[0] == "key_check" else spec[0]
-        return f"{kind} d{spec[1]}"
+        return _label(wl, _cell(wl, spec))
     return "all"
 
 
@@ -228,7 +252,42 @@ def report_retain() -> None:
                 print(f"{name:<15}{part:<24}{n:>5}{b / n:>10.0f}")
 
 
-REPORTS = {"lines": report_lines, "reach": report_reach, "retain": report_retain}
+CELL_BLOCKS = 4
+
+
+def report_cells() -> None:
+    sys.path.insert(0, str(SRC))
+    import indval as iv
+
+    wls = _load_workloads()
+    print(f"{'workload':<15}{'cell':<24}{'ops':>5}{'mean ms':>10}{'share':>8}  marks")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("finite_fields", "keys_ladder"):
+            wl = wls.WORKLOADS[name]
+            ctx = wl.setup(iv, tmp)
+            specs = wl.generate(random.Random(11), CELL_BLOCKS)
+            ops = [wl.prepare(iv, ctx, spec) for spec in specs]
+            for op in ops:  # warm the caches as a long run does
+                wl.run(iv, ctx, op)
+            cells, times = defaultdict(list), []
+            for spec, op in zip(specs, ops):
+                t0 = time.perf_counter()
+                wl.run(iv, ctx, op)
+                t = time.perf_counter() - t0
+                cells[_cell(wl, spec)].append(t)
+                times.append(t)
+            times.sort()
+            rank = max(1, math.ceil(wl.tail_percentile / 100 * len(times)))
+            # nearest ranks, so that each edge is an operation of some cell
+            edges = (("p50", statistics.median_low(times)), (f"p{wl.tail_percentile}", times[rank - 1]))
+            for cell in sorted(cells):
+                ts = cells[cell]
+                marks = " ".join(m for m, v in edges if min(ts) <= v <= max(ts))
+                share = sum(ts) / sum(times)
+                print(f"{name:<15}{_label(wl, cell):<24}{len(ts):>5}{statistics.fmean(ts) * 1e3:>10.3f}{share:>8.1%}  {marks}")
+
+
+REPORTS = {"lines": report_lines, "reach": report_reach, "retain": report_retain, "cells": report_cells}
 
 
 def main(argv=None) -> int:
