@@ -214,7 +214,7 @@ def _make_level(
         prev = levels[i - 2]
         field, root = extend_with_root(prev.field, psi)
         z_images = tuple(field.coerce(z) for z in prev.z_images) + (field.coerce(root),)
-        if field.height > prev.field.height:
+        if field is not prev.field:
             gen_lifts = prev.gen_lifts + (prev.u_poly * prev.phi**prev.e,)
         else:
             gen_lifts = prev.gen_lifts
@@ -307,16 +307,16 @@ def _rho(levels: Sequence[_Level], i: int, exps: Sequence[int]):
     same value.
     """
     top = levels[i - 1]
-    F, h = top.field, top.field.height
+    F = top.field
     vec = list(exps) + [0] * (i - len(exps))
-    acc = F._one(h)
+    acc = F._one
     for j in range(i - 1, 0, -1):
         e_j = levels[j - 1].e
         q, digit = divmod(vec[j], e_j)
         vec[j] = digit
         if q:
             zj = top.z_images[j - 1]
-            acc = F._mul(acc, F._pow(zj.data, q, h), h)
+            acc = F._mul(acc, F._pow(zj.data, q))
             for t, exp in enumerate(levels[j - 1].u_exps):
                 vec[t] -= q * exp
     return acc, vec
@@ -340,21 +340,19 @@ def _hu_mul(levels, i: int, a, b):
     unit, two HomogeneousUnits a HomogeneousUnit."""
     if isinstance(a, HomogeneousUnit):
         return _public_unit(levels, i, _hu_mul(levels, i, _int_unit(levels, i, a), _int_unit(levels, i, b)))
-    top = levels[i - 1]
-    F, h = top.field, top.field.height
+    F = levels[i - 1].field
     (Ba, ra), (Bb, rb) = a, b
     acc, _ = _rho(levels, i, [x + y for x, y in zip(_digits(levels, i, Ba), _digits(levels, i, Bb))])
-    return Ba + Bb, F._mul(F._mul(ra, rb, h), acc, h)
+    return Ba + Bb, F._mul(F._mul(ra, rb), acc)
 
 
 def _hu_pow(levels, i: int, a, k: int):
-    top = levels[i - 1]
-    F, h = top.field, top.field.height
+    F = levels[i - 1].field
     if k == 0:
-        return 0, F._one(h)
+        return 0, F._one
     B, r = a
     acc, _ = _rho(levels, i, [k * x for x in _digits(levels, i, B)])
-    return k * B, F._mul(F._pow(r, k, h), acc, h)
+    return k * B, F._mul(F._pow(r, k), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +392,23 @@ def _residue_small(levels: Sequence[_Level], i: int, a):
         kn, kd = order(n), order(d)
         return kn - kd, n // p**kn * pow(d // p**kd, -1, p) % p
     dec = _decompose(levels, i - 1, a)
-    F, h = top.field, top.field.height
-    prev = levels[i - 2]
+    F, prev = top.field, levels[i - 2]
     z = top.z_images[i - 2]
     # evaluate the level-(i-1) residual polynomial at the image of xi_{i-1};
     # non-zero because deg(a) < deg(phi_i) and phi_i is minimal at level i-1
-    acc = F._zero(h)
+    acc = F._zero
     for cdata in reversed(dec.respoly.coeffs):
-        up = F._coerce_up(cdata, prev.field.height, h)
-        acc = F._add(F._mul(acc, z.data, h), up, h)
-    if F._is_zero(acc, h):
+        acc = F._add(F._mul(acc, z.data), F._embed(cdata, prev.field))
+    if F._is_zero(acc):
         raise InvariantError(
             f"residual polynomial of {a.f} at level {i} of {top.nu.describe()} vanished at xi"
         )
     # D_i = D_{i-1} * e_{i-1}: the unit one level down, carried up
     B, r = dec.nlc
-    nlc_up = (B * prev.e, F._coerce_up(r, prev.field.height, h))
+    nlc_up = (B * prev.e, F._embed(r, prev.field))
     q_part = _hu_mono(levels, i, [0] * (i - 1) + [dec.s])
     B, r = _hu_mul(levels, i, nlc_up, q_part)
-    return B, F._mul(r, acc, h)
+    return B, F._mul(r, acc)
 
 
 def _decompose(levels: Sequence[_Level], i: int, ex: _Expansion) -> _Decomp:
@@ -590,14 +586,16 @@ def _mulred(nu: InductiveValuation, a: Poly, b: Poly) -> Poly:
     return prod
 
 
-def _lift_data(nu: InductiveValuation, levels, data, h: int) -> Poly:
-    if h == 0:
+def _lift_data(nu: InductiveValuation, gen_lifts: Sequence[Poly], data) -> Poly:
+    """A lift of raw residue data, gen_lifts holding the lift of each stored
+    tower generator from the bottom level up to the data's own."""
+    if not gen_lifts:
         return Poly.constant(data)
-    genlift = levels[-1].gen_lifts[h - 1]
+    genlift, below = gen_lifts[-1], gen_lifts[:-1]
     acc = Poly.zero()
     power = Poly.one()
     for cdata in data:
-        sub = _lift_data(nu, levels, cdata, h - 1)
+        sub = _lift_data(nu, below, cdata)
         if not sub.is_zero:
             acc = acc + _mulred(nu, sub, power)
         power = _mulred(nu, power, genlift)
@@ -619,7 +617,7 @@ def _unit_lift(nu: InductiveValuation, levels: Sequence[_Level], u) -> Poly:
     """:func:`unit_lift` of an integer unit at the top level."""
     r = nu.length
     B, zeta = u
-    w = _lift_data(nu, levels, zeta, levels[-1].field.height)
+    w = _lift_data(nu, levels[-1].gen_lifts, zeta)
     out = _mulred(nu, w, nu.monomial_from_exps(_digits(levels, r, B)))
     back = _residue_small(levels, r, _expand(levels, r, out).argmin[0])
     if back != (B, zeta):

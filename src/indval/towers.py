@@ -5,20 +5,22 @@ irreducible modulus over the field below it.  Degree-1 moduli are admitted by
 :func:`tower_extend` but collapse, so a stored tower is always presented
 minimally (every stored level has degree >= 2).
 
-Raw element data is nested: an element of the bottom field is an int in
-[0, p); an element at level h is a fixed-length tuple (length = degree of the
-level-h modulus) of level-(h-1) data, constant coefficient first.  Equality of
-elements is equality of representations.  A ``TowerPoly`` takes its
-coefficient data from a bounded cache, so equal coefficients of different
-polynomials may be one object.
+Each level of a tower is its own :class:`TowerField`, which holds ``sub``,
+the field one level down (``None`` for F_p).  Raw element data is nested: an
+element of F_p is an int in [0, p); an element of a field over ``sub`` is a
+fixed-length tuple (length = degree of its modulus) of ``sub`` data, constant
+coefficient first.  Equality of elements is equality of representations.  A
+``TowerPoly`` takes its coefficient data from a bounded cache, so equal
+coefficients of different polynomials may be one object.
 
 Polynomials over F_p run on one integer kernel (the ``_k*`` routines): lists
 of ints, products summed as plain ints and reduced mod p once per
 coefficient, one inverse of a divisor's lead per division step.  It is the
-only height-0 path of the list routines ``_padd`` ... ``_frobenius_apply``,
-and an element product or inverse at level 1 is the same kernel's product,
-division or extended gcd mod the level-1 modulus.  Higher levels skip zero
-factors and reduce with the level's negated modulus, computed once per field.
+only prime-level path of the list routines ``_padd`` ... ``_frobenius_apply``,
+and an element product or inverse one level above F_p is the same kernel's
+product, division or extended gcd mod that level's modulus.  Higher levels
+skip zero factors and reduce with the level's negated modulus, computed once
+per field.
 
 Factoring is squarefree decomposition, then the distinct-degree split, then
 Cantor-Zassenhaus on each product of same-degree factors.  The q-power map on
@@ -32,7 +34,6 @@ from __future__ import annotations
 import json
 import random
 from functools import lru_cache
-from math import prod
 from typing import List, Optional, Sequence, Tuple
 
 from .basefield import _power, _terms
@@ -41,29 +42,35 @@ from .values import _check_digits
 
 
 class TowerField:
-    """An explicit finite-field tower over F_p."""
+    """One level of an explicit finite-field tower over F_p.
 
-    __slots__ = ("p", "moduli", "_zeros", "_ones", "_negmods")
+    ``sub`` is the field one level down (``None`` for F_p itself), and
+    ``moduli[-1]`` is this level's modulus over it.  Each field holds its own
+    raw zero and one and the negated low coefficients of its modulus; the
+    element routines work on the field they are given and recurse through
+    ``sub``.
+    """
+
+    __slots__ = ("p", "moduli", "sub", "degree", "order", "_zero", "_one", "_negmod")
 
     def __init__(self, p: int, moduli: Sequence[tuple] = ()):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "moduli", tuple(tuple(m) for m in moduli))
-        # the raw zero and one at every height, built once and shared
-        zeros, ones = [0], [1 % p]
-        for m in self.moduli:
-            k = len(m) - 1
-            zeros.append((zeros[-1],) * k)
-            ones.append((ones[-1],) + (zeros[-2],) * (k - 1))
-        object.__setattr__(self, "_zeros", tuple(zeros))
-        object.__setattr__(self, "_ones", tuple(ones))
-        for h, m in enumerate(self.moduli):
+        moduli = tuple(tuple(m) for m in moduli)
+        if moduli:
+            sub = TowerField(p, moduli[:-1])
+            m = moduli[-1]
             if len(m) < 3:
                 raise DomainError("stored tower moduli must have degree >= 2")
-            if not self._is_one(m[-1], h):
+            if not sub._is_one(m[-1]):
                 raise DomainError("tower moduli must be monic")
-        # -m_j, j < deg m, of each level modulus m: y^k = sum_j (-m_j) y^j
-        negmods = tuple(tuple(self._neg(c, h) for c in m[:-1]) for h, m in enumerate(self.moduli))
-        object.__setattr__(self, "_negmods", negmods)
+            k = len(m) - 1
+            degree, zero, one = sub.degree * k, (sub._zero,) * k, (sub._one,) + (sub._zero,) * (k - 1)
+            # -m_j, j < k, of the modulus m: y^k = sum_j (-m_j) y^j
+            negmod = tuple(sub._neg(c) for c in m[:-1])
+        else:
+            sub, degree, zero, one, negmod = None, 1, 0, 1 % p, ()
+        slots = (p, moduli, sub, degree, p**degree, zero, one, negmod)  # as in __slots__
+        for name, value in zip(self.__slots__, slots):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TowerField is immutable")
@@ -82,84 +89,70 @@ class TowerField:
     def height(self) -> int:
         return len(self.moduli)
 
-    @property
-    def degree(self) -> int:
-        return prod(len(m) - 1 for m in self.moduli)
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.degree
-
-    def order_at(self, h: int) -> int:
-        return self.p ** prod(len(m) - 1 for m in self.moduli[:h])
-
     def describe(self) -> str:
-        out = f"F_{self.p}"
-        for i, m in enumerate(self.moduli, 1):
-            mod = _poly_str(self, i - 1, list(m), var=f"z{i}")
-            out += f"[z{i}]/({mod})"
-        return out
+        if self.sub is None:
+            return f"F_{self.p}"
+        z = f"z{self.height}"
+        return f"{self.sub.describe()}[{z}]/({_poly_str(self.sub, list(self.moduli[-1]), var=z)})"
 
     def __repr__(self):
         return f"TowerField({self.describe()})"
 
-    # -- raw element arithmetic at height h --------------------------------
+    # -- raw element arithmetic ----------------------------------------------
 
-    def _zero(self, h: int):
-        return self._zeros[h]
-
-    def _one(self, h: int):
-        return self._ones[h]
-
-    def _is_zero(self, a, h: int) -> bool:
+    def _is_zero(self, a) -> bool:
         # element data is canonical: one comparison with the shared zero
-        return a == self._zeros[h]
+        return a == self._zero
 
-    def _is_one(self, a, h: int) -> bool:
-        return a == self._ones[h]
+    def _is_one(self, a) -> bool:
+        return a == self._one
 
-    def _add(self, a, b, h: int):
-        if h == 0:
+    def _add(self, a, b):
+        sub = self.sub
+        if sub is None:
             return (a + b) % self.p
-        if h == 1:
+        if sub.sub is None:
             p = self.p
             return tuple([(x + y) % p for x, y in zip(a, b)])
-        add = self._add
-        return tuple([add(x, y, h - 1) for x, y in zip(a, b)])
+        add = sub._add
+        return tuple([add(x, y) for x, y in zip(a, b)])
 
-    def _neg(self, a, h: int):
-        if h == 0:
+    def _neg(self, a):
+        sub = self.sub
+        if sub is None:
             return (-a) % self.p
-        neg = self._neg
-        return tuple([neg(x, h - 1) for x in a])
+        neg = sub._neg
+        return tuple([neg(x) for x in a])
 
-    def _sub(self, a, b, h: int):
-        if h == 0:
+    def _sub(self, a, b):
+        sub = self.sub
+        if sub is None:
             return (a - b) % self.p
-        if h == 1:
+        if sub.sub is None:
             p = self.p
             return tuple([(x - y) % p for x, y in zip(a, b)])
-        sub = self._sub
-        return tuple([sub(x, y, h - 1) for x, y in zip(a, b)])
+        subtract = sub._sub
+        return tuple([subtract(x, y) for x, y in zip(a, b)])
 
-    def _mul(self, a, b, h: int):
-        if h == 0:
+    def _mul(self, a, b):
+        sub = self.sub
+        if sub is None:
             return (a * b) % self.p
-        negm = self._negmods[h - 1]
+        negm = self._negmod
         k = len(negm)
-        if h == 1:
+        if sub.sub is None:
             p, r = self.p, _kconv(a, b)
             _kdivide(p, r, negm, 1)
             return tuple([c % p for c in r[:k]])
-        z = self._zeros[h - 1]
-        add, mul = self._add, self._mul
+        z = sub._zero
+        add, mul = sub._add, sub._mul
         prod = [z] * (2 * k - 1)
         for i, x in enumerate(a):
             if x == z:
                 continue
             for j, y in enumerate(b, i):
                 if y != z:
-                    prod[j] = add(prod[j], mul(x, y, h - 1), h - 1)
+                    prod[j] = add(prod[j], mul(x, y))
         # reduce with y^k = sum_j (-m_j) y^j, highest power first
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i]
@@ -167,73 +160,71 @@ class TowerField:
                 continue
             for j, n in enumerate(negm, i - k):
                 if n != z:
-                    prod[j] = add(prod[j], mul(c, n, h - 1), h - 1)
+                    prod[j] = add(prod[j], mul(c, n))
         return tuple(prod[:k])
 
-    def _inv(self, a, h: int):
-        if self._is_zero(a, h):
+    def _inv(self, a):
+        if self._is_zero(a):
             raise DomainError("inverse of zero")
-        if h == 0:
+        sub = self.sub
+        if sub is None:
             return pow(a, -1, self.p)
-        # extended Euclid of a against the level modulus, over the sublevel
-        s, d = _pgcdex(self, h - 1, list(a), list(self.moduli[h - 1]))
+        # extended Euclid of a against the modulus, over the sublevel
+        s, d = _pgcdex(sub, list(a), list(self.moduli[-1]))
         if len(d) != 1:  # a non-constant gcd: the modulus is reducible
-            raise InvariantError(f"modulus {h} of {self.describe()} is not irreducible")
-        return tuple(s + [self._zeros[h - 1]] * (len(a) - len(s)))
+            raise InvariantError(f"the top modulus of {self.describe()} is not irreducible")
+        return tuple(s + [sub._zero] * (len(a) - len(s)))
 
-    def _pow(self, a, n: int, h: int):
+    def _pow(self, a, n: int):
         if n < 0:
-            return self._pow(self._inv(a, h), -n, h)
-        return _power(a, n, lambda x, y: self._mul(x, y, h), self._one(h))
+            return self._pow(self._inv(a), -n)
+        return _power(a, n, self._mul, self._one)
 
-    def _coerce_up(self, a, from_h: int, to_h: int):
-        data = a
-        for h in range(from_h + 1, to_h + 1):
-            k = len(self.moduli[h - 1]) - 1
-            data = (data,) + tuple(self._zero(h - 1) for _ in range(k - 1))
-        return data
+    def _embed(self, a, prefix: "TowerField"):
+        """The data a of an element of prefix, this field or one below it, as
+        data here: the constant coefficient at each level in between."""
+        if self.height == prefix.height:
+            return a
+        sub = self.sub
+        return (sub._embed(a, prefix),) + (sub._zero,) * (len(self._negmod) - 1)
 
-    def _from_index(self, idx: int, h: int):
-        """Deterministic bijection [0, order_at(h)) -> elements at height h.
+    def _from_index(self, idx: int):
+        """Deterministic bijection [0, order) -> elements.
 
-        The constant coefficient is the least-significant digit.
+        The digits of idx in base sub.order, least significant first, are the
+        indices of the coefficients in ``sub``, constant coefficient first.
         """
-        if h == 0:
+        sub = self.sub
+        if sub is None:
             return idx % self.p
-        sub = self.order_at(h - 1)
-        k = len(self.moduli[h - 1]) - 1
         digits = []
-        for _ in range(k):
-            digits.append(self._from_index(idx % sub, h - 1))
-            idx //= sub
+        for _ in self._negmod:
+            digits.append(sub._from_index(idx % sub.order))
+            idx //= sub.order
         return tuple(digits)
 
     # -- public element API --------------------------------------------------
 
     def zero(self) -> "TowerElem":
-        return TowerElem(self, self._zero(self.height))
+        return TowerElem(self, self._zero)
 
     def one(self) -> "TowerElem":
-        return TowerElem(self, self._one(self.height))
+        return TowerElem(self, self._one)
 
     def from_int(self, n: int) -> "TowerElem":
-        return TowerElem(self, self._coerce_up(n % self.p, 0, self.height))
+        return TowerElem(self, self._obj_to_data(n))
 
     def from_index(self, idx: int) -> "TowerElem":
         if not 0 <= idx < self.order:
             raise DomainError("element index out of range")
-        return TowerElem(self, self._from_index(idx, self.height))
+        return TowerElem(self, self._from_index(idx))
 
     def generator(self) -> "TowerElem":
         """The class of the top-level modulus variable; the bottom field has 1."""
-        if self.height == 0:
+        sub = self.sub
+        if sub is None:
             return self.one()
-        h = self.height
-        k = len(self.moduli[h - 1]) - 1
-        data = (self._zero(h - 1), self._one(h - 1)) + tuple(
-            self._zero(h - 1) for _ in range(k - 2)
-        )
-        return TowerElem(self, data)
+        return TowerElem(self, (sub._zero, sub._one) + (sub._zero,) * (len(self._negmod) - 2))
 
     def coerce(self, x) -> "TowerElem":
         """Coerce an int or an element of a prefix tower into this field."""
@@ -243,9 +234,7 @@ class TowerField:
             if x.field == self:
                 return x
             if x.field.p == self.p and x.field.moduli == self.moduli[: x.field.height]:
-                return TowerElem(
-                    self, self._coerce_up(x.data, x.field.height, self.height)
-                )
+                return TowerElem(self, self._embed(x.data, x.field))
             raise DomainError("element does not belong to a prefix of this tower")
         raise DomainError(f"cannot coerce {x!r} into {self!r}")
 
@@ -260,24 +249,22 @@ class TowerField:
             obj = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
             raise ParseError(f"cannot parse tower element {text!r}: {exc}") from None
-        if isinstance(obj, int):
-            return self.from_int(obj)
-        return TowerElem(self, self._obj_to_data(obj, self.height))
+        return TowerElem(self, self._obj_to_data(obj))
 
-    def _obj_to_data(self, obj, h: int):
+    def _obj_to_data(self, obj):
+        sub = self.sub
         if isinstance(obj, int):
-            if h == 0:
-                return obj % self.p
-            return self._coerce_up(obj % self.p, 0, h)
+            # an integer is the constant coefficient over the level below
+            return obj % self.p if sub is None else self._embed(sub._obj_to_data(obj), sub)
         if not isinstance(obj, list):
             raise ParseError(f"bad tower element component {obj!r}")
-        if h == 0:
+        if sub is None:
             raise ParseError("bracket nesting deeper than the tower")
-        k = len(self.moduli[h - 1]) - 1
+        k = len(self._negmod)
         if len(obj) > k:
             raise ParseError("too many coefficients for the tower level")
-        items = [self._obj_to_data(o, h - 1) for o in obj]
-        items += [self._zero(h - 1)] * (k - len(items))
+        items = [sub._obj_to_data(o) for o in obj]
+        items += [sub._zero] * (k - len(items))
         return tuple(items)
 
 
@@ -295,32 +282,32 @@ class TowerElem:
 
     @property
     def is_zero(self) -> bool:
-        return self.field._is_zero(self.data, self.field.height)
+        return self.field._is_zero(self.data)
 
     @property
     def is_one(self) -> bool:
-        return self.data == self.field._one(self.field.height)
+        return self.data == self.field._one
 
     def __add__(self, other):
         other = self.field.coerce(other)
-        return TowerElem(self.field, self.field._add(self.data, other.data, self.field.height))
+        return TowerElem(self.field, self.field._add(self.data, other.data))
 
     def __sub__(self, other):
         other = self.field.coerce(other)
-        return TowerElem(self.field, self.field._sub(self.data, other.data, self.field.height))
+        return TowerElem(self.field, self.field._sub(self.data, other.data))
 
     def __neg__(self):
-        return TowerElem(self.field, self.field._neg(self.data, self.field.height))
+        return TowerElem(self.field, self.field._neg(self.data))
 
     def __mul__(self, other):
         other = self.field.coerce(other)
-        return TowerElem(self.field, self.field._mul(self.data, other.data, self.field.height))
+        return TowerElem(self.field, self.field._mul(self.data, other.data))
 
     def inv(self) -> "TowerElem":
-        return TowerElem(self.field, self.field._inv(self.data, self.field.height))
+        return TowerElem(self.field, self.field._inv(self.data))
 
     def __pow__(self, n: int):
-        return TowerElem(self.field, self.field._pow(self.data, n, self.field.height))
+        return TowerElem(self.field, self.field._pow(self.data, n))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -355,8 +342,9 @@ def _data_str(data) -> str:
 # ch. 2-3): a polynomial is a list of ints in [0, p), constant first, with no
 # trailing zero.  Products are summed as plain ints and each coefficient is
 # reduced mod p once; a division or gcd step inverts its divisor's lead once,
-# and not at all when it is 1.  It is the only height-0 path of the routines
-# below, and level-1 element products and inverses run on it too.
+# and not at all when it is 1.  It is the only prime-level path of the
+# routines below, and element products and inverses one level above F_p run
+# on it too.
 
 
 def _ktrim(f: List[int]) -> List[int]:
@@ -453,169 +441,169 @@ def _kgcdex(p: int, f, g) -> Tuple[List[int], List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(F: TowerField, h: int, f: List) -> List:
-    while f and F._is_zero(f[-1], h):
+def _ptrim(F: TowerField, f: List) -> List:
+    while f and F._is_zero(f[-1]):
         f.pop()
     return f
 
 
-def _padd(F, h, f, g):
-    if h == 0:
+def _padd(F, f, g):
+    if F.sub is None:
         return _kadd(F.p, f, g)
     n = max(len(f), len(g))
     out = []
     for i in range(n):
-        a = f[i] if i < len(f) else F._zero(h)
-        b = g[i] if i < len(g) else F._zero(h)
-        out.append(F._add(a, b, h))
-    return _ptrim(F, h, out)
+        a = f[i] if i < len(f) else F._zero
+        b = g[i] if i < len(g) else F._zero
+        out.append(F._add(a, b))
+    return _ptrim(F, out)
 
 
-def _psub(F, h, f, g):
-    if h == 0:
+def _psub(F, f, g):
+    if F.sub is None:
         return _ksub(F.p, f, g)
-    return _padd(F, h, f, [F._neg(c, h) for c in g])
+    return _padd(F, f, [F._neg(c) for c in g])
 
 
-def _pmul(F, h, f, g):
-    if h == 0:
+def _pmul(F, f, g):
+    if F.sub is None:
         return _kmul(F.p, f, g)
     if not f or not g:
         return []
-    out = [F._zero(h)] * (len(f) + len(g) - 1)
+    out = [F._zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if F._is_zero(a, h):
+        if F._is_zero(a):
             continue
         for j, b in enumerate(g):
-            out[i + j] = F._add(out[i + j], F._mul(a, b, h), h)
-    return _ptrim(F, h, out)
+            out[i + j] = F._add(out[i + j], F._mul(a, b))
+    return _ptrim(F, out)
 
 
-def _pdivmod(F, h, f, g):
+def _pdivmod(F, f, g):
     """(quotient, remainder) of f by g; a monic g needs no inverse."""
     if not g:
         raise DomainError("polynomial division by zero")
-    if h == 0:
+    if F.sub is None:
         return _kdivmod(F.p, f, g)
-    lead_inv = None if F._is_one(g[-1], h) else F._inv(g[-1], h)
+    lead_inv = None if F._is_one(g[-1]) else F._inv(g[-1])
     r = list(f)
     dg = len(g) - 1
-    q = [F._zero(h)] * max(len(r) - dg, 0)
+    q = [F._zero] * max(len(r) - dg, 0)
     low = g[:dg]
     for i in range(len(r) - dg - 1, -1, -1):
-        c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv, h)
-        if F._is_zero(c, h):
+        c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv)
+        if F._is_zero(c):
             continue
         q[i] = c
         for j, b in enumerate(low, i):
-            r[j] = F._sub(r[j], F._mul(c, b, h), h)
-    return _ptrim(F, h, q), _ptrim(F, h, r[:dg])
+            r[j] = F._sub(r[j], F._mul(c, b))
+    return _ptrim(F, q), _ptrim(F, r[:dg])
 
 
-def _pmonic(F, h, f):
-    if h == 0:
+def _pmonic(F, f):
+    if F.sub is None:
         return _kmonic(F.p, f)
     if not f:
         return f
-    if F._is_one(f[-1], h):
+    if F._is_one(f[-1]):
         return list(f)
-    li = F._inv(f[-1], h)
-    return [F._mul(c, li, h) for c in f]
+    li = F._inv(f[-1])
+    return [F._mul(c, li) for c in f]
 
 
-def _pgcd(F, h, f, g):
-    if h == 0:
+def _pgcd(F, f, g):
+    if F.sub is None:
         return _kgcd(F.p, f, g)
     a, b = list(f), list(g)
     while b:
-        _, r = _pdivmod(F, h, a, b)
+        _, r = _pdivmod(F, a, b)
         a, b = b, r
-    return _pmonic(F, h, a)
+    return _pmonic(F, a)
 
 
-def _pgcdex(F, h, f, g):
+def _pgcdex(F, f, g):
     """(s, d): d the monic gcd of f and g, not both zero, and s*f = d mod g."""
-    if h == 0:
+    if F.sub is None:
         return _kgcdex(F.p, f, g)
-    r0, r1 = list(g), _ptrim(F, h, list(f))
-    s0, s1 = [], [F._one(h)]
+    r0, r1 = list(g), _ptrim(F, list(f))
+    s0, s1 = [], [F._one]
     while r1:
-        q, r = _pdivmod(F, h, r0, r1)
+        q, r = _pdivmod(F, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _psub(F, h, s0, _pmul(F, h, q, s1))
-    li = F._inv(r0[-1], h)
-    return [F._mul(c, li, h) for c in s0], [F._mul(c, li, h) for c in r0]
+        s0, s1 = s1, _psub(F, s0, _pmul(F, q, s1))
+    li = F._inv(r0[-1])
+    return [F._mul(c, li) for c in s0], [F._mul(c, li) for c in r0]
 
 
-def _ppowmod(F, h, f, n: int, m):
+def _ppowmod(F, f, n: int, m):
     return _power(
-        _pdivmod(F, h, f, m)[1],
+        _pdivmod(F, f, m)[1],
         n,
-        lambda a, b: _pdivmod(F, h, _pmul(F, h, a, b), m)[1],
-        [F._one(h)],
+        lambda a, b: _pdivmod(F, _pmul(F, a, b), m)[1],
+        [F._one],
     )
 
 
-def _frobenius_rows(F, h, m):
+def _frobenius_rows(F, m):
     """The rows y^(jq) mod m, j < deg m, of the q-power map on F_q[y]/(m).
 
     The map is F_q-linear, so g^q mod m is sum_j g_j * row_j (von zur
     Gathen-Gerhard, Modern Computer Algebra, ch. 14).  One powering of y
     builds every row.
     """
-    yq = _ppowmod(F, h, [F._zero(h), F._one(h)], F.order, m)
-    rows = [[F._one(h)]]
+    yq = _ppowmod(F, [F._zero, F._one], F.order, m)
+    rows = [[F._one]]
     for _ in range(len(m) - 2):
-        rows.append(_pdivmod(F, h, _pmul(F, h, rows[-1], yq), m)[1])
+        rows.append(_pdivmod(F, _pmul(F, rows[-1], yq), m)[1])
     return rows
 
 
-def _frobenius_apply(F, h, rows, g):
+def _frobenius_apply(F, rows, g):
     """g^q mod m for g reduced mod m, from the rows of m."""
-    if h == 0:
+    if F.sub is None:
         out = [0] * len(rows)
         for c, row in zip(g, rows):
             if c:
                 for i, r in enumerate(row):
                     out[i] += c * r
         return _ktrim([c % F.p for c in out])
-    out = [F._zero(h)] * len(rows)
+    out = [F._zero] * len(rows)
     for c, row in zip(g, rows):
-        if F._is_zero(c, h):
+        if F._is_zero(c):
             continue
         for i, r in enumerate(row):
-            out[i] = F._add(out[i], F._mul(c, r, h), h)
-    return _ptrim(F, h, out)
+            out[i] = F._add(out[i], F._mul(c, r))
+    return _ptrim(F, out)
 
 
-def _pderiv(F, h, f):
-    if h == 0:
+def _pderiv(F, f):
+    if F.sub is None:
         return _ktrim([i * c % F.p for i, c in enumerate(f)][1:])
     out = []
     for i in range(1, len(f)):
         # i * c by repeated addition; only i mod p matters in characteristic p
-        acc = F._zero(h)
+        acc = F._zero
         for _ in range(i % F.p):
-            acc = F._add(acc, f[i], h)
+            acc = F._add(acc, f[i])
         out.append(acc)
-    return _ptrim(F, h, out)
+    return _ptrim(F, out)
 
 
-def _poly_str(F: TowerField, h: int, f: List, var: str = "y") -> str:
-    f = _ptrim(F, h, list(f))
+def _poly_str(F: TowerField, f: List, var: str = "y") -> str:
+    f = _ptrim(F, list(f))
     if not f:
         return "0"
     parts = []
     for k in range(len(f) - 1, -1, -1):
         c = f[k]
-        if F._is_zero(c, h):
+        if F._is_zero(c):
             continue
         cs = _data_str(c)
         if k == 0:
             body = cs
         else:
             xs = var if k == 1 else f"{var}^{k}"
-            body = xs if F._is_one(c, h) else f"{cs}*{xs}"
+            body = xs if F._is_one(c) else f"{cs}*{xs}"
         parts.append(body)
     return " + ".join(parts)
 
@@ -650,7 +638,7 @@ class TowerPoly:
                 data.append(field.from_int(c).data)
             else:
                 data.append(c)
-        data = _ptrim(field, field.height, data)
+        data = _ptrim(field, data)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple([_shared_data(c) for c in data]))
 
@@ -698,7 +686,7 @@ class TowerPoly:
 
     @property
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.field._is_one(self.coeffs[0], self.field.height)
+        return len(self.coeffs) == 1 and self.field._is_one(self.coeffs[0])
 
     @property
     def is_constant(self) -> bool:
@@ -706,7 +694,7 @@ class TowerPoly:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.field._is_one(self.coeffs[-1], self.field.height)
+        return bool(self.coeffs) and self.field._is_one(self.coeffs[-1])
 
     def coeff(self, k: int) -> TowerElem:
         if 0 <= k < len(self.coeffs):
@@ -730,24 +718,24 @@ class TowerPoly:
 
     def __add__(self, other):
         self._check(other)
-        return self._wrap(_padd(self.field, self.field.height, self._raw(), other._raw()))
+        return self._wrap(_padd(self.field, self._raw(), other._raw()))
 
     def __sub__(self, other):
         self._check(other)
-        return self._wrap(_psub(self.field, self.field.height, self._raw(), other._raw()))
+        return self._wrap(_psub(self.field, self._raw(), other._raw()))
 
     def __neg__(self):
-        F, h = self.field, self.field.height
-        return self._wrap([F._neg(c, h) for c in self.coeffs])
+        F = self.field
+        return self._wrap([F._neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
-        return self._wrap(_pmul(self.field, self.field.height, self._raw(), other._raw()))
+        return self._wrap(_pmul(self.field, self._raw(), other._raw()))
 
     def scale(self, c: TowerElem) -> "TowerPoly":
         c = self.field.coerce(c)
-        F, h = self.field, self.field.height
-        return self._wrap([F._mul(x, c.data, h) for x in self.coeffs])
+        F = self.field
+        return self._wrap([F._mul(x, c.data) for x in self.coeffs])
 
     def __pow__(self, n: int) -> "TowerPoly":
         if n < 0:
@@ -756,7 +744,7 @@ class TowerPoly:
 
     def divmod(self, other: "TowerPoly") -> Tuple["TowerPoly", "TowerPoly"]:
         self._check(other)
-        q, r = _pdivmod(self.field, self.field.height, self._raw(), other._raw())
+        q, r = _pdivmod(self.field, self._raw(), other._raw())
         return self._wrap(q), self._wrap(r)
 
     def __mod__(self, other):
@@ -780,7 +768,7 @@ class TowerPoly:
         return hash((self.field, self.coeffs))
 
     def __str__(self):
-        return _poly_str(self.field, self.field.height, self._raw())
+        return _poly_str(self.field, self._raw())
 
     def __repr__(self):
         return f"TowerPoly({self})"
@@ -866,58 +854,58 @@ def ff_is_irreducible(psi: TowerPoly) -> bool:
     n = psi.degree
     if n == 1:
         return True
-    F, h = psi.field, psi.field.height
-    f = _pmonic(F, h, psi._raw())
-    y = [F._zero(h), F._one(h)]
-    rows = _frobenius_rows(F, h, f)
+    F = psi.field
+    f = _pmonic(F, psi._raw())
+    y = [F._zero, F._one]
+    rows = _frobenius_rows(F, f)
     frobs = [y]  # frobs[i] = y^(q^i) mod f
     for _ in range(n):
-        frobs.append(_frobenius_apply(F, h, rows, frobs[-1]))
-    if _psub(F, h, frobs[n], y):
+        frobs.append(_frobenius_apply(F, rows, frobs[-1]))
+    if _psub(F, frobs[n], y):
         return False
     for ell in _prime_factors(n):
-        diff = _psub(F, h, frobs[n // ell], y)
-        g = _pgcd(F, h, diff, f)
+        diff = _psub(F, frobs[n // ell], y)
+        g = _pgcd(F, diff, f)
         if len(g) != 1:
             return False
     return True
 
 
-def _pth_root(F: TowerField, h: int, f: List) -> List:
+def _pth_root(F: TowerField, f: List) -> List:
     """Exact p-th root of f(y) = g(y^p); coefficients map c -> c^(q/p)."""
     p = F.p
-    q = F.order_at(h)
+    q = F.order
     out = []
     for i in range(0, len(f), p):
-        out.append(F._pow(f[i], q // p, h))
-    return _ptrim(F, h, out)
+        out.append(F._pow(f[i], q // p))
+    return _ptrim(F, out)
 
 
-def _squarefree_decomposition(F, h, f) -> List[Tuple[List, int]]:
+def _squarefree_decomposition(F, f) -> List[Tuple[List, int]]:
     out: List[Tuple[List, int]] = []
-    deriv = _pderiv(F, h, f)
+    deriv = _pderiv(F, f)
     if not deriv:
-        for g, m in _squarefree_decomposition(F, h, _pth_root(F, h, f)):
+        for g, m in _squarefree_decomposition(F, _pth_root(F, f)):
             out.append((g, m * F.p))
         return out
-    c = _pgcd(F, h, f, deriv)
-    w = _pdivmod(F, h, f, c)[0]
+    c = _pgcd(F, f, deriv)
+    w = _pdivmod(F, f, c)[0]
     i = 1
     while len(w) > 1:
-        y = _pgcd(F, h, w, c)
-        z = _pdivmod(F, h, w, y)[0]
+        y = _pgcd(F, w, c)
+        z = _pdivmod(F, w, y)[0]
         if len(z) > 1:
             out.append((z, i))
         w = y
-        c = _pdivmod(F, h, c, y)[0]
+        c = _pdivmod(F, c, y)[0]
         i += 1
     if len(c) > 1:
-        for g, m in _squarefree_decomposition(F, h, _pth_root(F, h, c)):
+        for g, m in _squarefree_decomposition(F, _pth_root(F, c)):
             out.append((g, m * F.p))
     return out
 
 
-def _distinct_degree(F, h, f) -> List[Tuple[List, int, List[List]]]:
+def _distinct_degree(F, f) -> List[Tuple[List, int, List[List]]]:
     """Split a monic squarefree f into (g, d, rows): g the product of the
     irreducible factors of f of degree d, and rows the Frobenius rows of a
     multiple of g (see :func:`_frobenius_rows`), which :func:`_equal_degree`
@@ -927,34 +915,34 @@ def _distinct_degree(F, h, f) -> List[Tuple[List, int, List[List]]]:
     cofactor.
     """
     out = []
-    y = [F._zero(h), F._one(h)]
+    y = [F._zero, F._one]
     cur = list(f)
-    rows = _frobenius_rows(F, h, cur) if len(cur) > 2 else []
+    rows = _frobenius_rows(F, cur) if len(cur) > 2 else []
     frob = y
     d = 0
     # once cur has no factor of degree <= d, a degree below 2(d + 1) makes it
     # irreducible
     while len(cur) - 1 >= 2 * (d + 1):
         d += 1
-        frob = _frobenius_apply(F, h, rows, frob)
-        g = _pgcd(F, h, _psub(F, h, frob, y), cur)
+        frob = _frobenius_apply(F, rows, frob)
+        g = _pgcd(F, _psub(F, frob, y), cur)
         if len(g) > 1:
             out.append((g, d, rows))
-            cur = _pdivmod(F, h, cur, g)[0]
-            frob = _pdivmod(F, h, frob, cur)[1]
-            rows = [_pdivmod(F, h, row, cur)[1] for row in rows[: len(cur) - 1]]
+            cur = _pdivmod(F, cur, g)[0]
+            frob = _pdivmod(F, frob, cur)[1]
+            rows = [_pdivmod(F, row, cur)[1] for row in rows[: len(cur) - 1]]
     if len(cur) > 1:
         out.append((cur, len(cur) - 1, rows))
     return out
 
 
-def _random_poly(F: TowerField, h: int, deg: int, rng) -> List:
-    order = F.order_at(h)
-    coeffs = [F._from_index(rng.randrange(order), h) for _ in range(deg)]
-    return _ptrim(F, h, coeffs)
+def _random_poly(F: TowerField, deg: int, rng) -> List:
+    order = F.order
+    coeffs = [F._from_index(rng.randrange(order)) for _ in range(deg)]
+    return _ptrim(F, coeffs)
 
 
-def _equal_degree(F, h, f, d: int, rng, rows) -> List[List]:
+def _equal_degree(F, rows, f, d: int, rng) -> List[List]:
     """Cantor-Zassenhaus split of a monic product f of degree-d irreducibles.
 
     rows are the Frobenius rows of a multiple of f.  Each trial draws r of
@@ -972,32 +960,32 @@ def _equal_degree(F, h, f, d: int, rng, rows) -> List[List]:
         return [f]
     q = F.order
     if F.p == 2:
-        rows = [_pdivmod(F, h, row, f)[1] for row in rows[:n]]
+        rows = [_pdivmod(F, row, f)[1] for row in rows[:n]]
     while True:
-        r = _random_poly(F, h, n, rng)
+        r = _random_poly(F, n, rng)
         if len(r) <= 1:
             continue
-        g = _pgcd(F, h, r, f)
+        g = _pgcd(F, r, f)
         if 1 < len(g) < len(f):
             u = g
         else:
             if F.p == 2:
                 t = acc = r
                 for _ in range(d - 1):
-                    t = _frobenius_apply(F, h, rows, t)
-                    acc = _padd(F, h, acc, t)
+                    t = _frobenius_apply(F, rows, t)
+                    acc = _padd(F, acc, t)
                 t = acc
                 for _ in range(q.bit_length() - 2):
-                    t = _ppowmod(F, h, t, 2, f)
-                    acc = _padd(F, h, acc, t)
-                u = _pgcd(F, h, acc, f)
+                    t = _ppowmod(F, t, 2, f)
+                    acc = _padd(F, acc, t)
+                u = _pgcd(F, acc, f)
             else:
-                t = _ppowmod(F, h, r, (q**d - 1) // 2, f)
-                u = _pgcd(F, h, _psub(F, h, t, [F._one(h)]), f)
+                t = _ppowmod(F, r, (q**d - 1) // 2, f)
+                u = _pgcd(F, _psub(F, t, [F._one]), f)
             if not (1 < len(u) < len(f)):
                 continue
-        rest = _pdivmod(F, h, f, u)[0]
-        return _equal_degree(F, h, u, d, rng, rows) + _equal_degree(F, h, rest, d, rng, rows)
+        rest = _pdivmod(F, f, u)[0]
+        return _equal_degree(F, rows, u, d, rng) + _equal_degree(F, rows, rest, d, rng)
 
 
 @lru_cache(maxsize=4096)
@@ -1019,16 +1007,16 @@ def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
     if psi.is_zero or psi.is_constant:
         raise DomainError("factorization is asked of non-constant polynomials")
     _check_ff_work(psi)
-    F, h = psi.field, psi.field.height
+    F = psi.field
     rng = None  # built at the first equal-degree split that draws a trial
-    work = _pmonic(F, h, psi._raw())
+    work = _pmonic(F, psi._raw())
     out: List[Tuple[TowerPoly, int]] = []
-    for sqf, mult in _squarefree_decomposition(F, h, work):
-        for prod, d, rows in _distinct_degree(F, h, sqf):
+    for sqf, mult in _squarefree_decomposition(F, work):
+        for prod, d, rows in _distinct_degree(F, sqf):
             if rng is None and len(prod) - 1 > d:
                 rng = random.Random(seed)
-            for irr in _equal_degree(F, h, prod, d, rng, rows):
-                out.append(_shared_factor(F, tuple(_pmonic(F, h, irr)), mult))
+            for irr in _equal_degree(F, rows, prod, d, rng):
+                out.append(_shared_factor(F, tuple(_pmonic(F, irr)), mult))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 

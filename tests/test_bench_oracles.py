@@ -90,7 +90,7 @@ def test_every_boundary_resolves():
 
 def test_split_and_key_counters_read_their_arguments(nu2):
     """The counters of ``layers._POST_HOOKS`` read a boundary's arguments by
-    position (``_count_split`` takes f and d from ``_equal_degree(F, h, f, d,
+    position (``_count_split`` takes f and d from ``_equal_degree(F, rows, f, d,
     rng)``), so a changed signature must fail here, not only in traced runs."""
     import indval.cli  # noqa: F401  (every module the boundaries name)
 

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from collections import Counter
 
@@ -150,6 +152,53 @@ class TestArith:
             assert F4.parse_elem(str(a)) == a
 
 
+def _index_of(data, p, degrees):
+    """The index of raw element data by the nested digit rule: the sum of
+    index(c_j) * |sub|^j over its coefficients c_j, for a tower over F_p
+    with the given level degrees, bottom first."""
+    if not degrees:
+        return data
+    sub_order = p ** math.prod(degrees[:-1])
+    assert len(data) == degrees[-1]
+    return sum(_index_of(c, p, degrees[:-1]) * sub_order**j for j, c in enumerate(data))
+
+
+class TestElementOrder:
+    """from_index is a fixed bijection: index = sum_j d_j * |sub|^j, d_j the
+    index in the level below of coefficient j, constant coefficient first.
+    The goldens and the order of enumerate_keys rest on it."""
+
+    def test_height_one(self, F4):
+        assert [str(F4.from_index(i)) for i in range(4)] == ["[0, 0]", "[1, 0]", "[0, 1]", "[1, 1]"]
+
+    def test_height_two(self, F4, F16):
+        assert F16.height == 2
+        for i in range(16):
+            a = F16.from_index(i)
+            assert _index_of(a.data, 2, [2, 2]) == i
+            assert a == F16.coerce(F4.from_index(i % 4)) + F16.generator() * F16.coerce(F4.from_index(i // 4))
+        assert str(F16.from_index(6)) == "[[0, 1], [1, 0]]"
+
+    def test_height_three(self):
+        # the order-256 tower of test_field_axioms_random
+        F2 = TowerField(2)
+        F4 = tower_extend(F2, TowerPoly.parse(F2, "y^2+y+1"))
+        F16 = tower_extend(F4, TowerPoly.parse(F4, "y^2+y+[0,1]"))
+        F256 = tower_extend(F16, _first_irreducible(F16, 2))
+        assert (F256.height, F256.order) == (3, 256)
+        assert [_index_of(F256.from_index(i).data, 2, [2, 2, 2]) for i in range(256)] == list(range(256))
+        # 200 = 8 + 12 * 16, and 8 = 0 + 2 * 4, 12 = 0 + 3 * 4
+        assert str(F256.from_index(200)) == "[[[0, 0], [0, 1]], [[0, 0], [1, 1]]]"
+
+    def test_monic_irreducibles_order(self, F16):
+        names = [str(psi) for psi in monic_irreducibles(F16, 2)]
+        assert len(names) == 16 + 120
+        assert names[:3] == ["y", "y + [[1, 0], [0, 0]]", "y + [[0, 1], [0, 0]]"]
+        assert names[16:18] == ["y^2 + y + [[0, 0], [0, 1]]", "y^2 + y + [[1, 0], [0, 1]]"]
+        digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        assert digest == "ebf05ed1e2412c31301abd1de009073feeba5300c1ac2eff26035fb5379e5558"
+
+
 def _trial_division_irreducible(psi: TowerPoly) -> bool:
     """Brute-force oracle: no monic divisor of degree 1..deg/2."""
     F = psi.field
@@ -253,6 +302,21 @@ class TestFactor:
                     got = ff_factor(psi, rng.randrange(1000))
                     assert sorted(str(g) for g, _m in got) == sorted(map(str, irr))
                     assert all(m == 1 for _g, m in got)
+
+    def test_printed_factors_digest(self, F2, F3, F4, F8, F9, F16):
+        # seeded inputs, a third of them with a squared or p-th power
+        # factor; the digest pins the printed factors and multiplicities
+        rng = random.Random(2101)
+        lines = []
+        for F, top in ((F2, 12), (F3, 12), (F4, 9), (F8, 7), (F9, 7), (F16, 5)):
+            for k in range(40):
+                psi = _random_monic(F, rng.randrange(1, top + 1), rng)
+                if k % 3 == 0:
+                    psi = psi * _random_monic(F, rng.randrange(1, 3), rng) ** rng.choice((2, F.p))
+                seed = rng.randrange(1000)
+                lines.append(f"{psi} | {seed} | " + "; ".join(f"({g})^{m}" for g, m in ff_factor(psi, seed)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "93b6eed3998da7e66402988cf213b377a598f38ca4fe3595da5897b076245f5a"
 
     def test_pth_power_multiplicities(self, F3):
         # (y+1)^9 over F_3 exercises the p-th-root branch twice
@@ -463,11 +527,10 @@ class TestWork:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_power_of_two_is_k_squarings(self, monkeypatch, F4, k):
-        h = F4.height
         f, m = _random_monic(F4, 5, random.Random(43)), _random_monic(F4, 4, random.Random(44))
         want = (f ** (2**k)) % m
         calls = self._count(monkeypatch, towers, "_pmul")
-        got = towers._ppowmod(F4, h, list(f.coeffs), 2**k, list(m.coeffs))
+        got = towers._ppowmod(F4, list(f.coeffs), 2**k, list(m.coeffs))
         assert calls[0] == k
         assert TowerPoly(F4, got) == want
 
