@@ -66,7 +66,7 @@ class InductiveValuation:
         self._gamma1 = (B, *[c.numerator * (B // c.denominator) for c in g], 0)[:3]
         self._levels = None  # residual level data, attached by validation
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
-        self._key_lifts: dict = {}  # psi over the top residue field -> (lift, unit, value)
+        self._key_lifts: dict = {}  # psi over the top residue field -> keys._lift_record's entry
 
     # -- basic structure ----------------------------------------------------
 
@@ -166,18 +166,20 @@ class InductiveValuation:
         if f.degree < phi.degree:
             return self._in_rank(self._val(f, i - 1), i)
         if i == 1:
-            return self._val_linear(*_expand_ints(f, phi))[0]
+            return _value_of(self._val_linear(*_expand_ints(f, phi))[0], self._gamma1[0])
         return min(_monomial_values(phi_expansion(f, phi), gamma, lambda c: self._in_rank(self._val(c, i - 1), i)))
 
-    def _val_linear(self, digits: Sequence[int], den: int) -> Tuple[Value, List[int]]:
-        """The level-1 value of f = sum (digits[s]/den) * phi_1^s, and its
-        argmin set.
+    def _val_linear(self, digits: Sequence[int], den: int) -> Tuple[Tuple[int, ...], List[int]]:
+        """The level-1 value of f = sum (digits[s]/den) * phi_1^s, as integer
+        coordinates in units of 1/B, and its argmin set.
 
         The digits of f's numerators in the linear key are integers
         (:func:`_expand_ints`), so each monomial value is compared as an
         integer pair: the base order plus s times gamma_1's major coordinate,
         then s times its minor one (0 at rank 1), in units of 1/B with B the
-        common denominator of gamma_1's coordinates.
+        common denominator of gamma_1's coordinates (B = e_1 at rank 1).
+        The one level-1 argmin loop: ``_val`` makes a Value of the
+        coordinates, and ``residual._expand`` reads them raw.
         """
         order, (B, G0, G1) = self.base.int_order, self._gamma1
         best, argmin = None, []
@@ -188,7 +190,7 @@ class InductiveValuation:
                     best, argmin = key, [s]
                 elif key == best:
                     argmin.append(s)
-        return _value_of((best[0] - order(den) * B, best[1])[: self.steps[0].gamma.rank], B), argmin
+        return (best[0] - order(den) * B, best[1])[: self.steps[0].gamma.rank], argmin
 
     def valuation(self, f: Poly) -> Value:
         """The chain's value of f; Infinity exactly for f = 0.

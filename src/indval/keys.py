@@ -33,6 +33,7 @@ from .residual import (
     key_check,
 )
 from .towers import TowerPoly, ff_factor, ff_is_irreducible, monic_irreducibles
+from .values import _value_of
 
 
 def graded_divides(nu: InductiveValuation, f: Poly, g: Poly) -> bool:
@@ -73,7 +74,8 @@ def lift_key(nu: InductiveValuation, psi) -> Poly:
 
 def _lift_record(nu: InductiveValuation, levels: Sequence[_Level], psi: TowerPoly):
     """The memo entry (chi, nlc, mu) of psi != y over the top residue field:
-    the lift chi, the integer unit of its decomposition and mu(chi).
+    the lift chi, the integer unit of its decomposition and mu(chi) as the
+    integer value of that decomposition, in units of 1/(D_r*e_r).
 
     s(chi) = 0 and R(chi) = psi, so H(chi) = nlc * psi(xi) and nothing else
     about the initial term depends on the call.  A miss builds chi, takes the
@@ -96,13 +98,13 @@ def _lift_record(nu: InductiveValuation, levels: Sequence[_Level], psi: TowerPol
         )
     if not _decomposed_key_check(levels, chi, dec).ok:
         raise InvariantError(f"lift {chi} of psi = {psi} on {nu.describe()} is not a key")
-    mu = nu(chi)
-    if dec.mu != mu:
+    mu, value = nu(chi), _value_of((dec.mu,), top.D * top.e)
+    if value != mu:
         raise InvariantError(
             f"lift {chi} of psi = {psi} on {nu.describe()} decomposes with value "
-            f"{dec.mu} != mu(chi) = {mu}"
+            f"{value} != mu(chi) = {mu}"
         )
-    rec = nu._key_lifts[psi] = (chi, dec.nlc, mu)
+    rec = nu._key_lifts[psi] = (chi, dec.nlc, dec.mu)
     return rec
 
 
@@ -161,20 +163,22 @@ def graded_factorization(
     factor psi of multiplicity m contributes (lift_key(psi), m), and the top
     key enters with exponent s(f).  The unit part closes the value accounting
     mu(f) = value(unit) + sum a * mu(chi) exactly; it is checked on every
-    call, with gamma_r for the top key.  Each lift's unit and value come
-    from its memo entry, so f is the only polynomial decomposed once the
-    keys are lifted.
+    call, with gamma_r for the top key.  The check runs on integers in units
+    of 1/(D_r*e_r): B*e_r + s*g_r + sum a * B_chi == mu(f), with B the
+    unit's value in units of 1/D_r and g_r = gamma_r*D_r*e_r.  Each lift's
+    unit and value come from its memo entry, so f is the only polynomial
+    decomposed once the keys are lifted.
     """
     if f.is_zero:
         raise DomainError("factorization of the zero polynomial")
     if not nu.top_commensurable:
         raise DomainError("graded factorization needs a commensurable top step")
     levels = _require_levels(nu)
-    r = nu.length
+    r, top = nu.length, levels[-1]
     dec = _decompose_top(levels, f)
     factors: List[Tuple[Poly, int]] = []
     unit = dec.nlc
-    keys_value = nu.top.gamma.scaled(dec.s)  # sum a * mu(chi) over the factors
+    keys_value = dec.s * top.g  # sum a * mu(chi) over the factors
     if dec.s > 0:
         factors.append((nu.top.phi, dec.s))
     if dec.respoly.degree > 0:
@@ -182,12 +186,12 @@ def graded_factorization(
             chi, chi_nlc, chi_mu = _lift_record(nu, levels, psi)
             factors.append((chi, mult))
             unit = _hu_mul(levels, r, unit, _hu_pow(levels, r, chi_nlc, -mult))
-            keys_value = keys_value + chi_mu.scaled(mult)
-    result = GradedFactorization(_public_unit(levels, r, unit), tuple(factors))
-    total = result.unit_part.value + keys_value
+            keys_value += mult * chi_mu
+    total = unit[0] * top.e + keys_value
     if total != dec.mu:
+        De = top.D * top.e
         raise InvariantError(
             f"unit part of f = {f} on {nu.describe()} does not close the value "
-            f"accounting: {total} != mu(f) = {dec.mu}"
+            f"accounting: {_value_of((total,), De)} != mu(f) = {_value_of((dec.mu,), De)}"
         )
-    return _interned(result)
+    return _interned(GradedFactorization(_public_unit(levels, r, unit), tuple(factors)))

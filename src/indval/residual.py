@@ -33,6 +33,13 @@ coefficient, whose full decomposition one level down maps into the tower
 through the stored images.  At level 1 the residue is read off the integer
 numerator and denominator of the constant.
 
+Values are integers too: the value of an expansion or a decomposition at
+level i counts units of 1/(D_i*e_i), the group that gamma_i generates over
+the polynomials below it.  Level 1 takes it from the chains' own level-1
+argmin loop, and level i scales the value of each coefficient (units of
+1/D_i) by e_i and adds s*g_i, g_i = gamma_i*D_i*e_i.  A Value is built only
+where a result leaves the module or in the text of an error.
+
 The recursion has linear depth: the decomposition at level i takes one
 residue per argmin coefficient of the phi_i-expansion (the top coefficient's
 residue also normalizes the others), and each of those decomposes once at
@@ -117,10 +124,10 @@ class _Level:
     index: int
     nu: InductiveValuation  # rank-1 prefix chain of this length
     phi: Poly
-    gamma: Value
     n: int
     e: int
     D: int  # the values of degree < n polynomials form (1/D)Z
+    g: int  # gamma_i * D * e, from the level's own digit-table row
     gammas_D: Tuple[int, ...]  # gamma_j * D for j < index
     digit_rows: Tuple[Tuple[int, int, int, int], ...]  # digit-table rows below
     u_exps: Tuple[int, ...]
@@ -128,26 +135,29 @@ class _Level:
     field: TowerField
     z_images: Tuple[TowerElem, ...]  # xi_j images (j < index) in `field`
     gen_lifts: Tuple[Poly, ...]  # lift of each stored tower generator
-    one: TowerPoly  # the residual polynomial 1, shared by every result
+    one: TowerPoly  # the residual polynomial 1, shared by every result (_shared_one)
     hu_u: Optional[Tuple[int, object]] = None  # integer unit of u_poly, set by _make_level
 
 
 @dataclass
 class _Decomp:
+    """The graded decomposition of a polynomial at level i: s, mu as an
+    integer in units of 1/(D_i*e_i), the normalized leading unit and R."""
+
     s: int
-    mu: Value
+    mu: int
     nlc: Tuple[int, object]  # integer unit (B, residue data), see _hu_mono
     respoly: TowerPoly
 
 
 class _Expansion(NamedTuple):
-    """A polynomial f with its value mu at one level and, for each argmin
-    index s of its expansion there, the expansion of the coefficient f_s one
-    level down (at level 1, the constant f_s as its integer numerator and
-    denominator)."""
+    """A polynomial f with its value mu at level i, an integer in units of
+    1/(D_i*e_i), and, for each argmin index s of its expansion there, the
+    expansion of the coefficient f_s one level down (at level 1, the
+    constant f_s as its integer numerator and denominator)."""
 
     f: Poly
-    mu: Value
+    mu: int
     argmin: Dict[int, object]
 
 
@@ -201,8 +211,9 @@ def _make_level(
     nu_i: InductiveValuation, i: int, levels: List[_Level], psi: Optional[TowerPoly]
 ) -> _Level:
     step = nu_i.steps[-1]
-    e = nu_i.ram_index(i)
-    rows = nu_i._digit_table()[: i - 1]
+    table = nu_i._digit_table()
+    rows = table[: i - 1]
+    e, _, g, _ = table[i - 1]
     D = rows[-1][1] if rows else 1
     u_exps = nu_i.digit_vector(step.gamma.scaled(-e), level=i)
     u_poly = nu_i.monomial_from_exps(u_exps)
@@ -222,10 +233,10 @@ def _make_level(
         index=i,
         nu=nu_i,
         phi=step.phi,
-        gamma=step.gamma,
         n=step.phi.degree,
         e=e,
         D=D,
+        g=g,
         gammas_D=tuple(g * (D // D_next) for _, D_next, g, _ in rows),
         digit_rows=rows,
         u_exps=u_exps,
@@ -233,7 +244,7 @@ def _make_level(
         field=field,
         z_images=z_images,
         gen_lifts=gen_lifts,
-        one=TowerPoly.one(field),
+        one=_shared_one(field),
     )
     level.hu_u = _hu_mono([*levels, level], i, u_exps)
     return level
@@ -275,11 +286,19 @@ def _shared_unit(field: TowerField, D: int, B: int, data) -> HomogeneousUnit:
     return HomogeneousUnit(_value_of((B,), D), TowerElem(field, data))
 
 
+@lru_cache(maxsize=256)
+def _shared_one(field: TowerField) -> TowerPoly:
+    """The residual polynomial 1 over field: the levels of equal fields share
+    one object while it stays in the bounded cache, and so do the equal
+    decompositions that :func:`_interned` hands to different chains."""
+    return TowerPoly.one(field)
+
+
 @lru_cache(maxsize=4096)
 def _interned(result):
-    """The first of equal immutable results (key checks, factorizations)
-    still in the bounded cache, so that results kept by a caller share one
-    object per distinct value."""
+    """The first of equal immutable results (decompositions, key checks,
+    factorizations) still in the bounded cache, so that results kept by a
+    caller share one object per distinct value."""
     return result
 
 
@@ -366,16 +385,19 @@ def _expand(levels: Sequence[_Level], i: int, f: Poly) -> _Expansion:
     Each coefficient is valued through its own expansion one level down, and
     the argmin coefficients keep theirs for the decomposition below, so a
     decomposition expands every (coefficient, level) pair once.  Level 1
-    reads the integer digits and argmin set of ``_val_linear``.
+    reads the integer value and argmin set of ``_val_linear`` (in units of
+    1/e_1); above it, a coefficient's value in units of 1/D_i scales by e_i
+    into units of 1/(D_i*e_i), where gamma_i is the integer g.
     """
     top = levels[i - 1]
     if i == 1:
         digits, den = _expand_ints(f, top.phi)
-        mu, argmin = top.nu._val_linear(digits, den)
+        (mu,), argmin = top.nu._val_linear(digits, den)
         return _Expansion(f, mu, {s: (digits[s], den) for s in argmin})
     coeffs = [f] if f.degree < top.n else phi_expansion(f, top.phi)
     subs = {s: _expand(levels, i - 1, c) for s, c in enumerate(coeffs) if not c.is_zero}
-    vals = {s: sub.mu + top.gamma.scaled(s) for s, sub in subs.items()}
+    e, g = top.e, top.g
+    vals = {s: sub.mu * e + s * g for s, sub in subs.items()}
     mu = min(vals.values())
     return _Expansion(f, mu, {s: subs[s] for s, w in vals.items() if w == mu})
 
@@ -469,11 +491,12 @@ def decompose(nu: InductiveValuation, f: Poly) -> GradedDecomposition:
     """The triple (s, unit, R) with H(f) = unit * H(phi)^s * R(xi).
 
     The unit is the normalized leading unit: its value is mu(f) - s*gamma_r
-    and it is multiplicative in f.
+    and it is multiplicative in f.  Equal results share one object while it
+    stays in the bounded cache of :func:`_interned`.
     """
     levels = _require_levels(nu)
     dec = _decompose_top(levels, f)
-    return GradedDecomposition(dec.s, _public_unit(levels, nu.length, dec.nlc), dec.respoly)
+    return _interned(GradedDecomposition(dec.s, _public_unit(levels, nu.length, dec.nlc), dec.respoly))
 
 
 def residual_poly(nu: InductiveValuation, f: Poly) -> TowerPoly:

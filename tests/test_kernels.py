@@ -3,7 +3,8 @@
 * digit tables against the greedy subgroup search of ``digit_vector``;
 * integer-content ``Poly`` arithmetic, expansion and level-1 evaluation
   against Fraction-per-coefficient references;
-* the residual recursion: one ``_decompose`` per level on the ``y+1`` ladder;
+* the residual recursion: one ``_decompose`` per level on the ``y+1`` ladder,
+  and its integer values and argmin sets against the chain's;
 * group data read from the digit table against the lattice search of
   ``values``, and the one monomial-value kernel seen from every caller.
 """
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import indval as iv
 import indval.residual as residual
+from indval.values import _value_of
 from indval import (
     DomainError,
     Poly,
@@ -301,6 +303,34 @@ def test_decompose_runs_once_per_level(ladder, monkeypatch):
             assert sorted(calls) == list(range(1, depth + 1))
 
 
+@pytest.fixture(scope="module")
+def residual_levels(nu1, nu2, nu4, ram3, ladder):
+    """(levels, i) for every residual level i of the chains below; ram3 has
+    e_2 = 1 and the ladder's depth-5 chain e_i = 2 at every level."""
+    return [(nu._levels, i) for nu in (nu1, nu2, nu4, ram3, ladder[-1]) for i in range(1, nu.length + 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_integer_expansion_matches_the_chain(residual_levels, data):
+    """The integer value of ``residual._expand`` at level i, read in units of
+    1/(D_i*e_i), is the prefix chain's value of f, and its argmin keys are
+    the indices of the prefix chain's expansion report.
+
+    A scratch mutant that adds one unit too many per power of phi_i in
+    ``_expand`` (``s * g`` -> ``s * (g + 1)``) fails this test.
+    """
+    levels, i = data.draw(st.sampled_from(residual_levels))
+    lv = levels[i - 1]
+    cs = data.draw(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), min_size=1, max_size=2 * lv.n + 1))
+    f = Poly(cs)
+    if f.is_zero:
+        return
+    ex = residual._expand(levels, i, f)
+    assert _value_of((ex.mu,), lv.D * lv.e) == lv.nu(f)
+    assert tuple(ex.argmin) == expansion_report(lv.nu, f).indices
+
+
 def test_normalizer_unit_is_built_once_per_level(ladder, monkeypatch):
     # the integer unit of each level's normalizer u is built at validation,
     # not again by every decomposition or lift
@@ -414,4 +444,5 @@ def test_every_caller_of_the_kernel_agrees(group_chains, name, cs):
     mu = expansion_report(nu, f).mu
     assert nu(f) == mu
     if nu.top_commensurable:
-        assert residual._decompose_top(nu._levels, f).mu == mu
+        top = nu._levels[-1]
+        assert _value_of((residual._decompose_top(nu._levels, f).mu,), top.D * top.e) == mu

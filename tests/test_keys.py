@@ -31,6 +31,7 @@ from indval import (
 from indval.keys import GradedFactorization
 from indval.residual import _decompose_top, _hu_mul, _hu_pow, _public_unit
 from indval.towers import ff_factor
+from indval.values import _value_of
 from conftest import make_rand_poly
 
 P = Poly.parse
@@ -408,10 +409,11 @@ class TestLiftRecord:
             lifted = [rec[0] for rec in nu._key_lifts.values()]
             assert all(any(chi is k for chi in lifted) for k in ks[1:])
             levels, r = nu._levels, nu.length
+            unit = levels[-1].D * levels[-1].e  # the record's value counts 1/unit
             for chi, nlc, mu in nu._key_lifts.values():
                 dec = _decompose_top(levels, chi)
                 assert (nlc, mu) == (dec.nlc, dec.mu)
-                assert mu == nu(chi)
+                assert _value_of((mu,), unit) == nu(chi)
 
     @pytest.mark.parametrize("build, maxd", [(fresh_nu1, 2), (fresh_nu4, 1), (lambda: y1_ladder(3)[-1], 1)])
     def test_memoized_factorization_decomposes_only_f(self, monkeypatch, build, maxd):
@@ -436,17 +438,19 @@ class TestLiftRecord:
         chi = lift_key(nu, "y+1")
         (psi,) = nu._key_lifts
         _, nlc, mu = nu._key_lifts[psi]
-        nu._key_lifts[psi] = (chi, nlc, mu + iv.Value.of(1))
+        top = nu._levels[-1]
+        nu._key_lifts[psi] = (chi, nlc, mu + top.D * top.e)  # one more in value
         with pytest.raises(InvariantError, match="does not close the value accounting"):
             graded_factorization(nu, chi * P("x^2+x+2"))
 
     def test_lift_value_is_checked_against_the_chain(self, monkeypatch):
         nu = fresh_nu1()
         real = residual._residual_lift
+        top = nu._levels[-1]
 
         def skewed(*a):
             chi, dec = real(*a)
-            dec.mu = dec.mu + iv.Value.of(1)
+            dec.mu = dec.mu + top.D * top.e  # one more in value
             return chi, dec
 
         monkeypatch.setattr(keys, "_residual_lift", skewed)
