@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .basefield import PadicValuation, Poly, _monomial_values, check_expansion_work, phi_expansion
+from .basefield import PadicValuation, Poly, _Linear, _monomial_values, check_expansion_work, phi_expansion
+from .basefield import _expand_ints, _val_linear  # the level-1 loop and its integer digits
 from .chains import (
     InductiveValuation,
     Step,
@@ -233,17 +234,26 @@ def stability(chain: ContinuousChain, f: Poly) -> StabilityReport:
     polynomial of degree < d, on which all later family members agree.
     Without a witness the value list must be strictly increasing.  f of
     degree < d is its own expansion, so the scan stops at alpha = 1 with the
-    value mu_1(f).
+    value mu_1(f).  A member that is a one-step chain (a family of degree 1
+    with no base steps) gives its value and argmin set from the level-1 loop
+    :func:`_val_linear` on f's integer digits; longer members give their
+    expansion report.
     """
     if f.is_zero:
         raise DomainError("stability of the zero polynomial")
     values: List[Value] = []
     for alpha in range(1, chain.length + 1):
         mu = chain.member(alpha)
-        rep = expansion_report(mu, f)
-        values.append(rep.mu)
-        if rep.indices == (0,):
-            return StabilityReport(True, rep.mu, alpha, tuple(values))
+        if mu.length == 1:
+            mu.check_work(f)
+            key, idx = _val_linear(mu._lin, *_expand_ints(f, mu.top.phi))
+            v = _value_of(key, mu._lin.B)
+        else:
+            rep = expansion_report(mu, f)
+            v, idx = rep.mu, list(rep.indices)
+        values.append(v)
+        if idx == [0]:
+            return StabilityReport(True, v, alpha, tuple(values))
     for i in range(1, len(values)):
         if not values[i] > values[i - 1]:
             fam = ", ".join(f"({st.phi}, {st.gamma})" for st in chain.family)
@@ -266,8 +276,13 @@ class LimitValuation:
 
     When phi has the family degree d (and mu_1 is rank 1), every coefficient
     has degree < d and is stable from mu_1 on, so it is valued by mu_1 alone,
-    without a stability scan, in integers over the common denominator B of
-    mu_1's values and gamma.  Results may be shared immutable objects.
+    without a stability scan, in the level-1 loop :func:`_val_linear`, in
+    integers over the common denominator B of mu_1's values and gamma.  A
+    linear key (d = 1) gives the loop its integer digits and the p-adic
+    order, as a chain's first level does, with the order in the minor
+    coordinate at rank 2; a key of degree d > 1 gives it the coefficients
+    and their stable values (:meth:`_stable_int`) as the order.  The loop's
+    results are interned, so repeated values are one shared object.
     """
 
     def __init__(self, chain: ContinuousChain, phi: Poly, gamma: Value):
@@ -279,16 +294,18 @@ class LimitValuation:
         mu1 = chain.member(1)
         if phi.degree <= chain.degree and mu1.rank == 1:
             self._mu1 = mu1
-            self._B = B = lcm(mu1._den, *(c.denominator for c in gamma.coords))
-            self._G = tuple(c.numerator * (B // c.denominator) for c in gamma.coords)
+            B = lcm(mu1._den, *(c.denominator for c in gamma.coords))
+            G = (*[c.numerator * (B // c.denominator) for c in gamma.coords], 0)[:2]
+            # the p-adic order of a linear key's digit is scaled by B, a
+            # coefficient's stable value is in units of 1/B already; either
+            # goes into the minor coordinate at rank 2
+            order, unit = (chain.base.int_order, B) if phi.degree == 1 else (self._stable_int, 1)
+            self._lin = _Linear(order, (0, unit) if gamma.rank == 2 else (unit, 0), G, gamma.rank, B)
 
     def _stable_int(self, c: Poly) -> int:
         """B * mu_1(c) for 0 != c of degree < d: the stable value of c."""
-        if c.degree == 0:
-            order = self.chain.base.int_order
-            return (order(c.num[0]) - order(c.den)) * self._B
         q = self._mu1._val(c, self._mu1.length).coords[0]
-        return q.numerator * (self._B // q.denominator)
+        return q.numerator * (self._lin.B // q.denominator)
 
     def stable_value(self, g: Poly) -> Value:
         rep = stability(self.chain, g)
@@ -308,11 +325,13 @@ class LimitValuation:
         return min(_monomial_values(phi_expansion(g, self.phi), self.gamma, self.stable_value))
 
     def _int_valuation(self, g: Poly) -> Value:
-        """min_s (B * mu_1(g_s) + s * B * gamma) as integer vectors, with the
+        """min_s (B * mu_1(g_s) + s * B * gamma) in the level-1 loop, with the
         stable values in the minor coordinate, q -> (0, q), at rank 2."""
-        G = self._G
-        qs = [(s, self._stable_int(c)) for s, c in enumerate(phi_expansion(g, self.phi)) if not c.is_zero]
-        return _value_of(min((q + s * G[0],) if len(G) == 1 else (s * G[0], q + s * G[1]) for s, q in qs), self._B)
+        if self.phi.degree == 1:
+            digits, den = _expand_ints(g, self.phi)
+        else:  # zero coefficients as 0, which the loop skips; den 1: no offset
+            digits, den = [c if c.num else 0 for c in phi_expansion(g, self.phi)], 1
+        return _value_of(_val_linear(self._lin, digits, den)[0], self._lin.B)
 
     def __call__(self, g: Poly) -> Value:
         return self.valuation(g)
@@ -322,8 +341,9 @@ def limit_augment(chain: ContinuousChain, phi: Poly, gamma) -> LimitValuation:
     """Build the limit augmentation [family; phi, gamma].
 
     phi must be unstable within the prefix and of minimal degree among
-    unstable polynomials (caller-asserted for degree > 1; a seeded spot check
-    samples lower-degree monic polynomials and verifies their stability).
+    unstable polynomials (caller-asserted for a degree above the family
+    degree d; a seeded spot check samples monic polynomials of degree d to
+    deg(phi) - 1 and verifies their stability).
     gamma must exceed every mu_alpha(phi); old values embed into the minor
     coordinate when gamma opens the major one.
     """
@@ -342,10 +362,14 @@ def limit_augment(chain: ContinuousChain, phi: Poly, gamma) -> LimitValuation:
             raise DomainError(
                 f"gamma={gamma} does not exceed mu_{alpha}(phi)={v}"
             )
-    if phi.degree > 1:
+    d = chain.degree
+    # A polynomial of degree < d is stable: every member agrees on it, and
+    # the scan stops at alpha = 1.  So only degrees d to deg(phi) - 1 can show
+    # phi not minimal, and a key of the family degree has none to sample.
+    if phi.degree > d:
         rng = random.Random(4241)
         for _ in range(8):
-            deg = rng.randrange(1, phi.degree)
+            deg = rng.randrange(d, phi.degree)
             g = Poly([rng.randrange(-9, 10) for _ in range(deg)] + [1])
             low = stability(chain, g)
             if not low.stable:

@@ -8,8 +8,9 @@ only where a coefficient leaves the class (``coeffs``, ``coeff``, printing).
 The expansion f = sum f_s phi^s in a monic key also runs on integers: one
 division loop (``_divide``) serves Poly division and expansions alike, an
 expansion divides one running list of numerators in place, and only its
-digits become Polys.  The expansion's work budget and the monomial-value
-kernel of chain evaluation live here too, below the chains that use them.
+digits become Polys.  The expansion's work budget, the monomial-value
+kernel of chain evaluation and the one level-one argmin loop live here too,
+below the chains and limit valuations that use them.
 
 Primality of the base prime is decided by deterministic Miller-Rabin on the
 prime bases up to 41, which is exact below 3.3 * 10^24 (Sorenson-Webster,
@@ -23,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError, ResourceError
 from .values import INFINITY, Value, _check_digits
@@ -557,10 +558,58 @@ def _monomial_values(coeffs: Sequence[Poly], gamma: Value, value_of) -> List[Val
     in a key of value gamma, Infinity for f_s = 0.
 
     The kernel of chain evaluation above level 1 (with the prefix chain as
-    value_of), expansion reports and the scan path of limit valuations (with
-    stable values as value_of).  Level 1 compares integers instead
-    (``InductiveValuation._val_linear``), and the residual decomposition
-    values each coefficient through its own expansion (``residual._expand``).
+    value_of), of expansion reports on chains of two or more steps, and of
+    the scan path of limit valuations (with stable values as value_of).
+    Level 1 compares integers instead (:func:`_val_linear`), and the residual
+    decomposition values each coefficient through its own expansion
+    (``residual._expand``).
     """
     return [INFINITY if c.is_zero else value_of(c) + gamma.scaled(s) for s, c in enumerate(coeffs)]
+
+
+class _Linear(NamedTuple):
+    """A key and its value gamma as :func:`_val_linear` reads them, in units
+    of 1/B: a digit d at s has the key order(d)*place + s*gamma, a pair of
+    integers compared lexicographically (the minor coordinate is 0 at rank 1).
+
+    ``place`` puts the digit's order into the major coordinate, (B, 0), for a
+    chain, whose values below a rank-2 gamma go there, and into the minor one,
+    (0, B), for a rank-2 limit valuation, whose stable values go there.  An
+    order already in units of 1/B is placed by (1, 0) or (0, 1).
+    """
+
+    order: Callable[[object], int]
+    place: Tuple[int, int]
+    gamma: Tuple[int, int]
+    rank: int
+    B: int
+
+
+def _val_linear(lin: _Linear, digits: Sequence, den: int, start: int = 0) -> Tuple[Tuple[int, ...], List[int]]:
+    """The value of sum (digits[s]/den) * phi^(start+s) in integer
+    coordinates, in units of 1/lin.B, and its argmin set (exponents of phi);
+    zero digits are skipped.
+
+    The one level-one argmin loop.  Chains read it at level 1 with the
+    integer digits of :func:`_expand_ints` and the p-adic order, both for
+    their values (``InductiveValuation._val``, ``valuation`` and, on one-step
+    chains, the stability scan and ``expansion_report``, which also values
+    each monomial alone, as one digit at start s) and for the residual
+    decomposition (``residual._expand``); a limit valuation reads it with its
+    linear key's digits, or with the coefficients of a key of the family
+    degree d > 1 and their stable values as the order (den 1).  The caller
+    builds a Value of the coordinates where a result leaves the library.
+    """
+    order, (P0, P1), (G0, G1), rank, _ = lin
+    best, argmin = None, []
+    for s, d in enumerate(digits, start):
+        if d:
+            o = order(d)
+            key = (o * P0 + s * G0, o * P1 + s * G1)
+            if best is None or key < best:
+                best, argmin = key, [s]
+            elif key == best:
+                argmin.append(s)
+    o = order(den) if den != 1 else 0
+    return (best[0] - o * P0, best[1] - o * P1)[:rank], argmin
 

@@ -29,7 +29,9 @@ from .basefield import (
     PadicValuation,
     Poly,
     _expand_ints,
+    _Linear,
     _monomial_values,
+    _val_linear,
     check_expansion_work,
     phi_expansion,
 )
@@ -60,10 +62,12 @@ class InductiveValuation:
         self.degrees = tuple(s.phi.degree for s in self.steps)
         # every value of the chain lies in (1/_den) Z^rank
         self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
-        # gamma_1 in units of 1/B, as (B, major, minor): see _val_linear
-        g = self.steps[0].gamma.coords
-        B = lcm(*(c.denominator for c in g))
-        self._gamma1 = (B, *[c.numerator * (B // c.denominator) for c in g], 0)[:3]
+        # level 1 for _val_linear: gamma_1 in units of 1/B, the base order
+        # in the major coordinate
+        g = self.steps[0].gamma
+        B = lcm(*(c.denominator for c in g.coords))
+        G = (*[c.numerator * (B // c.denominator) for c in g.coords], 0)[:2]
+        self._lin = _Linear(base.int_order, (B, 0), G, g.rank, B)
         self._levels = None  # residual level data, attached by validation
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
         self._key_lifts: dict = {}  # psi over the top residue field -> keys._lift_record's entry
@@ -157,50 +161,36 @@ class InductiveValuation:
     # -- evaluation -------------------------------------------------------------
 
     def _val(self, f: Poly, i: int) -> Value:
-        """The level-i value of f, in gamma_i's rank."""
+        """The level-i value of f, in gamma_i's rank.
+
+        Level 1 values every f, constants included, in the integer loop
+        :func:`_val_linear` over the digits of f in the linear key phi_1,
+        in units of 1/B with B the common denominator of gamma_1's
+        coordinates (B = e_1 at rank 1), and returns its interned Value.
+        """
         if f.is_zero:
             return INFINITY
+        if i == 1:
+            return _value_of(_val_linear(self._lin, *_expand_ints(f, self.steps[0].phi))[0], self._lin.B)
         if i == 0:
             return self.base.value(f.constant_value())
         phi, gamma = self.steps[i - 1].phi, self.steps[i - 1].gamma
         if f.degree < phi.degree:
             return self._in_rank(self._val(f, i - 1), i)
-        if i == 1:
-            return _value_of(self._val_linear(*_expand_ints(f, phi))[0], self._gamma1[0])
         return min(_monomial_values(phi_expansion(f, phi), gamma, lambda c: self._in_rank(self._val(c, i - 1), i)))
-
-    def _val_linear(self, digits: Sequence[int], den: int) -> Tuple[Tuple[int, ...], List[int]]:
-        """The level-1 value of f = sum (digits[s]/den) * phi_1^s, as integer
-        coordinates in units of 1/B, and its argmin set.
-
-        The digits of f's numerators in the linear key are integers
-        (:func:`_expand_ints`), so each monomial value is compared as an
-        integer pair: the base order plus s times gamma_1's major coordinate,
-        then s times its minor one (0 at rank 1), in units of 1/B with B the
-        common denominator of gamma_1's coordinates (B = e_1 at rank 1).
-        The one level-1 argmin loop: ``_val`` makes a Value of the
-        coordinates, and ``residual._expand`` reads them raw.
-        """
-        order, (B, G0, G1) = self.base.int_order, self._gamma1
-        best, argmin = None, []
-        for s, d in enumerate(digits):
-            if d:
-                key = (order(d) * B + s * G0, s * G1)
-                if best is None or key < best:
-                    best, argmin = key, [s]
-                elif key == best:
-                    argmin.append(s)
-        return (best[0] - order(den) * B, best[1])[: self.steps[0].gamma.rank], argmin
 
     def valuation(self, f: Poly) -> Value:
         """The chain's value of f; Infinity exactly for f = 0.
 
         The result may be an object shared with earlier calls (Values are
-        immutable); compare values with ==, never by identity.
+        immutable); compare values with ==, never by identity.  A one-step
+        chain returns the level-1 loop's interned Value as it is.
         """
         if f.is_zero:
             return INFINITY
         self.check_work(f)
+        if self.length == 1:
+            return self._val(f, 1)
         v = self._val(f, self.length)
         D = self._den
         return _value_of(tuple(c.numerator * (D // c.denominator) for c in v.coords), D)
@@ -474,19 +464,30 @@ def validate_chain(
 def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
     """Expansion of f in the top key with values, minimum and argmin set.
 
-    The monomial values come from the kernel :func:`_monomial_values` with the
-    prefix chain as value_of; s and s' are the least and greatest argmin.  A
-    rank-2 top step, the only incommensurable one, has a singleton argmin; a
-    tie there raises InvariantError.
+    On a chain of two or more steps the monomial values come from the kernel
+    :func:`_monomial_values` with the prefix chain as value_of.  A one-step
+    chain reads the level-1 loop :func:`_val_linear` instead: the integer
+    digits give the minimum and the argmin set, and each monomial value is
+    the loop's value of that monomial alone, in integers.  s and s' are the
+    least and greatest argmin.  A rank-2 top step, the only incommensurable
+    one, has a singleton argmin; a tie there raises InvariantError.
     """
     if f.is_zero:
         raise DomainError("expansion report of the zero polynomial")
     nu.check_work(f)
     r = nu.length
-    coeffs = phi_expansion(f, nu.top.phi)
-    vals = _monomial_values(coeffs, nu.top.gamma, lambda c: nu._in_rank(nu._val(c, r - 1), r))
-    mu = min(vals)
-    idx = tuple(s for s, w in enumerate(vals) if w == mu)
+    if r == 1:
+        lin = nu._lin
+        digits, den = _expand_ints(f, nu.top.phi)
+        key, idx = _val_linear(lin, digits, den)
+        coeffs = [Poly.from_ints((d,), den) for d in digits]
+        vals = [_value_of(_val_linear(lin, (d,), den, s)[0], lin.B) if d else INFINITY for s, d in enumerate(digits)]
+        mu, idx = _value_of(key, lin.B), tuple(idx)
+    else:
+        coeffs = phi_expansion(f, nu.top.phi)
+        vals = _monomial_values(coeffs, nu.top.gamma, lambda c: nu._in_rank(nu._val(c, r - 1), r))
+        mu = min(vals)
+        idx = tuple(s for s, w in enumerate(vals) if w == mu)
     rep = ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
     if len(rep.indices) > 1 and not nu.top_commensurable:
         # monomial values differ in the fresh direction, so ties are impossible

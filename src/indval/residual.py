@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .basefield import Poly, _expand_ints, phi_expansion
+from .basefield import Poly, _expand_ints, _val_linear, phi_expansion
 from .errors import ChainError, DomainError, InvariantError
 from .towers import TowerElem, TowerField, TowerPoly, extend_with_root, ff_is_irreducible
 from .values import Value, _digits_of, _value_of
@@ -392,7 +392,7 @@ def _expand(levels: Sequence[_Level], i: int, f: Poly) -> _Expansion:
     top = levels[i - 1]
     if i == 1:
         digits, den = _expand_ints(f, top.phi)
-        (mu,), argmin = top.nu._val_linear(digits, den)
+        (mu,), argmin = _val_linear(top.nu._lin, digits, den)
         return _Expansion(f, mu, {s: (digits[s], den) for s in argmin})
     coeffs = [f] if f.degree < top.n else phi_expansion(f, top.phi)
     subs = {s: _expand(levels, i - 1, c) for s, c in enumerate(coeffs) if not c.is_zero}

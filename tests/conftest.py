@@ -79,6 +79,58 @@ def ladder():
     return chains
 
 
+# -- Fraction references -----------------------------------------------------
+#
+# Schoolbook algorithms on lists of Fractions, constant term first, that share
+# no code with the library's integer kernels: the oracles of Poly arithmetic
+# and of every value computed at level one.
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_divmod(a, g):
+    """Schoolbook division by a monic g over Q."""
+    r = list(a)
+    n = len(g) - 1
+    q = [Fraction(0)] * max(len(r) - n, 0)
+    for i in range(len(r) - n - 1, -1, -1):
+        c = r[i + n]
+        q[i] = c
+        for j, b in enumerate(g):
+            r[i + j] -= c * b
+    return trim(q), trim(r[:n])
+
+
+def ref_expansion(a, g):
+    if not a:
+        return [[]]
+    out = []
+    while a:
+        a, r = ref_divmod(a, g)
+        out.append(r)
+    return out
+
+
+def ref_linear_report(nu, f):
+    """(digits, monomial values, mu, argmin) of f != 0 on a one-step chain
+    nu, in Fractions: the schoolbook expansion of f in the linear key, and
+    v_p(f_s) + s*gamma_1 with v_p from ``PadicValuation.value`` in the major
+    coordinate, Infinity for a zero digit."""
+    phi, gamma = nu.steps[0].phi, nu.steps[0].gamma
+    digits = ref_expansion(trim(f.coeffs), list(phi.coeffs))
+    vals = [
+        nu.base.value(d[0]).embed(gamma.rank, major=True) + gamma.scaled(s) if d else iv.INFINITY
+        for s, d in enumerate(digits)
+    ]
+    mu = min(vals)
+    return digits, vals, mu, tuple(s for s, w in enumerate(vals) if w == mu)
+
+
 def make_rand_poly(rng, maxdeg, height=100, frac=True, monic=False):
     d = rng.randrange(0, maxdeg + 1)
     cs = []

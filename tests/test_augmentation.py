@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indval as iv
+import indval.augmentation as augmentation
 from indval import (
     ChainError,
     DomainError,
@@ -24,7 +25,7 @@ from indval import (
 from indval.augmentation import StabilityReport
 from indval.chains import _value_of, expansion_report
 from indval.values import INFINITY
-from conftest import make_rand_poly
+from conftest import make_rand_poly, ref_expansion, ref_linear_report, trim
 
 P = Poly.parse
 F = Fraction
@@ -268,25 +269,36 @@ class TestQuadraticLimit:
 
 
 def _full_scan(chain, f):
-    """The stability scan of every f, with no short-cut for degree < d."""
+    """The stability scan of every f, with no short-cut for degree < d.
+
+    A one-step member, which the library values in its level-one loop, is
+    valued by the Fraction reference of ``conftest``; a longer member by its
+    expansion report, whose top level adds Values.
+    """
     values = []
     for alpha in range(1, chain.length + 1):
-        rep = expansion_report(chain.member(alpha), f)
-        values.append(rep.mu)
-        if rep.indices == (0,):
-            return StabilityReport(True, rep.mu, alpha, tuple(values))
+        mu = chain.member(alpha)
+        if mu.length == 1:
+            _, _, v, indices = ref_linear_report(mu, f)
+        else:
+            rep = expansion_report(mu, f)
+            v, indices = rep.mu, rep.indices
+        values.append(v)
+        if indices == (0,):
+            return StabilityReport(True, v, alpha, tuple(values))
     return StabilityReport(False, None, None, tuple(values))
 
 
 def _limit_reference(lim, g):
-    """min over s of (full-scan stable value of g_s, embedded) + s*gamma."""
+    """min over s of (full-scan stable value of g_s, embedded) + s*gamma,
+    over the schoolbook expansion of g in the limit key."""
     if g.is_zero:
         return INFINITY
     best = None
-    for s, c in enumerate(iv.phi_expansion(g, lim.phi)):
-        if c.is_zero:
+    for s, c in enumerate(ref_expansion(trim(g.coeffs), list(lim.phi.coeffs))):
+        if not c:
             continue
-        w = _full_scan(lim.chain, c).value.embed(lim.rank, major=False) + lim.gamma.scaled(s)
+        w = _full_scan(lim.chain, Poly(c)).value.embed(lim.rank, major=False) + lim.gamma.scaled(s)
         if best is None or w < best:
             best = w
     return best
@@ -350,6 +362,21 @@ class TestIntegerLimitPath:
         for _ in range(10):
             g = make_rand_poly(rng, 5)
             assert lim(g) == _limit_reference(lim, g)
+
+    def test_key_of_the_family_degree_makes_no_guard_scan(self, v2, monkeypatch):
+        # polynomials of degree < d are stable, so a key of degree d leaves
+        # the sampled minimality guard nothing to draw: one scan, of phi
+        calls = []
+        inner = augmentation.stability
+
+        def counted(chain, f):
+            calls.append(f)
+            return inner(chain, f)
+
+        monkeypatch.setattr(augmentation, "stability", counted)
+        chain = _quadratic_family(v2)
+        lim = limit_augment(chain, P("x^2+6x+14"), Value.of((1, 0)))
+        assert calls == [P("x^2+6x+14")] and chain.degree == lim.phi.degree == 2
 
     def test_short_cut_stability_equals_full_scan(self, lam, quad_limit, rand_poly):
         rng = random.Random(80)

@@ -1,8 +1,10 @@
 """The integer kernels pinned against the reference algorithms they replace.
 
 * digit tables against the greedy subgroup search of ``digit_vector``;
-* integer-content ``Poly`` arithmetic, expansion and level-1 evaluation
-  against Fraction-per-coefficient references;
+* integer-content ``Poly`` arithmetic and expansion against
+  Fraction-per-coefficient references, and every caller of the level-one
+  loop (chain values, expansion reports, stability scans, limit values)
+  against the Fraction reference of ``conftest``;
 * the residual recursion: one ``_decompose`` per level on the ``y+1`` ladder,
   and its integer values and argmin sets against the chain's;
 * group data read from the digit table against the lattice search of
@@ -26,9 +28,13 @@ from indval import (
     expansion_report,
     in_subgroup,
     is_commensurable,
+    limit_augment,
     phi_expansion,
+    stability,
     subgroup_index,
 )
+from conftest import ref_divmod, ref_expansion, ref_linear_report, trim
+from test_augmentation import _full_scan, _sqrt17_family
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +138,6 @@ def test_digit_vector_rejects_values_off_the_group(nu2, nu_inf):
 # ---------------------------------------------------------------------------
 
 
-def trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
 def ref_add(a, b):
     n = max(len(a), len(b))
     return trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
@@ -152,29 +151,6 @@ def ref_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return trim(out)
-
-
-def ref_divmod(a, g):
-    """Schoolbook division by a monic g over Q."""
-    r = list(a)
-    n = len(g) - 1
-    q = [Fraction(0)] * max(len(r) - n, 0)
-    for i in range(len(r) - n - 1, -1, -1):
-        c = r[i + n]
-        q[i] = c
-        for j, b in enumerate(g):
-            r[i + j] -= c * b
-    return trim(q), trim(r[:n])
-
-
-def ref_expansion(a, g):
-    if not a:
-        return [[]]
-    out = []
-    while a:
-        a, r = ref_divmod(a, g)
-        out.append(r)
-    return out
 
 
 # numerators past 2^63 exercise the tuple form of Poly.num beside the array form
@@ -262,20 +238,46 @@ LINEAR_CHAINS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def level_one(v2, lam):
+    """The one-step chains of LINEAR_CHAINS, two degree-1 families, and the
+    limit valuations of x+2 over lam with a rank-2 and a rank-1 gamma."""
+    chains = [iv.validate_chain([(phi, Value.of(gamma))], iv.PadicValuation(p)) for p, phi, gamma in LINEAR_CHAINS]
+    limits = [limit_augment(lam, Poly.parse("x+2"), Value.of(g)) for g in ((1, 0), Fraction(201, 2))]
+    return chains, (lam, _sqrt17_family(v2, 6)), limits
+
+
+# constants: the loop's one-digit case, on every caller
+@example([Fraction(3)])
+@example([Fraction(-20, 9)])
+@example([Fraction(0), Fraction(2), Fraction(1)])
 @settings(max_examples=100, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=12).filter(lambda cs: any(cs)))
-def test_level_one_value_matches_reference(a):
+def test_level_one_value_matches_reference(level_one, a):
+    """Every caller of the level-one loop against the Fraction reference:
+    chain values, shared for repeated input; every field of the expansion
+    report; stability scans along two degree-1 families; limit values of a
+    linear key, with the stable values in the minor coordinate at rank 2."""
     f = Poly(a)
-    for p, phi, gamma in LINEAR_CHAINS:
-        nu = iv.validate_chain([(phi, Value.of(gamma))], iv.PadicValuation(p))
-        base, g = nu.base, nu.steps[0].gamma
-        digits = ref_expansion(trim(a), list(Poly.parse(phi).coeffs))
+    chains, families, limits = level_one
+    for nu in chains:
+        digits, vals, mu, idx = ref_linear_report(nu, f)
+        assert nu._val(f, 1) == mu and nu._val(f, 1).rank == nu.rank
+        assert nu(f) == mu and nu(f).rank == nu.rank and nu(f) is nu(f)
+        rep = expansion_report(nu, f)
+        assert [c.coeffs for c in rep.coeffs] == [tuple(d) for d in digits]
+        # values of different rank do not compare, so == checks the ranks too
+        assert rep.monomial_values == tuple(vals)
+        assert rep.mu == mu and rep.indices == idx and (rep.s, rep.s_prime) == (idx[0], idx[-1])
+    for chain in families:
+        got, want = stability(chain, f), _full_scan(chain, f)
+        assert got == want and [v.rank for v in got.values] == [v.rank for v in want.values]
+    for lim in limits:
+        digits = ref_expansion(trim(a), list(lim.phi.coeffs))
         want = min(
-            base.value(d[0]).embed(nu.rank, major=True) + g.scaled(s)
-            for s, d in enumerate(digits)
-            if d
+            lim.chain.base.value(d[0]).embed(lim.rank, major=False) + lim.gamma.scaled(s) for s, d in enumerate(digits) if d
         )
-        assert nu._val(f, 1) == want and nu._val(f, 1).rank == nu.rank
+        assert lim(f) == want and lim(f).rank == lim.rank and lim(f) is lim(f)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,8 @@ def residual_levels(nu1, nu2, nu4, ram3, ladder):
 def test_integer_expansion_matches_the_chain(residual_levels, data):
     """The integer value of ``residual._expand`` at level i, read in units of
     1/(D_i*e_i), is the prefix chain's value of f, and its argmin keys are
-    the indices of the prefix chain's expansion report.
+    the indices of the prefix chain's expansion report.  At level 1, where
+    both read the level-one loop, the reference is the Fraction one.
 
     A scratch mutant that adds one unit too many per power of phi_i in
     ``_expand`` (``s * g`` -> ``s * (g + 1)``) fails this test.
@@ -327,8 +330,13 @@ def test_integer_expansion_matches_the_chain(residual_levels, data):
     if f.is_zero:
         return
     ex = residual._expand(levels, i, f)
-    assert _value_of((ex.mu,), lv.D * lv.e) == lv.nu(f)
-    assert tuple(ex.argmin) == expansion_report(lv.nu, f).indices
+    if i == 1:
+        _, _, mu, indices = ref_linear_report(lv.nu, f)
+    else:
+        rep = expansion_report(lv.nu, f)
+        mu, indices = lv.nu(f), rep.indices
+    assert _value_of((ex.mu,), lv.D * lv.e) == mu
+    assert tuple(ex.argmin) == indices
 
 
 def test_normalizer_unit_is_built_once_per_level(ladder, monkeypatch):

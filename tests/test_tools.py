@@ -26,17 +26,27 @@ def test_lines_counts_every_module_and_sums_them():
 
 def test_cells_covers_every_cell_and_marks_both_edges():
     rows = [line.split() for line in _census("cells")[1:] if line.strip()]
-    cells = {}
-    for row in rows:
+    cells, counts = {}, {}
+    for row in rows:  # workload, a two-token cell label, ops, mean ms, share, marks
         workload, label, ops, mean, share, marks = row[0], " ".join(row[1:3]), int(row[3]), float(row[4]), row[5], row[6:]
         assert ops > 0 and mean > 0 and share.endswith("%")
         cells.setdefault(workload, {})[label] = marks
+        counts[workload, label] = ops
     fields = [f"F_{q} d{d}" for q, top in ((2, 12), (3, 12), (4, 12), (16, 6)) for d in range(1, top + 1)]
     assert sorted(cells["finite_fields"]) == sorted(fields)
     kinds = ("decompose", "factor", "key_check_lifted", "key_check_random", "enumerate")
     assert sorted(cells["keys_ladder"]) == sorted(f"{k} d{d}" for k in kinds for d in range(1, 6))
+    chains = ("nu1", "nu2", "nu3p", "nu_inf", "nu8", "lam_limit")
+    assert sorted(cells["valuation"]) == sorted(f"chain {c}" for c in chains)
+    chain_verbs = ("eval", "expand", "respoly", "decompose", "ideal", "iskey", "liftkey", "enumerate", "factor", "augment", "vchi")
+    goldens = ("eval", "respoly", "factor", "decompose", "iskey", "stability", "limit", "enumerate")
+    malformed = ("eval", "stability", "iskey", "liftkey")
+    want = [f"verb {v}" for v in chain_verbs + ("stability", "limit")]
+    want += [f"golden {v}" for v in goldens] + [f"malformed {v}" for v in malformed]
+    assert sorted(cells["cli_session"]) == sorted(want)
+    assert all(ops >= 40 for (workload, _), ops in counts.items() if workload in ("valuation", "cli_session"))
     # the median and the tail percentile each fall inside some cell
-    for workload, tail in (("finite_fields", "p99"), ("keys_ladder", "p95")):
+    for workload, tail in (("finite_fields", "p99"), ("keys_ladder", "p95"), ("valuation", "p99"), ("cli_session", "p99")):
         marks = [m for ms in cells[workload].values() for m in ms]
         assert "p50" in marks and tail in marks
         assert all(re.fullmatch(r"p\d+", m) for m in marks)

@@ -32,13 +32,15 @@ cell (kind and depth).  ``peak_rss_mb`` grows with this figure times the
 operations a run completes.
 
 ``cells``: the mean latency of each cell of ``finite_fields`` (field order
-and degree) and ``keys_ladder`` (kind and depth), over CELL_BLOCKS blocks
-(seed 11) timed after one untimed pass over them, with each cell's share of
-the workload's time.  A cell whose fastest and slowest operations lie on
-either side of the workload's median, or of its tail percentile (both by
-nearest rank), is marked ``p50`` or ``pNN``: those are the cells a change
-must speed up to move that metric.  Times are ``time.perf_counter`` on this host, not scaled as
-``bench/run.py`` scales them.
+and degree), ``keys_ladder`` (kind and depth), ``valuation`` (chain) and
+``cli_session`` (kind and verb), over CELL_BLOCKS blocks of the workload
+(seed 11) timed after one untimed pass over them, with each cell's share of the workload's time.
+A cell is marked ``p50`` or ``pNN`` when the workload's median, or its tail
+percentile (both by nearest rank), lies within it once its fastest and
+slowest tenth are set aside; when no cell holds an edge so, the cell of the
+edge's own operation is marked.  Those are the cells a change must speed up
+to move that metric.  Times are ``time.perf_counter``
+on this host, not scaled as ``bench/run.py`` scales them.
 
 Usage, from anywhere in the checkout::
 
@@ -185,15 +187,25 @@ def report_reach() -> None:
 
 
 def _cell(wl, spec) -> tuple:
-    """The cell of a ``finite_fields`` or ``keys_ladder`` operation's spec:
-    (field order, degree) or (kind, depth)."""
+    """The cell of an operation's spec: (field order, degree) in
+    ``finite_fields``, (kind, depth) in ``keys_ladder``, ("chain", chain) in
+    ``valuation`` and (kind, verb) in ``cli_session``."""
     if wl.name == "finite_fields":
         return wl.orders[spec[0]], len(spec[1])
-    return (f"key_check_{spec[2]}" if spec[0] == "key_check" else spec[0]), spec[1]
+    if wl.name == "keys_ladder":
+        return (f"key_check_{spec[2]}" if spec[0] == "key_check" else spec[0]), spec[1]
+    if wl.name == "valuation":
+        return "chain", wl.chains[spec[0]]
+    return spec[0], spec[2][0]
 
 
 def _label(wl, cell) -> str:
-    return (f"F_{cell[0]}" if wl.name == "finite_fields" else cell[0]) + f" d{cell[1]}"
+    """Two tokens: ``F_4 d3``, ``decompose d2``, ``chain nu1``, ``verb eval``."""
+    if wl.name == "finite_fields":
+        return f"F_{cell[0]} d{cell[1]}"
+    if wl.name == "keys_ladder":
+        return f"{cell[0]} d{cell[1]}"
+    return f"{cell[0]} {cell[1]}"
 
 
 def _part(wl, spec) -> str:
@@ -252,7 +264,11 @@ def report_retain() -> None:
                 print(f"{name:<15}{part:<24}{n:>5}{b / n:>10.0f}")
 
 
-CELL_BLOCKS = 4
+# blocks per workload.  A valuation block holds each chain once, and a
+# cli_session block each malformed request every other block, so their
+# cells hold at least 40 operations; finite_fields and keys_ladder keep 4
+# blocks (4 to 8 operations a cell), which cost most of the report's time
+CELL_BLOCKS = {"finite_fields": 4, "keys_ladder": 4, "valuation": 40, "cli_session": 80}
 
 
 def report_cells() -> None:
@@ -262,10 +278,10 @@ def report_cells() -> None:
     wls = _load_workloads()
     print(f"{'workload':<15}{'cell':<24}{'ops':>5}{'mean ms':>10}{'share':>8}  marks")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("finite_fields", "keys_ladder"):
+        for name, blocks in CELL_BLOCKS.items():
             wl = wls.WORKLOADS[name]
             ctx = wl.setup(iv, tmp)
-            specs = wl.generate(random.Random(11), CELL_BLOCKS)
+            specs = wl.generate(random.Random(11), blocks)
             ops = [wl.prepare(iv, ctx, spec) for spec in specs]
             for op in ops:  # warm the caches as a long run does
                 wl.run(iv, ctx, op)
@@ -275,16 +291,25 @@ def report_cells() -> None:
                 wl.run(iv, ctx, op)
                 t = time.perf_counter() - t0
                 cells[_cell(wl, spec)].append(t)
-                times.append(t)
+                times.append((t, _cell(wl, spec)))
             times.sort()
             rank = max(1, math.ceil(wl.tail_percentile / 100 * len(times)))
             # nearest ranks, so that each edge is an operation of some cell
-            edges = (("p50", statistics.median_low(times)), (f"p{wl.tail_percentile}", times[rank - 1]))
+            edges = (("p50", times[(len(times) - 1) // 2]), (f"p{wl.tail_percentile}", times[rank - 1]))
+            for ts in cells.values():
+                ts.sort()
+            # the cells whose middle eight tenths hold the edge, else the
+            # cell of the edge's own operation
+            marked = defaultdict(list)
+            for m, (v, home) in edges:
+                inside = [c for c, ts in cells.items() if ts[len(ts) // 10] <= v <= ts[-1 - len(ts) // 10]]
+                for cell in inside or [home]:
+                    marked[cell].append(m)
+            total = sum(t for t, _ in times)
             for cell in sorted(cells):
                 ts = cells[cell]
-                marks = " ".join(m for m, v in edges if min(ts) <= v <= max(ts))
-                share = sum(ts) / sum(times)
-                print(f"{name:<15}{_label(wl, cell):<24}{len(ts):>5}{statistics.fmean(ts) * 1e3:>10.3f}{share:>8.1%}  {marks}")
+                mean, share = statistics.fmean(ts) * 1e3, sum(ts) / total
+                print(f"{name:<15}{_label(wl, cell):<24}{len(ts):>5}{mean:>10.3f}{share:>8.1%}  {' '.join(marked[cell])}")
 
 
 REPORTS = {"lines": report_lines, "reach": report_reach, "retain": report_retain, "cells": report_cells}
