@@ -19,22 +19,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .basefield import PadicValuation, Poly, _Linear, _monomial_values, check_expansion_work, phi_expansion
-from .basefield import _expand_ints, _val_linear  # the level-1 loop and its integer digits
+from .basefield import PadicValuation, Poly, _monomial_values, check_expansion_work, phi_expansion
+from .basefield import _expand_ints, _linear, _val_linear  # the level-1 loop and its integer digits
 from .chains import (
     InductiveValuation,
     Step,
     _as_step,
+    _extend,
     _json_object,
     _parse_base,
     _parse_steps,
+    _shape_checked,
     _steps_json,
     expansion_report,
     is_equivalent,
-    validate_chain,
 )
 from .errors import ChainError, DomainError, InvariantError, ResourceError
 from .keys import key_check
@@ -47,7 +47,10 @@ def augment(nu: InductiveValuation, chi: Poly, gamma) -> InductiveValuation:
     chi must be a key polynomial for nu and gamma must exceed nu(chi), a
     rank-1 side of the comparison taken into the major coordinate as in a
     chain.  A key equivalent to the top key replaces the top step instead of
-    appending.
+    appending.  The result extends nu by the step, or nu's parent when the
+    step replaces the top one (:func:`indval.chains._extend`): one level is
+    built, and the levels and prefixes below are nu's own objects.  The key
+    test implies the shape checks of :func:`indval.chains.validate_chain`.
     """
     gamma = Value.of(gamma).demote()
     kc = key_check(nu, chi)
@@ -59,11 +62,8 @@ def augment(nu: InductiveValuation, chi: Poly, gamma) -> InductiveValuation:
         raise DomainError(
             f"gamma={gamma} must exceed the current value {mu_chi} of chi"
         )
-    if chi.degree == nu.top_degree and is_equivalent(nu, chi, nu.top.phi):
-        steps = nu.steps[:-1] + (Step(chi, gamma),)
-    else:
-        steps = nu.steps + (Step(chi, gamma),)
-    return validate_chain(steps, nu.base)
+    replaces = chi.degree == nu.top_degree and is_equivalent(nu, chi, nu.top.phi)
+    return _extend(nu.base, nu._parent if replaces else nu, [Step(chi, gamma)])
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,10 @@ def validate_continuous_chain(
     alpha < beta, phi_beta is a key for mu_alpha, not equivalent to
     phi_alpha, with gamma_beta > mu_alpha(phi_beta).
 
+    The members extend one chain of the base steps, validated once, by their
+    own step each; each member's step list still passes the shape checks of
+    :func:`indval.chains.validate_chain`, in the family's order.
+
     (3) costs one value per adjacent pair.  A monic chi of degree d has the
     phi_a-expansion (chi - phi_a) + phi_a, so it is a key for mu_a not
     equivalent to phi_a exactly when mu_a(chi - phi_a) = gamma_a, and then
@@ -166,9 +170,11 @@ def validate_continuous_chain(
                 "strictly increase"
             )
 
-    members = [
-        validate_chain(list(bsteps) + [st], base) for st in family
-    ]
+    members: List[InductiveValuation] = []
+    for st in family:
+        steps = _shape_checked([*bsteps, st])
+        below = members[0]._parent if members else _extend(base, None, steps[:-1])
+        members.append(_extend(base, below, steps[-1:]))
 
     for a in range(1, len(family)):
         b = a + 1
@@ -274,15 +280,14 @@ class LimitValuation:
     Evaluation raises ResourceError when a coefficient's stability witness
     lies beyond the finite prefix.
 
-    When phi has the family degree d (and mu_1 is rank 1), every coefficient
-    has degree < d and is stable from mu_1 on, so it is valued by mu_1 alone,
-    without a stability scan, in the level-1 loop :func:`_val_linear`, in
-    integers over the common denominator B of mu_1's values and gamma.  A
-    linear key (d = 1) gives the loop its integer digits and the p-adic
-    order, as a chain's first level does, with the order in the minor
-    coordinate at rank 2; a key of degree d > 1 gives it the coefficients
-    and their stable values (:meth:`_stable_int`) as the order.  The loop's
-    results are interned, so repeated values are one shared object.
+    A linear key over a family whose first member mu_1 is rank 1 (so d = 1)
+    has constant coefficients, stable from mu_1 on: they are valued without
+    a stability scan, in the level-1 loop :func:`_val_linear` on the key's
+    integer digits with the p-adic order, as a chain's first level, in units
+    of 1/B with B the common denominator of gamma's coordinates, and with the
+    order in the minor coordinate at rank 2.  The loop's results are
+    interned, so repeated values are one shared object.  Every other key
+    takes the scan.
     """
 
     def __init__(self, chain: ContinuousChain, phi: Poly, gamma: Value):
@@ -290,22 +295,9 @@ class LimitValuation:
         self.phi = phi
         self.gamma = gamma
         self.rank = gamma.rank
-        self._mu1: Optional[InductiveValuation] = None
-        mu1 = chain.member(1)
-        if phi.degree <= chain.degree and mu1.rank == 1:
-            self._mu1 = mu1
-            B = lcm(mu1._den, *(c.denominator for c in gamma.coords))
-            G = (*[c.numerator * (B // c.denominator) for c in gamma.coords], 0)[:2]
-            # the p-adic order of a linear key's digit is scaled by B, a
-            # coefficient's stable value is in units of 1/B already; either
-            # goes into the minor coordinate at rank 2
-            order, unit = (chain.base.int_order, B) if phi.degree == 1 else (self._stable_int, 1)
-            self._lin = _Linear(order, (0, unit) if gamma.rank == 2 else (unit, 0), G, gamma.rank, B)
-
-    def _stable_int(self, c: Poly) -> int:
-        """B * mu_1(c) for 0 != c of degree < d: the stable value of c."""
-        q = self._mu1._val(c, self._mu1.length).coords[0]
-        return q.numerator * (self._lin.B // q.denominator)
+        self._lin = None
+        if phi.degree == 1 and chain.member(1).rank == 1:
+            self._lin = _linear(chain.base.int_order, gamma, minor=gamma.rank == 2)
 
     def stable_value(self, g: Poly) -> Value:
         rep = stability(self.chain, g)
@@ -320,18 +312,9 @@ class LimitValuation:
         if g.is_zero:
             return INFINITY
         check_expansion_work(g, self.phi)
-        if self._mu1 is not None:
-            return self._int_valuation(g)
+        if self._lin is not None:
+            return _value_of(_val_linear(self._lin, *_expand_ints(g, self.phi))[0], self._lin.B)
         return min(_monomial_values(phi_expansion(g, self.phi), self.gamma, self.stable_value))
-
-    def _int_valuation(self, g: Poly) -> Value:
-        """min_s (B * mu_1(g_s) + s * B * gamma) in the level-1 loop, with the
-        stable values in the minor coordinate, q -> (0, q), at rank 2."""
-        if self.phi.degree == 1:
-            digits, den = _expand_ints(g, self.phi)
-        else:  # zero coefficients as 0, which the loop skips; den 1: no offset
-            digits, den = [c if c.num else 0 for c in phi_expansion(g, self.phi)], 1
-        return _value_of(_val_linear(self._lin, digits, den)[0], self._lin.B)
 
     def __call__(self, g: Poly) -> Value:
         return self.valuation(g)

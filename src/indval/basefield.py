@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError, ResourceError
-from .values import INFINITY, Value, _check_digits
+from .values import INFINITY, Value, _check_digits, _units_of
 
 Rational = Union[int, Fraction]
 
@@ -190,6 +190,18 @@ def _power(x, n: int, mul, one):
     return result
 
 
+def _conv(f: Sequence[int], g: Sequence[int]) -> List[int]:
+    """The product of two non-empty integer coefficient sequences as plain,
+    unreduced ints: the one schoolbook convolution, of Polys and of the
+    prime-field polynomials of ``towers`` alike."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
+
+
 def _pack(num: List[int]) -> Sequence[int]:
     """Numerators as an array of 64-bit ints when they all fit, else a tuple.
 
@@ -344,15 +356,11 @@ class Poly:
         return Poly.from_ints([-n for n in self.num], self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        # tuples: the inner loop over an array('q') would box every int again
         a, b = tuple(self.num), tuple(other.num)
         if not a or not b:
             return Poly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return Poly.from_ints(out, self.den * other.den)
+        return Poly.from_ints(_conv(a, b), self.den * other.den)
 
     def scale(self, c: Rational) -> "Poly":
         if not isinstance(c, (int, Fraction)):
@@ -574,8 +582,7 @@ class _Linear(NamedTuple):
 
     ``place`` puts the digit's order into the major coordinate, (B, 0), for a
     chain, whose values below a rank-2 gamma go there, and into the minor one,
-    (0, B), for a rank-2 limit valuation, whose stable values go there.  An
-    order already in units of 1/B is placed by (1, 0) or (0, 1).
+    (0, B), for a rank-2 limit valuation, whose stable values go there.
     """
 
     order: Callable[[object], int]
@@ -583,6 +590,14 @@ class _Linear(NamedTuple):
     gamma: Tuple[int, int]
     rank: int
     B: int
+
+
+def _linear(order: Callable[[object], int], gamma: Value, minor: bool = False) -> _Linear:
+    """The _Linear of a linear key of value gamma, with B the common
+    denominator of gamma's coordinates; minor places the order in the minor
+    coordinate."""
+    B = lcm(*(c.denominator for c in gamma.coords))
+    return _Linear(order, (0, B) if minor else (B, 0), (*_units_of(gamma, B), 0)[:2], gamma.rank, B)
 
 
 def _val_linear(lin: _Linear, digits: Sequence, den: int, start: int = 0) -> Tuple[Tuple[int, ...], List[int]]:
@@ -595,9 +610,8 @@ def _val_linear(lin: _Linear, digits: Sequence, den: int, start: int = 0) -> Tup
     their values (``InductiveValuation._val``, ``valuation`` and, on one-step
     chains, the stability scan and ``expansion_report``, which also values
     each monomial alone, as one digit at start s) and for the residual
-    decomposition (``residual._expand``); a limit valuation reads it with its
-    linear key's digits, or with the coefficients of a key of the family
-    degree d > 1 and their stable values as the order (den 1).  The caller
+    decomposition (``residual._expand``); a limit valuation by a linear key
+    over a rank-1 first member reads it with the key's digits.  The caller
     builds a Value of the coordinates where a result leaves the library.
     """
     order, (P0, P1), (G0, G1), rank, _ = lin

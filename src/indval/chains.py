@@ -29,7 +29,7 @@ from .basefield import (
     PadicValuation,
     Poly,
     _expand_ints,
-    _Linear,
+    _linear,
     _monomial_values,
     _val_linear,
     check_expansion_work,
@@ -37,7 +37,7 @@ from .basefield import (
 )
 from .errors import ChainError, DomainError, InvariantError
 from .residual import attach_levels, key_check
-from .values import INFINITY, Value, _check_digits, _digits_of, _parse_rational, _value_of
+from .values import INFINITY, Value, _check_digits, _digits_of, _group_units, _parse_rational, _units_of, _value_of
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,9 @@ class InductiveValuation:
     """A validated augmentation chain; immutable after construction.
 
     Use :func:`validate_chain` (or :func:`indval.augmentation.augment`) to
-    build instances; the raw constructor performs no invariant checking.
+    build instances; the raw constructor performs no invariant checking.  A
+    validated chain is its parent, the validated chain of every step but the
+    last, plus one checked step.
     """
 
     def __init__(self, base: PadicValuation, steps: Sequence[Step]):
@@ -64,10 +66,8 @@ class InductiveValuation:
         self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
         # level 1 for _val_linear: gamma_1 in units of 1/B, the base order
         # in the major coordinate
-        g = self.steps[0].gamma
-        B = lcm(*(c.denominator for c in g.coords))
-        G = (*[c.numerator * (B // c.denominator) for c in g.coords], 0)[:2]
-        self._lin = _Linear(base.int_order, (B, 0), G, g.rank, B)
+        self._lin = _linear(base.int_order, self.steps[0].gamma)
+        self._parent: Optional[InductiveValuation] = None  # set by validation
         self._levels = None  # residual level data, attached by validation
         self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
         self._key_lifts: dict = {}  # psi over the top residue field -> keys._lift_record's entry
@@ -87,14 +87,15 @@ class InductiveValuation:
         return self.degrees[-1]
 
     def prefix(self, i: int) -> "InductiveValuation":
-        """The chain formed by the first i steps (1 <= i <= length)."""
+        """The chain formed by the first i steps (1 <= i <= length): the
+        validated ancestor stored with this chain, not a copy."""
         if not 1 <= i <= self.length:
             raise DomainError("prefix length out of range")
-        if i == self.length:
-            return self
-        nu = InductiveValuation(self.base, self.steps[:i])
-        if self._levels is not None:
-            nu._levels = self._levels[:i]
+        nu = self
+        while nu is not None and nu.length > i:
+            nu = nu._parent
+        if nu is None:
+            raise DomainError("chain has no residual data; build it with validate_chain")
         return nu
 
     def __eq__(self, other):
@@ -191,9 +192,7 @@ class InductiveValuation:
         self.check_work(f)
         if self.length == 1:
             return self._val(f, 1)
-        v = self._val(f, self.length)
-        D = self._den
-        return _value_of(tuple(c.numerator * (D // c.denominator) for c in v.coords), D)
+        return _value_of(_units_of(self._val(f, self.length), self._den), self._den)
 
     def __call__(self, f: Poly) -> Value:
         return self.valuation(f)
@@ -247,13 +246,8 @@ class InductiveValuation:
         """
         i = self.length if level is None else level
         rows = self._digit_table()[: i - 1]
-        b = Value.of(beta).demote()
         D = rows[-1][1] if rows else 1
-        if b.coords is None or len(b.coords) != 1 or D % b.coords[0].denominator:
-            raise DomainError(
-                f"{beta} is not in the value group of degree<{self.degrees[i-1]} polynomials"
-            )
-        return tuple(_digits_of(rows, b.coords[0].numerator * (D // b.coords[0].denominator)))
+        return tuple(_digits_of(rows, _group_units(beta, Value.of(beta).demote(), D, self.degrees[i - 1])))
 
     def monomial_from_exps(self, exps: Sequence[int]) -> Poly:
         """The monomial p^c * prod phi_j^{m_j} for exponents (c, m_1, ...)."""
@@ -411,14 +405,22 @@ def validate_chain(
     linear; key degrees divide the next degree; only the final value may be
     incommensurable; each gamma_i exceeds the prefix value of phi_i; each
     phi_{i+1} is a key polynomial for the prefix chain and is not equivalent
-    to phi_i (augment replaces the top step in that case).  Residual level
-    data (ramification, normalizers, residue-field tower) is built and cached
-    during the walk.
+    to phi_i (augment replaces the top step in that case).  The shape checks
+    run once on the whole list; then the chain is extended one step at a
+    time (:func:`_extend`), each step checked against the chain below it,
+    whose residual level data (ramification, normalizers, residue-field
+    tower) it keeps and adds one level to.
 
     Only the input is checked, deterministically.  The library's own
     invariants, such as values of degree < deg(phi_r) lying in (1/D_r)Z, are
     tier-1 tests (``tests/test_validation.py``), not runtime checks.
     """
+    return _extend(base, None, _shape_checked(raw_steps))
+
+
+def _shape_checked(raw_steps: Sequence) -> List[Step]:
+    """The steps of a chain, after the checks of :func:`validate_chain` that
+    need no valuation, in its order and with its texts."""
     steps = [_as_step(item) for item in raw_steps]
     if not steps:
         raise ChainError("a chain must contain at least one step")
@@ -449,11 +451,20 @@ def validate_chain(
                 f"step {i + 1}: key degree {steps[i].phi.degree} is not a multiple "
                 f"of the previous key degree {steps[i - 1].phi.degree}"
             )
+    return steps
 
-    nu = InductiveValuation(base, steps)
-    # value and key invariants, walked level by level; builds residual data
-    attach_levels(nu)
-    return nu
+
+def _extend(
+    base: PadicValuation, parent: Optional[InductiveValuation], steps: Sequence[Step]
+) -> Optional[InductiveValuation]:
+    """parent (None: the empty chain) extended by each step in turn, each one
+    checked against the chain below it by :func:`attach_levels`."""
+    for st in steps:
+        nu = InductiveValuation(base, (parent.steps if parent else ()) + (st,))
+        nu._parent = parent
+        attach_levels(nu)
+        parent = nu
+    return parent
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 from .basefield import Poly, _expand_ints, _val_linear, phi_expansion
 from .errors import ChainError, DomainError, InvariantError
 from .towers import TowerElem, TowerField, TowerPoly, extend_with_root, ff_is_irreducible
-from .values import Value, _digits_of, _value_of
+from .values import Value, _digits_of, _group_units, _value_of
 
 if TYPE_CHECKING:
     from .chains import InductiveValuation
@@ -122,7 +122,7 @@ class _Level:
     """Per-level residual context, built during chain validation."""
 
     index: int
-    nu: InductiveValuation  # rank-1 prefix chain of this length
+    nu: InductiveValuation  # the rank-1 chain of this length that built the level
     phi: Poly
     n: int
     e: int
@@ -167,62 +167,57 @@ class _Expansion(NamedTuple):
 
 
 def attach_levels(nu: InductiveValuation) -> None:
-    """Walk the chain, checking value/key invariants and building level data.
+    """Check nu's top step against its validated parent and attach the levels.
 
-    Raises ChainError naming the first violated invariant.  Every step i >= 2
-    is checked against its prefix chain, a rank-2 top step too (its prefix
-    value put in gamma_i's rank by the chain's embedding).  On success the
-    levels are cached on the chain; an incommensurable final step carries no
-    level of its own.  Level i is built on nu.prefix(i), which is nu itself
-    at the top of a rank-1 chain.
+    nu is its parent nu._parent (None for a one-step chain) plus one step.
+    Raises ChainError naming the first violated invariant of that step: its
+    value must exceed the parent's value of its key (put in gamma's rank by
+    the chain's embedding), and the key must be a key polynomial for the
+    parent, not equivalent to the parent's top key.  nu's levels are the
+    parent's, the same objects, plus one level built on nu itself; an
+    incommensurable top step adds none.
     """
-    levels: List[_Level] = []
-    pre: Optional[InductiveValuation] = None
-    for i, step in enumerate(nu.steps, 1):
-        psi = None
-        if i >= 2:
-            mu_phi = nu._in_rank(pre.valuation(step.phi), i)
-            if not step.gamma > mu_phi:
-                raise ChainError(
-                    f"step {i}: gamma={step.gamma} must exceed the prefix value "
-                    f"{mu_phi} of the key polynomial"
-                )
-            kc = key_check(pre, step.phi)
-            if not kc.ok:
-                raise ChainError(
-                    f"step {i}: {step.phi} is not a key polynomial for the "
-                    f"prefix chain ({kc.reason})"
-                )
-            if kc.branch == "equivalent":
-                raise ChainError(
-                    f"step {i}: key is equivalent to the previous key; augment "
-                    "replaces the top step instead of appending"
-                )
-            psi = kc.respoly
-        if not nu.commensurable_at(i):
-            break
-        pre = nu.prefix(i)
-        levels.append(_make_level(pre, i, levels, psi))
-        pre._levels = levels[:i]
-    nu._levels = levels
+    pre, step, i = nu._parent, nu.top, nu.length
+    psi = None
+    if pre is not None:
+        mu_phi = nu._in_rank(pre.valuation(step.phi), i)
+        if not step.gamma > mu_phi:
+            raise ChainError(
+                f"step {i}: gamma={step.gamma} must exceed the prefix value "
+                f"{mu_phi} of the key polynomial"
+            )
+        kc = key_check(pre, step.phi)
+        if not kc.ok:
+            raise ChainError(
+                f"step {i}: {step.phi} is not a key polynomial for the "
+                f"prefix chain ({kc.reason})"
+            )
+        if kc.branch == "equivalent":
+            raise ChainError(
+                f"step {i}: key is equivalent to the previous key; augment "
+                "replaces the top step instead of appending"
+            )
+        psi = kc.respoly
+    below = pre._levels if pre is not None else ()
+    nu._levels = (*below, _make_level(nu, below, psi)) if nu.commensurable_at(i) else below
 
 
-def _make_level(
-    nu_i: InductiveValuation, i: int, levels: List[_Level], psi: Optional[TowerPoly]
-) -> _Level:
-    step = nu_i.steps[-1]
+def _make_level(nu_i: InductiveValuation, levels: Tuple[_Level, ...], psi: Optional[TowerPoly]) -> _Level:
+    """The level of nu_i's top step, on the levels below it."""
+    i, step = nu_i.length, nu_i.top
     table = nu_i._digit_table()
     rows = table[: i - 1]
     e, _, g, _ = table[i - 1]
     D = rows[-1][1] if rows else 1
-    u_exps = nu_i.digit_vector(step.gamma.scaled(-e), level=i)
+    # the canonical monomial of -e*gamma_i = -g/D_i
+    u_exps = tuple(_digits_of(rows, -g))
     u_poly = nu_i.monomial_from_exps(u_exps)
     if i == 1:
         field = TowerField(nu_i.base.p)
         z_images: Tuple[TowerElem, ...] = ()
         gen_lifts: Tuple[Poly, ...] = ()
     else:
-        prev = levels[i - 2]
+        prev = levels[-1]
         field, root = extend_with_root(prev.field, psi)
         z_images = tuple(field.coerce(z) for z in prev.z_images) + (field.coerce(root),)
         if field is not prev.field:
@@ -250,7 +245,7 @@ def _make_level(
     return level
 
 
-def _require_levels(nu: InductiveValuation) -> List[_Level]:
+def _require_levels(nu: InductiveValuation) -> Tuple[_Level, ...]:
     if nu._levels is None:
         raise DomainError("chain has no residual data; build it with validate_chain")
     if len(nu._levels) != nu.length:
@@ -305,11 +300,7 @@ def _interned(result):
 def _int_unit(levels: Sequence[_Level], i: int, hu: HomogeneousUnit):
     """The integer unit (B, data) of a HomogeneousUnit at level i."""
     top = levels[i - 1]
-    b = Value.of(hu.value)
-    if b.coords is None or len(b.coords) != 1 or top.D % b.coords[0].denominator:
-        raise DomainError(f"{hu.value} is not in the value group of degree<{top.n} polynomials")
-    B = b.coords[0].numerator * (top.D // b.coords[0].denominator)
-    return B, top.field.coerce(hu.residue).data
+    return _group_units(hu.value, Value.of(hu.value), top.D, top.n), top.field.coerce(hu.residue).data
 
 
 def _digits(levels: Sequence[_Level], i: int, B: int) -> List[int]:

@@ -36,7 +36,7 @@ import random
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .basefield import _power, _terms
+from .basefield import _conv, _power, _terms
 from .errors import DomainError, InvariantError, ParseError, ResourceError
 from .values import _check_digits
 
@@ -141,7 +141,7 @@ class TowerField:
         negm = self._negmod
         k = len(negm)
         if sub.sub is None:
-            p, r = self.p, _kconv(a, b)
+            p, r = self.p, _conv(a, b)
             _kdivide(p, r, negm, 1)
             return tuple([c % p for c in r[:k]])
         z = sub._zero
@@ -368,20 +368,10 @@ def _ksub(p: int, f, g) -> List[int]:
     return _ktrim(out)
 
 
-def _kconv(f, g) -> List[int]:
-    """The product of two non-empty coefficient lists as plain, unreduced ints."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g, i):
-                out[j] += a * b
-    return out
-
-
 def _kmul(p: int, f, g) -> List[int]:
     if not f or not g:
         return []
-    return _ktrim([c % p for c in _kconv(f, g)])
+    return _ktrim([c % p for c in _conv(f, g)])
 
 
 def _kdivide(p: int, r: List[int], negm, li: int) -> None:

@@ -249,6 +249,21 @@ def _value_of(key: Optional[Tuple[int, ...]], den: int) -> Value:
     return Value(tuple(Fraction(k, den) for k in key))
 
 
+def _units_of(v: Value, den: int) -> Tuple[int, ...]:
+    """The coordinates of a finite v in units of 1/den, a multiple of their
+    denominators: the inverse of :func:`_value_of`."""
+    return tuple(c.numerator * (den // c.denominator) for c in v.coords)
+
+
+def _group_units(beta, b: Value, D: int, n: int) -> int:
+    """b, the Value of beta, in units of 1/D, where (1/D)Z is the value group
+    of the polynomials of degree < n; DomainError naming beta when b is not
+    a rank-1 value in that group."""
+    if b.coords is None or len(b.coords) != 1 or D % b.coords[0].denominator:
+        raise DomainError(f"{beta} is not in the value group of degree<{n} polynomials")
+    return _units_of(b, D)[0]
+
+
 def _digits_of(rows: Sequence[Tuple[int, int, int, int]], B: int) -> List[int]:
     """Digits (c, m_1, ..., m_{i-1}) of the value B/D_i, given the digit-table
     rows of the i-1 steps below level i (see ``InductiveValuation.digit_vector``)."""

@@ -109,6 +109,89 @@ class TestContinuousValidation:
         again = continuous_chain_from_json(lam.to_json())
         assert again.family == lam.family
 
+    @pytest.mark.parametrize(
+        "family, base_steps, text",
+        [
+            ([("2x+1", 1), ("2x+3", 2)], (), "step 1: key polynomial must be monic"),
+            ([("x^2+2", 1), ("x^2+6", 2)], (), "step 1: the first key polynomial must be monic linear"),
+            (
+                [("x^3+2", 5)],
+                [("x", F(1, 2)), ("x^2+2", F(3, 2))],
+                "step 3: key degree 3 is not a multiple of the previous key degree 2",
+            ),
+        ],
+    )
+    def test_members_pass_the_shape_checks(self, v2, family, base_steps, text):
+        # every member's step list is checked as validate_chain checks it,
+        # although the base steps are validated once for all members
+        with pytest.raises(ChainError) as exc:
+            validate_continuous_chain(family, v2, base_steps)
+        assert str(exc.value) == text
+
+
+class TestOneLevelPerStep:
+    """A validated chain is its parent plus one checked step: augmentation
+    builds one level, and prefixes are the stored ancestors."""
+
+    @staticmethod
+    def _next(nu):
+        chi = iv.lift_key(nu, "y+1")
+        return iv.augment(nu, chi, nu(chi) + Value.of(F(1, 2 * 2**nu.length)))
+
+    def test_augment_builds_one_level(self, ladder, monkeypatch):
+        built = []
+        inner = iv.residual._make_level
+
+        def counted(*args):
+            built.append(args[0])
+            return inner(*args)
+
+        monkeypatch.setattr(iv.residual, "_make_level", counted)
+        for nu in ladder:
+            before = len(built)
+            aug = self._next(nu)
+            assert len(built) - before == 1 and built[-1] is aug
+            assert aug.prefix(nu.length) is nu
+            assert all(a is b for a, b in zip(aug._levels, nu._levels))
+        assert iv.validate_chain(ladder[-1].steps, ladder[-1].base) == ladder[-1]
+        assert len(built) == len(ladder) + ladder[-1].length
+
+    def test_replaced_top_step_keeps_the_prefix_below(self, nu1, ladder):
+        one = augment(nu1, P("x+2"), 1)
+        assert one.steps[0].phi == P("x+2") and one._parent is None
+        for nu in ladder[1:]:
+            r = nu.length
+            aug = augment(nu, nu.top.phi, nu.top.gamma + 1)
+            assert aug.length == r and aug.top.gamma == nu.top.gamma + 1
+            assert aug.prefix(r - 1) is nu.prefix(r - 1)
+            assert all(a is b for a, b in zip(aug._levels[:-1], nu._levels))
+
+    def test_family_members_share_one_base_prefix(self, v2):
+        chain = validate_continuous_chain(
+            [("x^2+2", 2), ("x^2+6", 3), ("x^2+14", 4)], v2, [("x", F(1, 2))]
+        )
+        base = chain.member(1).prefix(1)
+        assert base.steps == (iv.Step(P("x"), Value.of(F(1, 2))),)
+        for mu in chain.members:
+            assert mu.prefix(1) is base and mu._levels[0] is base._levels[0]
+
+    def test_extended_chains_equal_chains_validated_from_scratch(self, ladder, v2):
+        family = validate_continuous_chain(
+            [("x^2+2", 2), ("x^2+6", 3)], v2, [("x", F(1, 2))]
+        )
+        extended = [*ladder, self._next(ladder[-2]), *family.members]
+        extended.append(augment(ladder[2], ladder[2].top.phi, ladder[2].top.gamma + 1))
+        rng = random.Random(83)
+        for nu in extended:
+            fresh = iv.validate_chain(nu.steps, nu.base)
+            assert fresh == nu and fresh.prefix(1) is not nu.prefix(1)
+            for _ in range(6):
+                f = make_rand_poly(rng, 2 * nu.top_degree + 1)
+                assert str(nu(f)) == str(fresh(f))
+                assert str(iv.decompose(nu, f)) == str(iv.decompose(fresh, f))
+            assert iv.lift_key(nu, "y+1") == iv.lift_key(fresh, "y+1")
+            assert iv.enumerate_keys(nu, 1) == iv.enumerate_keys(fresh, 1)
+
 
 class TestStability:
     def test_examples(self, lam):
@@ -339,7 +422,7 @@ class TestIntegerLimitPath:
     def test_lam_equals_reference(self, lam_limits, pairs):
         g = _poly(pairs)
         for lim in lam_limits:
-            assert lim._mu1 is not None
+            assert lim._lin is not None
             got, want = lim(g), _limit_reference(lim, g)
             assert got == want and str(got) == str(want)
             if not g.is_zero:
@@ -348,8 +431,6 @@ class TestIntegerLimitPath:
     @settings(max_examples=25, deadline=None)
     @given(_coeffs)
     def test_degree2_family_equals_reference(self, quad_limit, pairs):
-        # coefficients of degree 1 take the mu_1 path, not the constant one
-        assert quad_limit._mu1 is not None
         g = _poly(pairs)
         got, want = quad_limit(g), _limit_reference(quad_limit, g)
         assert got == want and str(got) == str(want)
@@ -357,7 +438,7 @@ class TestIntegerLimitPath:
     def test_degree2_key_over_linear_family_keeps_the_scan(self, v2):
         chain = _sqrt17_family(v2, 6)
         lim = limit_augment(chain, P("x^2-17"), Value.of((1, 0)))
-        assert lim._mu1 is None
+        assert lim._lin is None
         rng = random.Random(79)
         for _ in range(10):
             g = make_rand_poly(rng, 5)
