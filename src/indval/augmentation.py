@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .basefield import PadicValuation, Poly, _monomial_values, check_expansion_work, phi_expansion
-from .basefield import _expand_ints, _linear, _val_linear  # the level-1 loop and its integer digits
+from .basefield import _linear, _linear_digits, _val_linear  # the level-1 loop and its lazy integer digits
 from .chains import (
     InductiveValuation,
     Step,
@@ -242,8 +242,9 @@ def stability(chain: ContinuousChain, f: Poly) -> StabilityReport:
     degree < d is its own expansion, so the scan stops at alpha = 1 with the
     value mu_1(f).  A member that is a one-step chain (a family of degree 1
     with no base steps) gives its value and argmin set from the level-1 loop
-    :func:`_val_linear` on f's integer digits; longer members give their
-    expansion report.
+    :func:`_val_linear` on f's lazy integer digits, which stops once no later
+    monomial can reach the minimum (every digit is read when gamma <= 0);
+    longer members give their expansion report.
     """
     if f.is_zero:
         raise DomainError("stability of the zero polynomial")
@@ -252,8 +253,8 @@ def stability(chain: ContinuousChain, f: Poly) -> StabilityReport:
         mu = chain.member(alpha)
         if mu.length == 1:
             mu.check_work(f)
-            key, idx = _val_linear(mu._lin, *_expand_ints(f, mu.top.phi))
-            v = _value_of(key, mu._lin.B)
+            key, idx = _val_linear(mu._lin, *_linear_digits(f, mu.top.phi))
+            v, idx = _value_of(key, mu._lin.B), list(idx)
         else:
             rep = expansion_report(mu, f)
             v, idx = rep.mu, list(rep.indices)
@@ -283,11 +284,13 @@ class LimitValuation:
     A linear key over a family whose first member mu_1 is rank 1 (so d = 1)
     has constant coefficients, stable from mu_1 on: they are valued without
     a stability scan, in the level-1 loop :func:`_val_linear` on the key's
-    integer digits with the p-adic order, as a chain's first level, in units
-    of 1/B with B the common denominator of gamma's coordinates, and with the
-    order in the minor coordinate at rank 2.  The loop's results are
-    interned, so repeated values are one shared object.  Every other key
-    takes the scan.
+    lazy integer digits with the p-adic order, as a chain's first level, in
+    units of 1/B with B the common denominator of gamma's coordinates, and
+    with the order in the minor coordinate at rank 2.  The loop stops at the
+    first s with s*gamma above the least monomial value so far (for gamma >
+    0), so the Horner passes of the later digits never run.  The loop's
+    results are interned, so repeated values are one shared object.  Every
+    other key takes the scan.
     """
 
     def __init__(self, chain: ContinuousChain, phi: Poly, gamma: Value):
@@ -313,7 +316,7 @@ class LimitValuation:
             return INFINITY
         check_expansion_work(g, self.phi)
         if self._lin is not None:
-            return _value_of(_val_linear(self._lin, *_expand_ints(g, self.phi))[0], self._lin.B)
+            return _value_of(_val_linear(self._lin, *_linear_digits(g, self.phi))[0], self._lin.B)
         return min(_monomial_values(phi_expansion(g, self.phi), self.gamma, self.stable_value))
 
     def __call__(self, g: Poly) -> Value:

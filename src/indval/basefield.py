@@ -8,9 +8,16 @@ only where a coefficient leaves the class (``coeffs``, ``coeff``, printing).
 The expansion f = sum f_s phi^s in a monic key also runs on integers: one
 division loop (``_divide``) serves Poly division and expansions alike, an
 expansion divides one running list of numerators in place, and only its
-digits become Polys.  The expansion's work budget, the monomial-value
-kernel of chain evaluation and the one level-one argmin loop live here too,
-below the chains and limit valuations that use them.
+digits become Polys.  In a linear key the synthetic-division loop
+(``_horner``) gives the digits one Horner pass at a time, so the one
+level-one argmin loop (``_val_linear``) runs only the passes of the digits
+it reads: it stops at the first s with s*gamma above the least monomial
+value so far, which is exact because digit orders are >= 0, and can only
+happen for gamma > 0.  ``phi_expansion`` and ``_expand_ints`` (and with them
+``expansion_report``) still read every digit.  The expansion's work budget,
+still sized for the whole expansion, and the monomial-value kernel of chain
+evaluation live here too, below the chains and limit valuations that use
+them.
 
 Primality of the base prime is decided by deterministic Miller-Rabin on the
 prime bases up to 41, which is exact below 3.3 * 10^24 (Sorenson-Webster,
@@ -24,7 +31,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ParseError, ResourceError
 from .values import INFINITY, Value, _check_digits, _units_of
@@ -436,6 +444,22 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
+def _horner(r: List[int], a: int, times: int) -> Iterator[int]:
+    """Synthetic division of the numerators r by x - a in place, and of the
+    quotient again, times times in all: the one synthetic-division loop.
+
+    Division lo is one Horner pass over r[lo:], which leaves its remainder,
+    final from then on, at r[lo]; the generator yields it after each pass,
+    so a reader that stops early saves every pass after the last digit it
+    read.  r[times:] holds the last quotient once the generator is drained.
+    """
+    for lo in range(times):
+        acc = r[-1]
+        for j in range(len(r) - 2, lo - 1, -1):
+            acc = r[j] = r[j] + a * acc
+        yield r[lo]
+
+
 def _divide(r: List[int], G: Sequence[int], times: int) -> int:
     """Divide the numerators r by G in place, and the quotient again, times
     times in all: the one integer division loop behind Poly division and
@@ -443,20 +467,17 @@ def _divide(r: List[int], G: Sequence[int], times: int) -> int:
 
     With n = deg G, afterwards r[:times*n] holds the remainders, n numerators
     each, and r[times*n:] the last quotient.  A monic integral linear
-    G = x - a takes synthetic division, one Horner pass per division; every
-    other G eliminates each top numerator with its non-zero coefficients
-    alone.  A G whose leading numerator L is not 1 is divided once, by
-    pseudo-division: L^k * r = Q*G + R for the returned count k of
-    elimination steps (0 when L = 1).
+    G = x - a drains :func:`_horner`, one pass per division; every other G
+    eliminates each top numerator with its non-zero coefficients alone.  A G
+    whose leading numerator L is not 1 is divided once, by pseudo-division:
+    L^k * r = Q*G + R for the returned count k of elimination steps (0 when
+    L = 1).
     """
     n, lead = len(G) - 1, G[-1]
     if n == 1 and lead == 1:
-        a = -G[0]
-        if a and r:
-            for lo in range(times):
-                acc = r[-1]
-                for j in range(len(r) - 2, lo - 1, -1):
-                    acc = r[j] = r[j] + a * acc
+        if r and G[0]:
+            for _ in _horner(r, -G[0], times):
+                pass
         return 0
     terms = [(j, -c) for j, c in enumerate(G[:-1]) if c]
     k = 0
@@ -483,7 +504,9 @@ def _expand_ints(f: Poly, phi: Poly) -> Tuple[List[int], int]:
     non-integer coefficient, L its denominator, is made integral by the
     change x = y/L: f(y/L) is expanded in the monic integral key
     L^n phi(y/L), and the numerator at [j] is then multiplied back by L^j,
-    with no pseudo-division.
+    with no pseudo-division.  Every digit is computed, for ``phi_expansion``
+    and ``expansion_report``; :func:`_linear_digits` gives a linear key's
+    digits one pass at a time, for readers that may stop early.
     """
     G, r, den = phi.num, list(f.num), f.den
     n, L, m = len(G) - 1, G[-1], len(r) - 1
@@ -495,6 +518,24 @@ def _expand_ints(f: Poly, phi: Poly) -> Tuple[List[int], int]:
     if L != 1:
         r = [x * L**j for j, x in enumerate(r)]
     return r, den
+
+
+def _linear_digits(f: Poly, phi: Poly) -> Tuple[Iterator[int], int]:
+    """The digits of :func:`_expand_ints` for a monic linear key
+    phi = x + c/L, produced one :func:`_horner` pass at a time: digit s costs
+    its pass only when it is read.  The change x = y/L makes the key y + c,
+    and each digit is multiplied back by L^s as it is read.  In the key x,
+    and for a constant, the digits are f's own numerators.
+    """
+    (c, L), m = phi.num, len(f.num) - 1
+    if not c or m < 1:
+        return f.num, f.den
+    r, den = list(f.num), f.den
+    if L != 1:
+        r = [x * L ** (m - j) for j, x in enumerate(r)]
+        den *= L**m
+    digits = chain(_horner(r, -c, m), r[m:])
+    return (digits if L == 1 else (d * L**s for s, d in enumerate(digits))), den
 
 
 # The work budget: the most bits an expansion may be estimated to produce
@@ -600,30 +641,41 @@ def _linear(order: Callable[[object], int], gamma: Value, minor: bool = False) -
     return _Linear(order, (0, B) if minor else (B, 0), (*_units_of(gamma, B), 0)[:2], gamma.rank, B)
 
 
-def _val_linear(lin: _Linear, digits: Sequence, den: int, start: int = 0) -> Tuple[Tuple[int, ...], List[int]]:
-    """The value of sum (digits[s]/den) * phi^(start+s) in integer
-    coordinates, in units of 1/lin.B, and its argmin set (exponents of phi);
-    zero digits are skipped.
+def _val_linear(lin: _Linear, digits: Iterable[int], den: int, start: int = 0) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """The value of the sum of (d_s/den) * phi^s over the integer digits
+    d_start, d_start+1, ..., in integer coordinates in units of 1/lin.B, and
+    its argmin set as a map from s to d_s; zero digits are skipped.
 
-    The one level-one argmin loop.  Chains read it at level 1 with the
-    integer digits of :func:`_expand_ints` and the p-adic order, both for
-    their values (``InductiveValuation._val``, ``valuation`` and, on one-step
-    chains, the stability scan and ``expansion_report``, which also values
-    each monomial alone, as one digit at start s) and for the residual
-    decomposition (``residual._expand``); a limit valuation by a linear key
-    over a rank-1 first member reads it with the key's digits.  The caller
-    builds a Value of the coordinates where a result leaves the library.
+    The one level-one argmin loop.  It reads the digits as an iterable and
+    stops before the first s with s*gamma > best, best the least key so far:
+    a digit's key order(d)*place + s*gamma is at least s*gamma, as order and
+    place are >= 0, so no later monomial can reach the minimum.  The rule
+    can only hold for gamma > 0 in the loop's units; a chain may have
+    gamma_1 <= 0 (``(x - 1/2, -1/2)`` over v_2), and then (s+1)*gamma is
+    never above a key read so far, and every digit is read.  Given the lazy
+    digits of :func:`_linear_digits`, the passes of the unread digits are
+    never run.
+
+    Chains read it at level 1 with the p-adic order: ``InductiveValuation._val``
+    (and so ``valuation``), the stability scan over one-step members and the
+    residual decomposition (``residual._expand``, which keeps the argmin
+    digits) read the lazy digits; ``expansion_report`` on a one-step chain
+    reads every digit of :func:`_expand_ints`, and values each monomial
+    alone, as one digit at start s.  A limit valuation by a linear key over a
+    rank-1 first member reads the key's lazy digits.  The caller builds a
+    Value of the coordinates where a result leaves the library.
     """
     order, (P0, P1), (G0, G1), rank, _ = lin
-    best, argmin = None, []
+    best, argmin = None, {}
     for s, d in enumerate(digits, start):
         if d:
             o = order(d)
             key = (o * P0 + s * G0, o * P1 + s * G1)
             if best is None or key < best:
-                best, argmin = key, [s]
+                best, argmin = key, {s: d}
             elif key == best:
-                argmin.append(s)
+                argmin[s] = d
+        if best is not None and ((s + 1) * G0, (s + 1) * G1) > best:
+            break
     o = order(den) if den != 1 else 0
     return (best[0] - o * P0, best[1] - o * P1)[:rank], argmin
-

@@ -30,6 +30,7 @@ from .basefield import (
     Poly,
     _expand_ints,
     _linear,
+    _linear_digits,
     _monomial_values,
     _val_linear,
     check_expansion_work,
@@ -165,14 +166,15 @@ class InductiveValuation:
         """The level-i value of f, in gamma_i's rank.
 
         Level 1 values every f, constants included, in the integer loop
-        :func:`_val_linear` over the digits of f in the linear key phi_1,
+        :func:`_val_linear` over the lazy digits of f in the linear key phi_1,
+        which it reads only while a monomial can still reach the minimum,
         in units of 1/B with B the common denominator of gamma_1's
         coordinates (B = e_1 at rank 1), and returns its interned Value.
         """
         if f.is_zero:
             return INFINITY
         if i == 1:
-            return _value_of(_val_linear(self._lin, *_expand_ints(f, self.steps[0].phi))[0], self._lin.B)
+            return _value_of(_val_linear(self._lin, *_linear_digits(f, self.steps[0].phi))[0], self._lin.B)
         if i == 0:
             return self.base.value(f.constant_value())
         phi, gamma = self.steps[i - 1].phi, self.steps[i - 1].gamma
@@ -477,7 +479,7 @@ def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
 
     On a chain of two or more steps the monomial values come from the kernel
     :func:`_monomial_values` with the prefix chain as value_of.  A one-step
-    chain reads the level-1 loop :func:`_val_linear` instead: the integer
+    chain reads the level-1 loop :func:`_val_linear` instead: all the integer
     digits give the minimum and the argmin set, and each monomial value is
     the loop's value of that monomial alone, in integers.  s and s' are the
     least and greatest argmin.  A rank-2 top step, the only incommensurable

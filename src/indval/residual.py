@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .basefield import Poly, _expand_ints, _val_linear, phi_expansion
+from .basefield import Poly, _linear_digits, _val_linear, phi_expansion
 from .errors import ChainError, DomainError, InvariantError
 from .towers import TowerElem, TowerField, TowerPoly, extend_with_root, ff_is_irreducible
 from .values import Value, _digits_of, _group_units, _value_of
@@ -376,15 +376,17 @@ def _expand(levels: Sequence[_Level], i: int, f: Poly) -> _Expansion:
     Each coefficient is valued through its own expansion one level down, and
     the argmin coefficients keep theirs for the decomposition below, so a
     decomposition expands every (coefficient, level) pair once.  Level 1
-    reads the integer value and argmin set of ``_val_linear`` (in units of
-    1/e_1); above it, a coefficient's value in units of 1/D_i scales by e_i
-    into units of 1/(D_i*e_i), where gamma_i is the integer g.
+    reads the integer value (in units of 1/e_1) and the argmin digits of
+    ``_val_linear`` on the lazy digits, which stops once no later monomial
+    can reach the minimum; above it, a coefficient's value in units of
+    1/D_i scales by e_i into units of 1/(D_i*e_i), where gamma_i is the
+    integer g.
     """
     top = levels[i - 1]
     if i == 1:
-        digits, den = _expand_ints(f, top.phi)
+        digits, den = _linear_digits(f, top.phi)
         (mu,), argmin = _val_linear(top.nu._lin, digits, den)
-        return _Expansion(f, mu, {s: (digits[s], den) for s in argmin})
+        return _Expansion(f, mu, {s: (d, den) for s, d in argmin.items()})
     coeffs = [f] if f.degree < top.n else phi_expansion(f, top.phi)
     subs = {s: _expand(levels, i - 1, c) for s, c in enumerate(coeffs) if not c.is_zero}
     e, g = top.e, top.g

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import indval as iv
+import indval.basefield as basefield
 import indval.residual as residual
 from indval.values import _value_of
 from indval import (
@@ -235,6 +236,13 @@ LINEAR_CHAINS = [
     (5, "x-1", 1),
     (2, "x-1", (0, 1)),
     (3, "x + 1/2", Fraction(3, 2)),  # fractional root: the change of variable x = y/2
+    # gamma_1 <= 0: the loop cannot stop early and reads every digit
+    (2, "x - 1/2", Fraction(-1, 2)),
+    (2, "x", 0),
+    (2, "x - 1/4", (-2, -1)),
+    # rank 2 with gamma_1 > 0 but a negative minor coordinate: the stop rule
+    # compares pairs
+    (3, "x - 1/3", (1, -1)),
 ]
 
 
@@ -251,6 +259,11 @@ def level_one(v2, lam):
 @example([Fraction(3)])
 @example([Fraction(-20, 9)])
 @example([Fraction(0), Fraction(2), Fraction(1)])
+# zero low digits: in x, in x - 1/2 and in x - 1, so the loop starts without a
+# minimum
+@example([Fraction(0), Fraction(0), Fraction(0), Fraction(5)])
+@example([Fraction(1, 4), Fraction(-1), Fraction(1)])
+@example([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)])
 @settings(max_examples=100, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=12).filter(lambda cs: any(cs)))
 def test_level_one_value_matches_reference(level_one, a):
@@ -395,6 +408,40 @@ class TestWork:
         monkeypatch.undo()
         assert sum((c * phi**s for s, c in enumerate(digits)), Poly.zero()) == f
 
+    @staticmethod
+    def _passes(monkeypatch):
+        """The digits that the synthetic-division loop yields, one per pass."""
+        passes = []
+        horner = basefield._horner
+
+        def counted(r, a, times):
+            for d in horner(r, a, times):
+                passes.append(d)
+                yield d
+
+        monkeypatch.setattr(basefield, "_horner", counted)
+        return passes
+
+    def test_level_one_stops_at_the_argmin(self, lam, monkeypatch):
+        # The parent ran all 48 Horner passes and took the order of all 49
+        # digits.  f(-2) and f(0) are odd, so the argmin is s = 0, and past it
+        # s*gamma exceeds the minimum.
+        rng = random.Random(25)
+        f = Poly([2 * rng.randrange(-500, 500) + 1] + [rng.randrange(-1000, 1001) for _ in range(47)] + [1])
+        lim = limit_augment(lam, Poly.parse("x+2"), Value.of((1, 0)))
+        orders = self._record(monkeypatch, iv.PadicValuation, "int_order")
+        nu1 = iv.validate_chain([("x", Fraction(1, 2))], iv.PadicValuation(2))
+        full = iv.validate_chain([("x+2", -1)], iv.PadicValuation(2))
+        passes = self._passes(monkeypatch)
+        assert lim(f) == Value.of((0, 0)) and len(passes) == 1
+        orders.clear()
+        assert nu1(f) == Value.of(0) and len(orders) == 1
+        # gamma_1 <= 0: every digit is read
+        passes.clear()
+        orders.clear()
+        full(f)
+        assert len(passes) == 48 and len(orders) == 49
+
     def test_decomposition_expands_each_coefficient_once(self, ladder, monkeypatch):
         # The parent made 27 phi_expansion calls here, 16 of them distinct:
         # every argmin coefficient was expanded again one level down.
@@ -405,10 +452,10 @@ class TestWork:
         f = Poly([Fraction(rng.randrange(-100, 101), rng.choice((1, 3, 7))) for _ in range(2 * nu.top_degree)])
         by_value = self._record(monkeypatch, chains, "phi_expansion")
         expansions = self._record(monkeypatch, residual, "phi_expansion")
-        level_one = self._record(monkeypatch, residual, "_expand_ints")
+        level_one = self._record(monkeypatch, residual, "_linear_digits")
         want = iv.decompose(nu, f)
         assert by_value == []
-        assert len(expansions) == 15
+        assert len(expansions) == 15 and level_one
         assert len(set(expansions + level_one)) == len(expansions) + len(level_one)
         monkeypatch.undo()
         assert iv.decompose(nu, f) == want
