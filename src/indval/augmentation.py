@@ -27,12 +27,14 @@ from .chains import (
     InductiveValuation,
     Step,
     _as_step,
+    _check_chain_work,
     _extend,
     _json_object,
     _parse_base,
     _parse_steps,
     _shape_checked,
     _steps_json,
+    _validation_work,
     expansion_report,
     is_equivalent,
 )
@@ -141,7 +143,9 @@ def validate_continuous_chain(
 
     The members extend one chain of the base steps, validated once, by their
     own step each; each member's step list still passes the shape checks of
-    :func:`indval.chains.validate_chain`, in the family's order.
+    :func:`indval.chains.validate_chain`, in the family's order.  The base
+    chain and every member step are charged to ``MAX_CHAIN_WORK`` at once:
+    past it, ResourceError is raised before any of them is checked.
 
     (3) costs one value per adjacent pair.  A monic chi of degree d has the
     phi_a-expansion (chi - phi_a) + phi_a, so it is a key for mu_a not
@@ -170,6 +174,11 @@ def validate_continuous_chain(
                 "strictly increase"
             )
 
+    b = len(bsteps)
+    _check_chain_work(
+        _validation_work(0, b) + len(family) * _validation_work(b, 1),
+        f"a family of {len(family)} members on {b} base steps",
+    )
     members: List[InductiveValuation] = []
     for st in family:
         steps = _shape_checked([*bsteps, st])

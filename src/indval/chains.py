@@ -36,7 +36,7 @@ from .basefield import (
     check_expansion_work,
     phi_expansion,
 )
-from .errors import ChainError, DomainError, InvariantError
+from .errors import ChainError, DomainError, InvariantError, ResourceError
 from .residual import attach_levels, key_check
 from .values import INFINITY, Value, _check_digits, _digits_of, _group_units, _parse_rational, _units_of, _value_of
 
@@ -416,8 +416,45 @@ def validate_chain(
     Only the input is checked, deterministically.  The library's own
     invariants, such as values of degree < deg(phi_r) lying in (1/D_r)Z, are
     tier-1 tests (``tests/test_validation.py``), not runtime checks.
+    Past MAX_CHAIN_WORK it raises ResourceError before any step is checked.
     """
-    return _extend(base, None, _shape_checked(raw_steps))
+    steps = _shape_checked(raw_steps)
+    _check_chain_work(_validation_work(0, len(steps)), f"a chain of {len(steps)} steps")
+    return _extend(base, None, steps)
+
+
+# The chain-validation work budget: the most residual decompositions that
+# validating one chain or one continuous family may be estimated to make
+# (see _validation_work).  Each decomposition walks digit vectors as long as
+# its level, so time grows a little faster than the count.  2^12 admits a
+# chain of 65 degree-one steps, validated in about 0.4 s (91 steps, 8,100
+# decompositions, take 1.0 s; Python 3.11 on a 2-vCPU Xeon).  The chains of
+# the tests, demos and benchmark have at most 6 steps, 25 decompositions.
+MAX_CHAIN_WORK = 2**12
+
+
+def _validation_work(below: int, added: int) -> int:
+    """The residual decompositions that checking the steps below + 1, ...,
+    below + added of a chain makes.
+
+    Step i >= 2 is checked against the i - 1 levels below it
+    (``residual.attach_levels``): its key check decomposes the key through
+    every one of them, 2i - 3 decompositions in all when every argmin set
+    met on the way is a singleton, as on every chain of the tests, so a
+    chain of r steps makes (r - 1)^2.  A step of level 1 makes none.
+    """
+    lo, hi = max(below, 1), max(below + added, 1)
+    return (hi - 1) ** 2 - (lo - 1) ** 2
+
+
+def _check_chain_work(work: int, what: str) -> None:
+    """Raise ResourceError when validating ``what`` is estimated at more than
+    MAX_CHAIN_WORK decompositions."""
+    if work > MAX_CHAIN_WORK:
+        raise ResourceError(
+            f"validating {what} is estimated at {work} residual decompositions, "
+            f"past the work budget of {MAX_CHAIN_WORK}"
+        )
 
 
 def _shape_checked(raw_steps: Sequence) -> List[Step]:

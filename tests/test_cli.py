@@ -234,6 +234,20 @@ class TestExitCodes:
         env = json.loads(out)
         assert got == code and env["result"] is None and message in env["diagnostics"][0]
 
+    @pytest.mark.parametrize("n", [160, 2000])
+    def test_long_chain_is_bounded(self, capsys, tmp_path, n):
+        # degree-one steps (x, 1), (x - 2, 2), (x - 6, 3), ... over v_2:
+        # validating 160 of them would take about 5 s, 2,000 over half an hour
+        steps = [{"phi": "x", "gamma": "1"}] + [{"phi": f"x-{2 ** (i + 1) - 2}", "gamma": str(i + 1)} for i in range(1, n)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"prime": 2, "steps": steps}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--chain", str(path), "--poly", "x^3+5", "--json")
+        assert time.perf_counter() - start < 2.0
+        env = json.loads(out)
+        assert code == 3 and env["result"] is None and "work budget" in env["diagnostics"][0]
+        assert "Traceback" not in err
+
     def test_domain_error(self, capsys, chains):
         code, _, err = run(
             capsys,

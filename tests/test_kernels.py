@@ -460,6 +460,36 @@ class TestWork:
         monkeypatch.undo()
         assert iv.decompose(nu, f) == want
 
+    def test_chain_validation_is_charged_its_decompositions(self, monkeypatch):
+        # Steps (x, 1), (x - 2, 2), (x - 6, 3), ... over v_2: a chain of r
+        # steps makes (r - 1)^2 decompositions, its charge; past
+        # MAX_CHAIN_WORK = 2^12 (66 steps and more) validation makes none.
+        import indval.chains as chains
+
+        v2 = iv.PadicValuation(2)
+        steps = [("x", 1)] + [(Poly([-(2 ** (i + 1) - 2), 1]), i + 1) for i in range(1, 160)]
+        calls = self._record(monkeypatch, residual, "_decompose")
+        for r in (10, 20, 40):
+            calls.clear()
+            iv.validate_chain(steps[:r], v2)
+            assert len(calls) == chains._validation_work(0, r) == (r - 1) ** 2
+        assert chains._validation_work(0, 65) <= chains.MAX_CHAIN_WORK < chains._validation_work(0, 66)
+        for r in (66, 160):
+            calls.clear()
+            with pytest.raises(iv.ResourceError, match="work budget"):
+                iv.validate_chain(steps[:r], v2)
+            assert calls == []
+        # a family on r base steps: the base once, then each member's step
+        for r, k in ((1, 4), (6, 8), (12, 3)):
+            calls.clear()
+            fam = steps[r : r + k]
+            iv.validate_continuous_chain(fam, v2, base_steps=steps[:r])
+            assert len(calls) == chains._validation_work(0, r) + k * chains._validation_work(r, 1)
+        calls.clear()
+        with pytest.raises(iv.ResourceError, match="work budget"):
+            iv.validate_continuous_chain(steps[60:100], v2, base_steps=steps[:60])
+        assert calls == []
+
 
 # ---------------------------------------------------------------------------
 # Group data from the digit table, and the monomial-value kernel

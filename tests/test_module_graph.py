@@ -4,6 +4,8 @@ A module of ``src/indval`` imports, at run time, only modules below it in
 LAYERS; an import needed only for annotations sits under ``if TYPE_CHECKING:``.
 ``errors`` is the leaf every module may import, and ``__init__`` re-exports
 the whole package, as the README's export list says, module by module.
+No module holds an ``assert`` statement: ``python -O`` strips them, and an
+invariant that fails must stay a named error (``InvariantError``) there too.
 """
 
 import ast
@@ -80,6 +82,12 @@ def test_runtime_imports_follow_the_layer_order(name):
         if target not in LAYERS or LAYERS.index(target) >= rank
     ]
     assert upward == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_assert_statement(name):
+    found = [f"{name}.py:{node.lineno}" for node in ast.walk(_tree(name)) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _readme_exports():
