@@ -48,16 +48,18 @@ def augment(nu: InductiveValuation, chi: Poly, gamma) -> InductiveValuation:
 
     chi must be a key polynomial for nu and gamma must exceed nu(chi), a
     rank-1 side of the comparison taken into the major coordinate as in a
-    chain.  A key equivalent to the top key replaces the top step instead of
-    appending.  The result extends nu by the step, or nu's parent when the
-    step replaces the top one (:func:`indval.chains._extend`): one level is
-    built, and the levels and prefixes below are nu's own objects.  The key
-    test implies the shape checks of :func:`indval.chains.validate_chain`.
+    chain.  A key equivalent to the top key is a key by that equivalence,
+    and replaces the top step instead of appending.  The result extends nu
+    by the step, or nu's parent when the step replaces the top one
+    (:func:`indval.chains._extend`): one level is built, and the levels and
+    prefixes below are nu's own objects.  The one key test is the step check
+    of ``_extend``: key_check(nu, chi) when appending, and chi's test against
+    nu's parent when replacing.  A step it refuses raises DomainError; a
+    chain past MAX_CHAIN_WORK, ResourceError.
     """
+    if chi.is_constant or not chi.is_monic:
+        raise DomainError("chi is not a key polynomial: keys are monic and non-constant")
     gamma = Value.of(gamma).demote()
-    kc = key_check(nu, chi)
-    if not kc.ok:
-        raise DomainError(f"chi is not a key polynomial: {kc.reason}")
     mu_chi = nu(chi)
     rank = max(nu.rank, gamma.rank)
     if not gamma.embed(rank, major=True) > mu_chi.embed(rank, major=True):
@@ -65,7 +67,10 @@ def augment(nu: InductiveValuation, chi: Poly, gamma) -> InductiveValuation:
             f"gamma={gamma} must exceed the current value {mu_chi} of chi"
         )
     replaces = chi.degree == nu.top_degree and is_equivalent(nu, chi, nu.top.phi)
-    return _extend(nu.base, nu._parent if replaces else nu, [Step(chi, gamma)])
+    try:
+        return _extend(nu.base, nu._parent if replaces else nu, [Step(chi, gamma)])
+    except ChainError as exc:
+        raise DomainError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,21 @@ short or with small coefficients, by the schoolbook loop; the crossover
 measurements are at ``_KRONECKER_COST``.
 
 The expansion f = sum f_s phi^s in a monic key also runs on integers: one
-division loop (``_divide``) serves Poly division and expansions alike, an
-expansion divides one running list of numerators in place, and only its
-digits become Polys.  In a linear key the synthetic-division loop
-(``_horner``) gives the digits one Horner pass at a time, so the one
-level-one argmin loop (``_val_linear``) runs only the passes of the digits
-it reads: it stops at the first s with s*gamma above the least monomial
-value so far, which is exact because digit orders are >= 0, and can only
-happen for gamma > 0.  ``phi_expansion`` and ``_expand_ints`` (and with them
-``expansion_report``) still read every digit.  The expansion's work budget,
-still sized for the whole expansion, and the monomial-value kernel of chain
-evaluation live here too, below the chains and limit valuations that use
-them.
+division loop (``_divide``), on a monic integral divisor only, serves
+expansions and Poly division alike.  A key with non-integer coefficients is
+made integral by one change of variable, x = y/L (``_expand_ints``), and a
+Poly division by g is one division step of that expansion by g over its
+leading coefficient.  An expansion divides one running list of numerators
+in place, and only its digits become Polys.  In a linear key the
+synthetic-division loop (``_horner``) gives the digits one Horner pass at a
+time, so the one level-one argmin loop (``_val_linear``) runs only the
+passes of the digits it reads: it stops at the first s with s*gamma above
+the least monomial value so far, which is exact because digit orders are
+>= 0, and can only happen for gamma > 0.  ``phi_expansion`` and
+``_expand_ints`` (and with them ``expansion_report``) read every digit.
+The expansion's work budget, still sized for the whole expansion, and the
+monomial-value kernel of chain evaluation live here too, below the chains
+and limit valuations that use them.
 
 Primality of the base prime is decided by deterministic Miller-Rabin on the
 prime bases up to 41, which is exact below 3.3 * 10^24 (Sorenson-Webster,
@@ -486,19 +489,21 @@ class Poly:
     def _divmod_any(self, g: "Poly") -> Tuple["Poly", "Poly"]:
         """f = q*g + r with deg r < deg g, for any non-zero g.
 
-        One call of the division loop :func:`_divide` on the numerators: with
-        L the leading numerator of g and k the number of pseudo-division
-        steps, L^k * F = Q*G + R, so q = Q*den(g) / (L^k*den(f)) and
-        r = R / (L^k*den(f)).  For a monic integral g (L = 1) this is plain
-        long division over Z.
+        One division step of :func:`_expand_ints` by the monic g/c, c the
+        leading coefficient of g: the remainder is its digit 0, and its
+        quotient over c is q.  With L the leading numerator of g, g/c has
+        the numerators of g over L, and 1/c = den(g)/L.  A non-integral
+        g/c takes the change x = y/L of expansions there; a monic integral
+        g is plain long division over Z.
         """
-        G = tuple(g.num)
+        G = g.num
         if not G:
             raise DomainError("division by zero polynomial")
-        n = len(G) - 1
-        r = list(self.num)
-        den = G[-1] ** _divide(r, G, 1) * self.den
-        return Poly.from_ints([x * g.den for x in r[n:]], den), Poly.from_ints(r[:n], den)
+        if not self.num:
+            return self, self
+        n, L = len(G) - 1, G[-1]
+        r, den = _expand_ints(self, g if L == g.den else Poly.from_ints(G, L), 1)
+        return Poly.from_ints([x * g.den for x in r[n:]], den * L), Poly.from_ints(r[:n], den)
 
     def divmod_monic(self, g: "Poly") -> Tuple["Poly", "Poly"]:
         """Exact division f = q*g + r with deg r < deg g, for monic g."""
@@ -563,53 +568,45 @@ def _horner(r: List[int], a: int, times: int) -> Iterator[int]:
         yield r[lo]
 
 
-def _divide(r: List[int], G: Sequence[int], times: int) -> int:
-    """Divide the numerators r by G in place, and the quotient again, times
-    times in all: the one integer division loop behind Poly division and
-    phi-expansions.
+def _divide(r: List[int], G: Sequence[int], times: int) -> None:
+    """Divide the numerators r by the monic integral G in place, and the
+    quotient again, times times in all: the one integer division loop behind
+    Poly division and phi-expansions.
 
     With n = deg G, afterwards r[:times*n] holds the remainders, n numerators
-    each, and r[times*n:] the last quotient.  A monic integral linear
-    G = x - a drains :func:`_horner`, one pass per division; every other G
-    eliminates each top numerator with its non-zero coefficients alone.  A G
-    whose leading numerator L is not 1 is divided once, by pseudo-division:
-    L^k * r = Q*G + R for the returned count k of elimination steps (0 when
-    L = 1).
+    each, and r[times*n:] the last quotient.  A linear G = x - a drains
+    :func:`_horner`, one pass per division; every other G eliminates each
+    top numerator with its non-zero coefficients alone.
     """
-    n, lead = len(G) - 1, G[-1]
-    if n == 1 and lead == 1:
+    n = len(G) - 1
+    if n == 1:
         if r and G[0]:
             for _ in _horner(r, -G[0], times):
                 pass
-        return 0
+        return
     terms = [(j, -c) for j, c in enumerate(G[:-1]) if c]
-    k = 0
     for t in range(times):
         for i in range(len(r) - n - 1, t * n - 1, -1):
             c = r[i + n]
-            if not c:
-                continue
-            if lead != 1:
-                r[:] = [lead * x for x in r]
-                r[i + n] = c
-                k += 1
-            for j, g in terms:
-                r[i + j] += c * g
-    return k
+            if c:
+                for j, g in terms:
+                    r[i + j] += c * g
 
 
-def _expand_ints(f: Poly, phi: Poly) -> Tuple[List[int], int]:
-    """The phi-expansion of f on integers: a list of numerators holding the
-    digit f_s at [s*n : (s+1)*n], n = deg(phi), over one denominator.
+def _expand_ints(f: Poly, phi: Poly, times: int) -> Tuple[List[int], int]:
+    """f divided times times by the monic phi on integers, as :func:`_divide`
+    leaves it: a list of numerators holding the digit f_s at
+    [s*n : (s+1)*n], n = deg(phi), for s < times, and the last quotient
+    after them, over one denominator.  times = deg(f) // n gives the whole
+    phi-expansion, and 1 one Poly division.
 
-    :func:`_divide` takes deg(f) // n divisions of the running quotient,
-    which stays in place, so the list ends as the digits.  A key with a
-    non-integer coefficient, L its denominator, is made integral by the
-    change x = y/L: f(y/L) is expanded in the monic integral key
-    L^n phi(y/L), and the numerator at [j] is then multiplied back by L^j,
-    with no pseudo-division.  Every digit is computed, for ``phi_expansion``
-    and ``expansion_report``; :func:`_linear_digits` gives a linear key's
-    digits one pass at a time, for readers that may stop early.
+    The running quotient stays in place.  A key with a non-integer
+    coefficient, L its denominator, is made integral by the change x = y/L:
+    f(y/L) is divided by the monic integral key L^n phi(y/L), and the
+    numerator at [j] is then multiplied back by L^j.  Every digit is
+    computed, for ``phi_expansion`` and ``Poly._divmod_any``;
+    :func:`_linear_digits` gives a linear key's digits one pass at a time,
+    for readers that may stop early.
     """
     G, r, den = phi.num, list(f.num), f.den
     n, L, m = len(G) - 1, G[-1], len(r) - 1
@@ -617,7 +614,7 @@ def _expand_ints(f: Poly, phi: Poly) -> Tuple[List[int], int]:
         G = tuple(g * L ** (n - 1 - j) for j, g in enumerate(G[:-1])) + (1,)
         r = [x * L ** (m - j) for j, x in enumerate(r)]
         den *= L**m
-    _divide(r, G, m // n)
+    _divide(r, G, times)
     if L != 1:
         r = [x * L**j for j, x in enumerate(r)]
     return r, den
@@ -689,7 +686,7 @@ def phi_expansion(f: Poly, phi: Poly) -> List[Poly]:
         raise DomainError("expansion base must be monic")
     if f.is_zero:
         return [Poly.zero()]
-    r, den = _expand_ints(f, phi)
+    r, den = _expand_ints(f, phi, f.degree // phi.degree)
     return [Poly.from_ints(r[lo : lo + phi.degree], den) for lo in range(0, len(r), phi.degree)]
 
 
@@ -710,8 +707,8 @@ def _monomial_values(coeffs: Sequence[Poly], gamma: Value, value_of) -> List[Val
     in a key of value gamma, Infinity for f_s = 0.
 
     The kernel of chain evaluation above level 1 (with the prefix chain as
-    value_of), of expansion reports on chains of two or more steps, and of
-    the scan path of limit valuations (with stable values as value_of).
+    value_of), of expansion reports on chains of every length, and of the
+    scan path of limit valuations (with stable values as value_of).
     Level 1 compares integers instead (:func:`_val_linear`), and the residual
     decomposition values each coefficient through its own expansion
     (``residual._expand``).
@@ -744,10 +741,10 @@ def _linear(order: Callable[[object], int], gamma: Value, minor: bool = False) -
     return _Linear(order, (0, B) if minor else (B, 0), (*_units_of(gamma, B), 0)[:2], gamma.rank, B)
 
 
-def _val_linear(lin: _Linear, digits: Iterable[int], den: int, start: int = 0) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+def _val_linear(lin: _Linear, digits: Iterable[int], den: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
     """The value of the sum of (d_s/den) * phi^s over the integer digits
-    d_start, d_start+1, ..., in integer coordinates in units of 1/lin.B, and
-    its argmin set as a map from s to d_s; zero digits are skipped.
+    d_0, d_1, ..., in integer coordinates in units of 1/lin.B, and its
+    argmin set as a map from s to d_s; zero digits are skipped.
 
     The one level-one argmin loop.  It reads the digits as an iterable and
     stops before the first s with s*gamma > best, best the least key so far:
@@ -759,18 +756,17 @@ def _val_linear(lin: _Linear, digits: Iterable[int], den: int, start: int = 0) -
     digits of :func:`_linear_digits`, the passes of the unread digits are
     never run.
 
-    Chains read it at level 1 with the p-adic order: ``InductiveValuation._val``
-    (and so ``valuation``), the stability scan over one-step members and the
-    residual decomposition (``residual._expand``, which keeps the argmin
-    digits) read the lazy digits; ``expansion_report`` on a one-step chain
-    reads every digit of :func:`_expand_ints`, and values each monomial
-    alone, as one digit at start s.  A limit valuation by a linear key over a
-    rank-1 first member reads the key's lazy digits.  The caller builds a
-    Value of the coordinates where a result leaves the library.
+    Its readers all give it the lazy digits.  Chains read it at level 1 with
+    the p-adic order: ``InductiveValuation._val`` (and so ``valuation``),
+    the stability scan over one-step members and the residual decomposition
+    (``residual._expand``, which keeps the argmin digits).  A limit
+    valuation by a linear key over a rank-1 first member reads the key's
+    digits.  The caller builds a Value of the coordinates where a result
+    leaves the library.
     """
     order, (P0, P1), (G0, G1), rank, _ = lin
     best, argmin = None, {}
-    for s, d in enumerate(digits, start):
+    for s, d in enumerate(digits):
         if d:
             o = order(d)
             key = (o * P0 + s * G0, o * P1 + s * G1)

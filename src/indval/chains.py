@@ -28,7 +28,6 @@ from .basefield import (
     ExpansionReport,
     PadicValuation,
     Poly,
-    _expand_ints,
     _linear,
     _linear_digits,
     _monomial_values,
@@ -49,28 +48,41 @@ class Step:
     gamma: Value
 
 
+def _with_digit_row(rows: Tuple[Tuple[int, int, int, int], ...], gamma: Value) -> Tuple[Tuple[int, int, int, int], ...]:
+    """The digit table (see :meth:`InductiveValuation._digit_table`) of a
+    chain whose steps below the top have the rows ``rows`` and whose top
+    step has the value gamma: one row more for a rank-1 gamma."""
+    if gamma.rank != 1:
+        return rows
+    q, D = gamma.coords[0], rows[-1][1] if rows else 1
+    e = (q * D).denominator
+    g = int(q * D * e)
+    return (*rows, (e, D * e, g, pow(g, -1, e)))
+
+
 class InductiveValuation:
     """A validated augmentation chain; immutable after construction.
 
-    Use :func:`validate_chain` (or :func:`indval.augmentation.augment`) to
-    build instances; the raw constructor performs no invariant checking.  A
-    validated chain is its parent, the validated chain of every step but the
-    last, plus one checked step.
+    A chain is its parent, the chain of every step but the last (None for a
+    one-step chain), plus one step.  The constructor extends the parent's
+    data by that step and checks nothing; :func:`_extend`, the only caller,
+    checks the step and attaches its residual level.  Build chains with
+    :func:`validate_chain` or :func:`indval.augmentation.augment`.
     """
 
-    def __init__(self, base: PadicValuation, steps: Sequence[Step]):
+    def __init__(self, base: PadicValuation, parent: Optional["InductiveValuation"], step: Step):
         self.base = base
-        self.steps = tuple(steps)
-        self.rank = self.steps[-1].gamma.rank
-        self.degrees = tuple(s.phi.degree for s in self.steps)
+        self._parent = parent
+        self.steps = (*(parent.steps if parent else ()), step)
+        self.rank = step.gamma.rank
+        self.degrees = (*(parent.degrees if parent else ()), step.phi.degree)
         # every value of the chain lies in (1/_den) Z^rank
-        self._den = lcm(*(c.denominator for s in self.steps for c in s.gamma.coords))
+        self._den = lcm(parent._den if parent else 1, *(c.denominator for c in step.gamma.coords))
         # level 1 for _val_linear: gamma_1 in units of 1/B, the base order
-        # in the major coordinate
-        self._lin = _linear(base.int_order, self.steps[0].gamma)
-        self._parent: Optional[InductiveValuation] = None  # set by validation
-        self._levels = None  # residual level data, attached by validation
-        self._digit_rows: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
+        # in the major coordinate; one object down the chain
+        self._lin = parent._lin if parent else _linear(base.int_order, step.gamma)
+        self._digit_rows = _with_digit_row(parent._digit_rows if parent else (), step.gamma)
+        self._levels = None  # residual level data, attached by _extend
         self._key_lifts: dict = {}  # psi over the top residue field -> keys._lift_record's entry
 
     # -- basic structure ----------------------------------------------------
@@ -93,10 +105,8 @@ class InductiveValuation:
         if not 1 <= i <= self.length:
             raise DomainError("prefix length out of range")
         nu = self
-        while nu is not None and nu.length > i:
+        while nu.length > i:
             nu = nu._parent
-        if nu is None:
-            raise DomainError("chain has no residual data; build it with validate_chain")
         return nu
 
     def __eq__(self, other):
@@ -218,21 +228,10 @@ class InductiveValuation:
 
         The group below level j is (1/D_j)Z with D_1 = 1 (the group of v_p),
         e_j is the denominator of gamma_j * D_j, D_{j+1} = D_j * e_j, and
-        g_j = gamma_j * D_{j+1} is an integer prime to e_j.  Built once per
-        chain; a rank-2 top step has no row.
+        g_j = gamma_j * D_{j+1} is an integer prime to e_j.  Each chain
+        holds its parent's rows plus the row of its top step
+        (:func:`_with_digit_row`); a rank-2 top step has no row.
         """
-        if self._digit_rows is None:
-            rows = []
-            D = 1
-            for st in self.steps:
-                if st.gamma.rank != 1:
-                    break
-                q = st.gamma.coords[0]
-                e = (q * D).denominator
-                D *= e
-                g = int(q * D)
-                rows.append((e, D, g, pow(g, -1, e)))
-            self._digit_rows = tuple(rows)
         return self._digit_rows
 
     def digit_vector(self, beta: Value, level: Optional[int] = None) -> Tuple[int, ...]:
@@ -284,8 +283,6 @@ class InductiveValuation:
         i = self.length if level is None else level
         if not self.commensurable_at(i):
             raise DomainError("ramification data needs a commensurable top step")
-        if self._levels is None:
-            raise DomainError("chain has no residual data; build it with validate_chain")
         e, u = self._levels[i - 1].e, self._levels[i - 1].u_poly
         if self._val(u * self.steps[i - 1].phi**e, i) != 0:
             raise InvariantError(
@@ -416,16 +413,16 @@ def validate_chain(
     Only the input is checked, deterministically.  The library's own
     invariants, such as values of degree < deg(phi_r) lying in (1/D_r)Z, are
     tier-1 tests (``tests/test_validation.py``), not runtime checks.
-    Past MAX_CHAIN_WORK it raises ResourceError before any step is checked.
+    Past MAX_CHAIN_WORK, which :func:`_extend` charges, it raises
+    ResourceError before any step is checked.
     """
-    steps = _shape_checked(raw_steps)
-    _check_chain_work(_validation_work(0, len(steps)), f"a chain of {len(steps)} steps")
-    return _extend(base, None, steps)
+    return _extend(base, None, _shape_checked(raw_steps))
 
 
 # The chain-validation work budget: the most residual decompositions that
-# validating one chain or one continuous family may be estimated to make
-# (see _validation_work).  Each decomposition walks digit vectors as long as
+# building one chain (by validate_chain or augment, both through _extend) or
+# validating one continuous family may be estimated to make (see
+# _validation_work).  Each decomposition walks digit vectors as long as
 # its level, so time grows a little faster than the count.  2^12 admits a
 # chain of 65 degree-one steps, validated in about 0.4 s (91 steps, 8,100
 # decompositions, take 1.0 s; Python 3.11 on a 2-vCPU Xeon).  The chains of
@@ -497,12 +494,17 @@ def _extend(
     base: PadicValuation, parent: Optional[InductiveValuation], steps: Sequence[Step]
 ) -> Optional[InductiveValuation]:
     """parent (None: the empty chain) extended by each step in turn, each one
-    checked against the chain below it by :func:`attach_levels`."""
+    checked against the chain below it by :func:`attach_levels`: the one
+    constructor of chains.
+
+    The chain it builds is charged to MAX_CHAIN_WORK as a whole, parent
+    included: past it, ResourceError is raised before any step is checked.
+    """
+    r = (parent.length if parent else 0) + len(steps)
+    _check_chain_work(_validation_work(0, r), f"a chain of {r} steps")
     for st in steps:
-        nu = InductiveValuation(base, (parent.steps if parent else ()) + (st,))
-        nu._parent = parent
-        attach_levels(nu)
-        parent = nu
+        parent = InductiveValuation(base, parent, st)
+        attach_levels(parent)
     return parent
 
 
@@ -514,38 +516,28 @@ def _extend(
 def expansion_report(nu: InductiveValuation, f: Poly) -> ExpansionReport:
     """Expansion of f in the top key with values, minimum and argmin set.
 
-    On a chain of two or more steps the monomial values come from the kernel
-    :func:`_monomial_values` with the prefix chain as value_of.  A one-step
-    chain reads the level-1 loop :func:`_val_linear` instead: all the integer
-    digits give the minimum and the argmin set, and each monomial value is
-    the loop's value of that monomial alone, in integers.  s and s' are the
-    least and greatest argmin.  A rank-2 top step, the only incommensurable
-    one, has a singleton argmin; a tie there raises InvariantError.
+    The monomial values come from the kernel :func:`_monomial_values` with
+    the prefix chain as value_of, at every chain length: at r = 1 the prefix
+    value is ``_val(c, 0)``, the base order of the constant digit.  s and s'
+    are the least and greatest argmin.  A rank-2 top step, the only
+    incommensurable one, has a singleton argmin; a tie there raises
+    InvariantError.
     """
     if f.is_zero:
         raise DomainError("expansion report of the zero polynomial")
     nu.check_work(f)
     r = nu.length
-    if r == 1:
-        lin = nu._lin
-        digits, den = _expand_ints(f, nu.top.phi)
-        key, idx = _val_linear(lin, digits, den)
-        coeffs = [Poly.from_ints((d,), den) for d in digits]
-        vals = [_value_of(_val_linear(lin, (d,), den, s)[0], lin.B) if d else INFINITY for s, d in enumerate(digits)]
-        mu, idx = _value_of(key, lin.B), tuple(idx)
-    else:
-        coeffs = phi_expansion(f, nu.top.phi)
-        vals = _monomial_values(coeffs, nu.top.gamma, lambda c: nu._in_rank(nu._val(c, r - 1), r))
-        mu = min(vals)
-        idx = tuple(s for s, w in enumerate(vals) if w == mu)
-    rep = ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
-    if len(rep.indices) > 1 and not nu.top_commensurable:
+    coeffs = phi_expansion(f, nu.top.phi)
+    vals = _monomial_values(coeffs, nu.top.gamma, lambda c: nu._in_rank(nu._val(c, r - 1), r))
+    mu = min(vals)
+    idx = tuple(s for s, w in enumerate(vals) if w == mu)
+    if len(idx) > 1 and not nu.top_commensurable:
         # monomial values differ in the fresh direction, so ties are impossible
         raise InvariantError(
-            f"argmin {rep.indices} of {f} on the chain {nu.describe()} with an "
+            f"argmin {idx} of {f} on the chain {nu.describe()} with an "
             "incommensurable top step must be a singleton"
         )
-    return rep
+    return ExpansionReport(tuple(coeffs), tuple(vals), mu, idx, idx[0], idx[-1])
 
 
 def is_equivalent(nu, f: Poly, g: Poly) -> bool:

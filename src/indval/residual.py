@@ -246,8 +246,6 @@ def _make_level(nu_i: InductiveValuation, levels: Tuple[_Level, ...], psi: Optio
 
 
 def _require_levels(nu: InductiveValuation) -> Tuple[_Level, ...]:
-    if nu._levels is None:
-        raise DomainError("chain has no residual data; build it with validate_chain")
     if len(nu._levels) != nu.length:
         raise DomainError(
             "residual operators are only defined for a commensurable top step"

@@ -44,6 +44,13 @@ class TestAugment:
         with pytest.raises(DomainError, match="not a key"):
             augment(nu1, P("x^2+x"), F(3, 2))
 
+    @pytest.mark.parametrize("chi", ["3x", "2", "0"])
+    def test_non_monic_or_constant_key_rejected(self, nu1, chi):
+        # 3x is equivalent to the top key x of nu1 (nu1(2x) = 3/2 > 1/2), so
+        # only the monic check stands between it and a replaced first step
+        with pytest.raises(DomainError, match="not a key"):
+            augment(nu1, P(chi), 2)
+
     def test_replacement_of_equivalent_key(self, nu1):
         nu = augment(nu1, P("x"), F(3, 4))
         assert nu.length == 1 and nu.top.gamma == Value.of(F(3, 4))

@@ -461,10 +461,10 @@ class TestInvariantErrors:
             nu2.canonical_monomial(Value.of(F(1, 2)))
 
     def test_incommensurable_argmin_tie(self, nu_inf, monkeypatch):
-        # 1 + 2x on a one-step chain: a forged level-1 loop puts both
+        # 1 + 2x on a one-step chain: forged monomial values put both
         # monomials into the argmin, as a tie of (0, 1) + 0*gamma and
         # (0, 0) + 1*gamma would
-        monkeypatch.setattr(chains, "_val_linear", lambda lin, digits, den, start=0: ((0, 1), list(range(len(digits)))))
+        monkeypatch.setattr(chains, "_monomial_values", lambda coeffs, gamma, value_of: [Value.of((0, 1))] * len(coeffs))
         with pytest.raises(InvariantError, match=r"argmin \(0, 1\) of 2\*x \+ 1 on the chain \[\(x, \(0, 1\)\)\]"):
             expansion_report(nu_inf, P("2x+1"))
 

@@ -490,6 +490,51 @@ class TestWork:
             iv.validate_continuous_chain(steps[60:100], v2, base_steps=steps[:60])
         assert calls == []
 
+    # Degree-one steps (x - (2^(i+1) - 2), i + 1) over v_2, i = 0, 1, ...:
+    # the chain of the validation budget above, built by augment
+    LONG = [(Poly([-(2 ** (i + 1) - 2), 1]), i + 1) for i in range(66)]
+
+    def test_augment_is_charged_the_chain_it_builds(self, monkeypatch):
+        # The parent charged augment nothing: the 66th call built a 66-step
+        # chain whose to_json() then failed to load with ResourceError.
+        v2 = iv.PadicValuation(2)
+        calls = self._record(monkeypatch, residual, "_decompose")
+        nu = iv.validate_chain(self.LONG[:1], v2)
+        for chi, gamma in self.LONG[1:65]:
+            nu = iv.augment(nu, chi, gamma)
+        assert nu.length == 65
+        calls.clear()
+        with pytest.raises(iv.ResourceError, match="work budget"):
+            iv.augment(nu, *self.LONG[65])
+        assert calls == []
+        monkeypatch.undo()
+        assert iv.chain_from_json(nu.to_json()) == nu
+
+    def test_augment_runs_one_key_test(self, nu1, nu4, nu8, monkeypatch):
+        # The parent tested the key twice, in augment and again in the step
+        # check, and made 2 and 6 decompositions here.
+        chi8 = nu8.top.phi
+        calls = self._record(monkeypatch, residual, "_decompose")
+        for nu, chi, gamma, want in ((nu1, Poly.parse("x^2+2"), Fraction(3, 2), 1), (nu4, chi8, Fraction(29, 6), 3)):
+            calls.clear()
+            assert iv.augment(nu, chi, gamma).top.phi == chi
+            assert len(calls) == iv.chains._validation_work(nu.length, 1) == want
+
+    def test_cli_augment_past_the_budget_exits_3(self, capsys, tmp_path):
+        # The parent exited 0 and printed a 66-step chain that does not load.
+        import json
+
+        from indval.cli import main
+
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"prime": 2, "steps": [{"phi": str(phi), "gamma": str(g)} for phi, g in self.LONG[:65]]}))
+        phi, gamma = self.LONG[65]
+        code = main(["augment", "--chain", str(path), "--phi", str(phi), "--gamma", str(gamma), "--json"])
+        out, err = capsys.readouterr()
+        env = json.loads(out)
+        assert code == 3 and env["result"] is None and "work budget" in env["diagnostics"][0]
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # Group data from the digit table, and the monomial-value kernel

@@ -50,3 +50,13 @@ def test_cells_covers_every_cell_and_marks_both_edges():
         marks = [m for ms in cells[workload].values() for m in ms]
         assert "p50" in marks and tail in marks
         assert all(re.fullmatch(r"p\d+", m) for m in marks)
+
+
+def test_reach_names_its_sample():
+    last = [line for line in _census("reach") if line.strip()][-1]
+    m = re.fullmatch(
+        r"(\d+) of (\d+) functions not reached in one block \(seed 11\) of each workload, "
+        r"the demos or the goldens: (.*)",
+        last,
+    )
+    assert m and int(m[1]) <= int(m[2])
