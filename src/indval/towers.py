@@ -16,11 +16,14 @@ coefficients of different polynomials may be one object.
 Polynomials over F_p run on one integer kernel (the ``_k*`` routines): lists
 of ints, products summed as plain ints and reduced mod p once per
 coefficient, one inverse of a divisor's lead per division step.  It is the
-only prime-level path of the list routines ``_padd`` ... ``_frobenius_apply``,
+prime-level path of the list routines ``_padd`` ... ``_frobenius_apply``,
 and an element product or inverse one level above F_p is the same kernel's
 product, division or extended gcd mod that level's modulus.  Higher levels
 skip zero factors and reduce with the level's negated modulus, computed once
-per field.
+per field.  Over F_2, ff_factor and ff_is_irreducible take a second kernel
+(the ``_b*`` routines): a polynomial is one int, bit i the coefficient of
+y^i.  The squarefree decomposition, the distinct-degree split and the
+irreducibility test run on it, and only the equal-degree split gets lists.
 
 Factoring is squarefree decomposition, then the distinct-degree split, then
 Cantor-Zassenhaus on each product of same-degree factors.  The q-power map on
@@ -427,6 +430,71 @@ def _kgcdex(p: int, f, g) -> Tuple[List[int], List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# The F_2[y] kernel: polynomials over F_2 as packed ints
+# ---------------------------------------------------------------------------
+#
+# One bit per coefficient (von zur Gathen-Gerhard, Modern Computer Algebra,
+# ch. 14): a polynomial over F_2 is one int, bit i the coefficient of y^i.
+# Addition is XOR, multiplying by y^s is a shift by s, and a division step is
+# one XOR with a shifted divisor.  ff_factor and ff_is_irreducible run on it
+# over F_2 up to the equal-degree split, which takes lists.
+
+
+def _pack(f) -> int:
+    return sum(c << i for i, c in enumerate(f))
+
+
+def _unpack(a: int) -> List[int]:
+    return [(a >> i) & 1 for i in range(a.bit_length())]
+
+
+def _bdivmod(a: int, b: int) -> Tuple[int, int]:
+    """(quotient, remainder) of a by a non-zero b."""
+    db = b.bit_length()
+    q = 0
+    s = a.bit_length() - db
+    while s >= 0:
+        q ^= 1 << s
+        a ^= b << s
+        s = a.bit_length() - db
+    return q, a
+
+
+def _bmod(a: int, b: int) -> int:
+    db = b.bit_length()
+    s = a.bit_length() - db
+    while s >= 0:
+        a ^= b << s
+        s = a.bit_length() - db
+    return a
+
+
+def _bgcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _bmod(a, b)
+    return a
+
+
+def _brows(f: int) -> List[int]:
+    """The rows y^(2j) mod f, j < deg f, of the squaring map on F_2[y]/(f):
+    the packed :func:`_frobenius_rows`, each row the last shifted by two."""
+    rows = [1]
+    for _ in range(f.bit_length() - 2):
+        rows.append(_bmod(rows[-1] << 2, f))
+    return rows
+
+
+def _bfrobenius(rows: List[int], g: int) -> int:
+    """g^2 mod f for g reduced mod f: the rows of f picked out by g's bits."""
+    out = 0
+    for row in rows:
+        if g & 1:
+            out ^= row
+        g >>= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Dense polynomial arithmetic over a tower level (internal, list-based)
 # ---------------------------------------------------------------------------
 
@@ -817,7 +885,11 @@ def _prime_factors(n: int) -> List[int]:
 # q^n, some n log2(q) products of n^2 field operations each, and a tower
 # operation costs up to about D^3 operations in F_p: n^2 (n + 4) log2(q) D^3
 # in all.  2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over
-# F_16, each factored in under a second on a 2-vCPU host.
+# F_16, each factored in under a second on a 2-vCPU host.  F_2 runs far under
+# the model on packed ints: at degree 100, factoring and testing each factor
+# takes 3 ms for an irreducible input and 11-18 ms for a product of 2-10
+# irreducibles of equal degree, most of it the equal-degree split on lists
+# (27-74 ms on lists alone; Python 3.11, 2 vCPUs).
 MAX_FF_WORK = 2**21
 
 # The most candidates monic_irreducibles, and so enumerate_keys, may test:
@@ -837,7 +909,12 @@ def _check_ff_work(psi: TowerPoly) -> None:
 
 def ff_is_irreducible(psi: TowerPoly) -> bool:
     """Distinct-degree irreducibility test over the tower; ResourceError past
-    MAX_FF_WORK."""
+    MAX_FF_WORK.
+
+    psi of degree n is irreducible when y^(q^n) = y mod psi and
+    gcd(y^(q^(n/l)) - y, psi) = 1 for every prime l dividing n.  Over F_2 the
+    test runs on packed ints (:func:`_bis_irreducible`).
+    """
     if psi.is_zero or psi.is_constant:
         raise DomainError("irreducibility is asked of non-constant polynomials")
     _check_ff_work(psi)
@@ -845,6 +922,8 @@ def ff_is_irreducible(psi: TowerPoly) -> bool:
     if n == 1:
         return True
     F = psi.field
+    if F.order == 2:
+        return _bis_irreducible(_pack(psi.coeffs), n)
     f = _pmonic(F, psi._raw())
     y = [F._zero, F._one]
     rows = _frobenius_rows(F, f)
@@ -859,6 +938,15 @@ def ff_is_irreducible(psi: TowerPoly) -> bool:
         if len(g) != 1:
             return False
     return True
+
+
+def _bis_irreducible(f: int, n: int) -> bool:
+    """The test of :func:`ff_is_irreducible` on a packed f of degree n >= 2."""
+    rows = _brows(f)
+    frobs = [2]  # frobs[i] = y^(2^i) mod f; y is the packed 2
+    for _ in range(n):
+        frobs.append(_bfrobenius(rows, frobs[-1]))
+    return frobs[n] == 2 and all(_bgcd(frobs[n // ell] ^ 2, f) == 1 for ell in _prime_factors(n))
 
 
 def _pth_root(F: TowerField, f: List) -> List:
@@ -895,6 +983,36 @@ def _squarefree_decomposition(F, f) -> List[Tuple[List, int]]:
     return out
 
 
+def _bsquarefree(f: int) -> List[Tuple[int, int]]:
+    """:func:`_squarefree_decomposition` of a packed f over F_2.  The
+    derivative is the odd bits of f shifted down, and the square root of a
+    square g(y^2) is its even bits."""
+    n = f.bit_length()
+    deriv = (f >> 1) & (4 ** (n // 2) - 1) // 3  # the bits 0, 2, 4, ... below n - 1
+    if not deriv:
+        return [(g, 2 * m) for g, m in _bsquarefree(_bsqrt(f))]
+    c = _bgcd(f, deriv)
+    w = _bdivmod(f, c)[0]
+    out = []
+    i = 1
+    while w > 1:
+        y = _bgcd(w, c)
+        z = _bdivmod(w, y)[0]
+        if z > 1:
+            out.append((z, i))
+        w = y
+        c = _bdivmod(c, y)[0]
+        i += 1
+    if c > 1:
+        out.extend((g, 2 * m) for g, m in _bsquarefree(_bsqrt(c)))
+    return out
+
+
+def _bsqrt(f: int) -> int:
+    # the binary digits of f from bit 0 up, every second one, read back
+    return int(bin(f)[:1:-2][::-1], 2)
+
+
 def _distinct_degree(F, f) -> List[Tuple[List, int, List[List]]]:
     """Split a monic squarefree f into (g, d, rows): g the product of the
     irreducible factors of f of degree d, and rows the Frobenius rows of a
@@ -924,6 +1042,45 @@ def _distinct_degree(F, f) -> List[Tuple[List, int, List[List]]]:
     if len(cur) > 1:
         out.append((cur, len(cur) - 1, rows))
     return out
+
+
+def _bdistinct_degree(f: int) -> List[Tuple[int, int, List[int]]]:
+    """:func:`_distinct_degree` of a packed f over F_2, with packed rows."""
+    out = []
+    cur, frob, d = f, 2, 0  # y is the packed 2
+    rows = _brows(cur) if cur.bit_length() > 2 else []
+    while cur.bit_length() - 1 >= 2 * (d + 1):
+        d += 1
+        frob = _bfrobenius(rows, frob)
+        g = _bgcd(frob ^ 2, cur)
+        if g > 1:
+            out.append((g, d, rows))
+            cur = _bdivmod(cur, g)[0]
+            frob = _bmod(frob, cur)
+            rows = [_bmod(row, cur) for row in rows[: cur.bit_length() - 1]]
+    if cur > 1:
+        out.append((cur, cur.bit_length() - 1, rows))
+    return out
+
+
+def _factor_parts(F, f):
+    """(g, d, rows, mult) for each product g of the degree-d irreducible
+    factors of multiplicity mult in a monic f, with the Frobenius rows of a
+    multiple of g: the arguments of :func:`_equal_degree`."""
+    for sqf, mult in _squarefree_decomposition(F, f):
+        for g, d, rows in _distinct_degree(F, sqf):
+            yield g, d, rows, mult
+
+
+def _bfactor_parts(f: int):
+    """:func:`_factor_parts` of a packed f over F_2, unpacked for
+    :func:`_equal_degree`: g as a list, and rows, reduced mod g, only when g
+    splits (deg g > d)."""
+    for sqf, mult in _bsquarefree(f):
+        for g, d, rows in _bdistinct_degree(sqf):
+            n = g.bit_length() - 1
+            rows = [_unpack(_bmod(row, g)) for row in rows[:n]] if n > d else []
+            yield _unpack(g), d, rows, mult
 
 
 def _random_poly(F: TowerField, deg: int, rng) -> List:
@@ -989,24 +1146,28 @@ def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
     """Factor into monic irreducibles with multiplicities.
 
     Squarefree decomposition, then distinct-degree splitting, then seeded
-    Cantor-Zassenhaus equal-degree splitting.  The output is sorted by
-    (degree, coefficient data), so it is deterministic for a fixed seed; the
-    product of factors re-multiplies to the monic normalization of the input.
-    ResourceError past MAX_FF_WORK.
+    Cantor-Zassenhaus equal-degree splitting.  Over F_2 the first two run on
+    packed ints (:func:`_bfactor_parts`), and every field's equal-degree
+    split on lists.  The output is sorted by (degree, coefficient data), so
+    it is deterministic for a fixed seed; the product of factors
+    re-multiplies to the monic normalization of the input.  ResourceError
+    past MAX_FF_WORK.
     """
     if psi.is_zero or psi.is_constant:
         raise DomainError("factorization is asked of non-constant polynomials")
     _check_ff_work(psi)
     F = psi.field
+    if F.order == 2:
+        parts = _bfactor_parts(_pack(psi.coeffs))
+    else:
+        parts = _factor_parts(F, _pmonic(F, psi._raw()))
     rng = None  # built at the first equal-degree split that draws a trial
-    work = _pmonic(F, psi._raw())
     out: List[Tuple[TowerPoly, int]] = []
-    for sqf, mult in _squarefree_decomposition(F, work):
-        for prod, d, rows in _distinct_degree(F, sqf):
-            if rng is None and len(prod) - 1 > d:
-                rng = random.Random(seed)
-            for irr in _equal_degree(F, rows, prod, d, rng):
-                out.append(_shared_factor(F, tuple(_pmonic(F, irr)), mult))
+    for prod, d, rows, mult in parts:
+        if rng is None and len(prod) - 1 > d:
+            rng = random.Random(seed)
+        for irr in _equal_degree(F, rows, prod, d, rng):
+            out.append(_shared_factor(F, tuple(_pmonic(F, irr)), mult))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_gcd, gf_gcdex, gf_irreducible_p, gf_mul, gf_quo, gf_rem
+from sympy.polys.galoistools import (
+    gf_div,
+    gf_factor,
+    gf_gcd,
+    gf_gcdex,
+    gf_irreducible_p,
+    gf_mul,
+    gf_quo,
+    gf_rem,
+)
 
 from indval import (
     DomainError,
@@ -445,6 +454,70 @@ class TestSympyOracle:
             assert ff_is_irreducible(psi) == gf_irreducible_p(self._ints(psi), p, ZZ), str(psi)
 
 
+def _list_factor(F, psi, seed):
+    """ff_factor's pairs from the list routines alone, as (coeffs, mult)."""
+    rng, out = random.Random(seed), []
+    for sqf, mult in towers._squarefree_decomposition(F, list(psi.coeffs)):
+        for g, d, rows in towers._distinct_degree(F, sqf):
+            out += [(tuple(irr), mult) for irr in towers._equal_degree(F, rows, g, d, rng)]
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+@st.composite
+def _f2_product(draw):
+    """A product over F_2 of 1-4 random monic factors, not necessarily
+    irreducible, with multiplicities in {1, 2, 3, 4, 8}; degree <= 100."""
+    F, room = TowerField(2), 100
+    psi = TowerPoly.one(F)
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.sampled_from([m for m in (1, 2, 3, 4, 8) if m <= room]))
+        d = draw(st.integers(1, room // m))
+        g = TowerPoly(F, draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)) + [1])
+        psi, room = psi * g**m, room - d * m
+        if not room:
+            break
+    return psi
+
+
+class TestPackedF2:
+    """Over F_2, ff_factor and ff_is_irreducible run on packed ints.  Their
+    results equal galoistools' and, pair for pair in the same order, the list
+    routines' on the same input, up to the degree-100 edge of the budget."""
+
+    @staticmethod
+    def _check(psi, seed=0):
+        ints = TestSympyOracle._ints
+        got = ff_factor(psi, seed)
+        assert [(g.coeffs, m) for g, m in got] == _list_factor(psi.field, psi, seed), str(psi)
+        want = Counter({tuple(int(c) for c in g): m for g, m in gf_factor(ints(psi), 2, ZZ)[1]})
+        assert Counter({tuple(int(c) for c in ints(g)): m for g, m in got}) == want, str(psi)
+        assert ff_is_irreducible(psi) == gf_irreducible_p(ints(psi), 2, ZZ), str(psi)
+        assert all(ff_is_irreducible(g) for g, _m in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_f2_product(), st.integers(0, 999))
+    def test_products_against_galoistools_and_the_list_routines(self, psi, seed):
+        self._check(psi, seed)
+
+    def test_powers_of_y_and_of_y_plus_one(self, F2):
+        y, y1 = TowerPoly.parse(F2, "y"), TowerPoly.parse(F2, "y+1")
+        for k in (1, 2, 3, 7, 8, 64, 100):
+            self._check(y**k)
+        for k in range(7):  # (y+1)^(2^k): a derivative of 0 at every step
+            self._check(y1 ** (2**k))
+        for a, b in ((1, 1), (2, 3), (5, 8), (16, 16), (37, 63)):
+            self._check(y**a * y1**b)
+
+    def test_same_degree_products_take_the_equal_degree_split(self, F2):
+        # F_2 has two irreducible cubics, three quartics and six quintics
+        for d, count in ((3, 2), (4, 3), (5, 6)):
+            irr = [g for g in monic_irreducibles(F2, d) if g.degree == d]
+            assert len(irr) == count
+            psi = math.prod(irr[1:], start=irr[0])
+            self._check(psi, d)
+            self._check(psi * irr[0] ** 2, d)
+
+
 def _to_gf(f):
     """Constant-first ints as galoistools' highest-first list, zeros stripped."""
     return [ZZ(c) for c in reversed(towers._ktrim(list(f)))]
@@ -459,6 +532,13 @@ def _kernel_pair(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     poly = st.lists(st.integers(0, p - 1), max_size=14).map(towers._ktrim)
     return p, draw(poly), draw(poly)
+
+
+@st.composite
+def _packed_pair(draw):
+    """Two polynomials over F_2 of up to 101 coefficients, trimmed lists."""
+    poly = st.lists(st.integers(0, 1), max_size=101).map(towers._ktrim)
+    return draw(poly), draw(poly)
 
 
 # level-1 fields F_4, F_8 and F_9: (p, modulus)
@@ -485,6 +565,29 @@ class TestKernelOracle:
             if g:  # the cofactor t = (d - s*f) / g, exactly
                 t, rest = towers._kdivmod(p, towers._ksub(p, d, towers._kmul(p, s, f)), g)
                 assert (t, rest) == (_from_gf(t_ref), [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_packed_pair())
+    def test_packed_divisions_gcds_and_squares(self, case):
+        # The F_2[y] kernel on packed ints has no general product: it
+        # multiplies by powers of y with shifts, and squares mod f from the
+        # Frobenius rows.  So gf_mul's product checks the exact division, and
+        # gf_mul's square the rows and the square root.
+        f, g = case
+        gf, gg = _to_gf(f), _to_gf(g)
+        a, b = towers._pack(f), towers._pack(g)
+        assert towers._unpack(a) == f
+        if g:
+            q, r = towers._bdivmod(a, b)
+            assert (towers._unpack(q), towers._unpack(r)) == tuple(map(_from_gf, gf_div(gf, gg, 2, ZZ)))
+            assert towers._bmod(a, b) == r
+            assert towers._bdivmod(towers._pack(_from_gf(gf_mul(gf, gg, 2, ZZ))), b) == (a, 0)
+        assert towers._unpack(towers._bgcd(a, b)) == _from_gf(gf_gcd(gf, gg, 2, ZZ))
+        square = towers._pack(_from_gf(gf_mul(gf, gf, 2, ZZ)))
+        assert towers._bsqrt(square) == a
+        if len(g) > 2:  # rows of a modulus of degree >= 2
+            want = towers._pack(_from_gf(gf_rem(gf_mul(gf, gf, 2, ZZ), gg, 2, ZZ)))
+            assert towers._bfrobenius(towers._brows(b), towers._bmod(a, b)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(_LEVEL_ONE)), st.data())
@@ -571,6 +674,40 @@ class TestWork:
         for g, m in factors:
             prod = prod * g**m
         assert prod == psi
+
+    def test_f2_takes_the_list_kernel_only_in_the_equal_degree_split(self, monkeypatch, F2):
+        # Over F_2 the squarefree decomposition, the distinct-degree split and
+        # the irreducibility test run on packed ints, so the list kernel's
+        # division, product and Frobenius rows run only inside _equal_degree.
+        # The seed-25 input is (y^2+y+1)^3 times the two cubics, whose product
+        # the equal-degree split takes apart.
+        psi = _random_monic(F2, 12, random.Random(25))
+        depth, inside, outside = [0], Counter(), Counter()
+        split = towers._equal_degree
+
+        def counted_split(*args):
+            depth[0] += 1
+            try:
+                return split(*args)
+            finally:
+                depth[0] -= 1
+
+        def counter(name):
+            inner = getattr(towers, name)
+
+            def counted(*args):
+                (inside if depth[0] else outside)[name] += 1
+                return inner(*args)
+
+            return counted
+
+        monkeypatch.setattr(towers, "_equal_degree", counted_split)
+        for name in ("_kdivmod", "_kmul", "_frobenius_rows"):
+            monkeypatch.setattr(towers, name, counter(name))
+        factors = ff_factor(psi, 5)
+        assert all(ff_is_irreducible(g) for g, _m in factors)
+        assert [(g.degree, m) for g, m in factors] == [(2, 3), (3, 1), (3, 1)]
+        assert outside == Counter() and inside["_kdivmod"] > 0
 
     def test_characteristic_two_trace_from_the_rows(self, monkeypatch, F4):
         # y^30 + y + 1 is two irreducibles of degree 15 over F_4.  Squaring
