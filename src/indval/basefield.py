@@ -224,7 +224,7 @@ def _power(x, n: int, mul, one):
 # the schoolbook loop skips the zeros, Kronecker wins only from about
 # 14 x 14.  So short operands (F_4 elements in ``TowerField._mul``) stay on
 # the schoolbook loop, and so do small coefficients (the F_p polynomials of
-# ``towers._kmul``, key powers with small coefficients).
+# ``towers._PrimeLists.mul``, key powers with small coefficients).
 _KRONECKER_COST = 4
 _KRONECKER_MIN_BITS = 17
 

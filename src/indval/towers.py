@@ -13,17 +13,16 @@ coefficient first.  Equality of elements is equality of representations.  A
 ``TowerPoly`` takes its coefficient data from a bounded cache, so equal
 coefficients of different polynomials may be one object.
 
-Polynomials over F_p run on one integer kernel (the ``_k*`` routines): lists
-of ints, products summed as plain ints and reduced mod p once per
-coefficient, one inverse of a divisor's lead per division step.  It is the
-prime-level path of the list routines ``_padd`` ... ``_frobenius_apply``,
-and an element product or inverse one level above F_p is the same kernel's
-product, division or extended gcd mod that level's modulus.  Higher levels
-skip zero factors and reduce with the level's negated modulus, computed once
-per field.  Over F_2, ff_factor and ff_is_irreducible take a second kernel
-(the ``_b*`` routines): a polynomial is one int, bit i the coefficient of
-y^i.  The squarefree decomposition, the distinct-degree split and the
-irreducibility test run on it, and only the equal-degree split gets lists.
+Polynomials over a field run on one ring per representation, each with only
+its arithmetic: F_p[y] as lists of ints (``_PrimeLists``, products summed as
+plain ints and reduced mod p once per coefficient), F[y] for a field above F_p
+as lists of element data (``_Lists``, one element call per coefficient
+operation), and F_2[y] as packed ints (``_Packed``, bit i the coefficient of
+y^i).  Each field holds its list ring as ``ring``.  The polynomial algorithms
+are written once over a ring (``_Ring``), and an element product or inverse
+one level above F_p is the F_p ring's division or extended gcd mod that
+level's modulus.  ff_factor and ff_is_irreducible take the packed ring over
+F_2 (:func:`_factor_ring`); there only the equal-degree split gets lists.
 
 Factoring is squarefree decomposition, then the distinct-degree split, then
 Cantor-Zassenhaus on each product of same-degree factors.  The q-power map on
@@ -49,12 +48,12 @@ class TowerField:
 
     ``sub`` is the field one level down (``None`` for F_p itself), and
     ``moduli[-1]`` is this level's modulus over it.  Each field holds its own
-    raw zero and one and the negated low coefficients of its modulus; the
-    element routines work on the field they are given and recurse through
-    ``sub``.
+    raw zero and one, the negated low coefficients of its modulus, and
+    ``ring``, its polynomial ring of lists; the element routines work on the
+    field they are given and recurse through ``sub``.
     """
 
-    __slots__ = ("p", "moduli", "sub", "degree", "order", "_zero", "_one", "_negmod")
+    __slots__ = ("p", "moduli", "sub", "degree", "order", "_zero", "_one", "_negmod", "ring")
 
     def __init__(self, p: int, moduli: Sequence[tuple] = ()):
         moduli = tuple(tuple(m) for m in moduli)
@@ -74,6 +73,7 @@ class TowerField:
         slots = (p, moduli, sub, degree, p**degree, zero, one, negmod)  # as in __slots__
         for name, value in zip(self.__slots__, slots):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "ring", _PrimeLists(p) if sub is None else _Lists(self))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TowerField is immutable")
@@ -145,7 +145,7 @@ class TowerField:
         k = len(negm)
         if sub.sub is None:
             p, r = self.p, _conv(a, b)
-            _kdivide(p, r, negm, 1)
+            sub.ring.divide(r, negm, 1)
             return tuple([c % p for c in r[:k]])
         z = sub._zero
         add, mul = sub._add, sub._mul
@@ -173,7 +173,7 @@ class TowerField:
         if sub is None:
             return pow(a, -1, self.p)
         # extended Euclid of a against the modulus, over the sublevel
-        s, d = _pgcdex(sub, list(a), list(self.moduli[-1]))
+        s, d = sub.ring.gcdex(list(a), list(self.moduli[-1]))
         if len(d) != 1:  # a non-constant gcd: the modulus is reducible
             raise InvariantError(f"the top modulus of {self.describe()} is not irreducible")
         return tuple(s + [sub._zero] * (len(a) - len(s)))
@@ -338,106 +338,231 @@ def _data_str(data) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The F_p[y] kernel: polynomials over the prime field as lists of ints
+# Polynomial rings: one per representation of F[y]
 # ---------------------------------------------------------------------------
 #
-# Dense arithmetic in F_p[y] (von zur Gathen-Gerhard, Modern Computer Algebra,
-# ch. 2-3): a polynomial is a list of ints in [0, p), constant first, with no
-# trailing zero.  Products are summed as plain ints and each coefficient is
-# reduced mod p once; a division or gcd step inverts its divisor's lead once,
-# and not at all when it is 1.  It is the only prime-level path of the
-# routines below, and element products and inverses one level above F_p run
-# on it too.
+# Dense arithmetic in F[y] (von zur Gathen-Gerhard, Modern Computer Algebra,
+# ch. 2-3 and 14).  A ring holds the arithmetic of one representation, and
+# every algorithm above it is written once over any ring: gcd, powering mod m
+# and the extended gcd here, the Frobenius rows, the irreducibility test, the
+# squarefree decomposition and the distinct-degree split below.  No ring
+# operation but ``trim`` and ``divide``, which work in place, changes its
+# arguments, and a result may be one of them, so no caller changes a result.
 
 
-def _ktrim(f: List[int]) -> List[int]:
-    while f and not f[-1]:
-        f.pop()
-    return f
+class _Ring:
+    """F[y] in one representation: p, q = |F|, the polynomials y and 1, and
+    the algorithms written once over a subclass's deg, add, sub, mul, divmod,
+    monic, deriv, pth_root and frob (g^q mod m from the Frobenius rows of m)."""
+
+    __slots__ = ("p", "q", "y", "unit")
+
+    def rem(self, f, g):
+        return self.divmod(f, g)[1]
+
+    def gcd(self, f, g):
+        while g:
+            f, g = g, self.divmod(f, g)[1]  # not rem: one call less per step on lists
+        return self.monic(f)
+
+    def powmod(self, f, n: int, m):
+        """f^n mod m for n >= 1."""
+        return _power(self.rem(f, m), n, lambda a, b: self.rem(self.mul(a, b), m), self.unit)
+
+    def for_split(self, g, d: int, rows):
+        """g and rows as the lists :func:`_equal_degree` takes."""
+        return g, rows
 
 
-def _kadd(p: int, f, g) -> List[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    out = [(a + b) % p for a, b in zip(f, g)]
-    out.extend(f[len(g):])
-    return _ktrim(out)
+class _Lists(_Ring):
+    """F[y] for a field F above F_p: lists of element data, constant first,
+    with no trailing zero.  Each coefficient operation is an element call of
+    F; products skip zero factors, and a monic divisor takes no inverse."""
+
+    __slots__ = ("F", "zero", "one")
+
+    def __init__(self, F: TowerField):
+        self.F, self.p, self.q, self.zero, self.one = F, F.p, F.order, F._zero, F._one
+        self.y, self.unit = [F._zero, F._one], [F._one]
+
+    def deg(self, f) -> int:
+        return len(f) - 1
+
+    def trim(self, f: List) -> List:
+        zero = self.zero
+        while f and f[-1] == zero:
+            f.pop()
+        return f
+
+    def add(self, f, g):
+        if len(f) < len(g):
+            f, g = g, f
+        add = self.F._add
+        out = [add(a, b) for a, b in zip(f, g)]
+        out.extend(f[len(g):])
+        return self.trim(out)
+
+    def sub(self, f, g):
+        neg = self.F._neg
+        return self.add(f, [neg(c) for c in g])
+
+    def mul(self, f, g):
+        if not f or not g:
+            return []
+        F, zero = self.F, self.zero
+        out = [zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a == zero:
+                continue
+            for j, b in enumerate(g, i):
+                out[j] = F._add(out[j], F._mul(a, b))
+        return self.trim(out)
+
+    def divmod(self, f, g):
+        """(quotient, remainder) of f by a non-zero g."""
+        F, zero = self.F, self.zero
+        lead_inv = None if g[-1] == self.one else F._inv(g[-1])
+        r = list(f)
+        dg = len(g) - 1
+        q = [zero] * max(len(r) - dg, 0)
+        low = g[:dg]
+        for i in range(len(r) - dg - 1, -1, -1):
+            c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv)
+            if c == zero:
+                continue
+            q[i] = c
+            for j, b in enumerate(low, i):
+                r[j] = F._sub(r[j], F._mul(c, b))
+        return self.trim(q), self.trim(r[:dg])
+
+    def inv(self, c):
+        return self.F._inv(c)
+
+    def scale(self, f, c):
+        mul = self.F._mul
+        return [mul(a, c) for a in f]
+
+    def monic(self, f):
+        if not f or f[-1] == self.one:
+            return f
+        return self.scale(f, self.inv(f[-1]))
+
+    def gcdex(self, f, g):
+        """(s, d): d the monic gcd of f and g, not both zero, and s*f = d mod g
+        with deg s < deg g - deg d (s = 0 when g divides f)."""
+        f = self.trim(list(f))
+        r0, r1 = g, (self.rem(f, g) if g else f)
+        s0, s1 = [], self.unit
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
+        li = self.inv(r0[-1])
+        return self.scale(s0, li), self.scale(r0, li)
+
+    def frob(self, rows, g):
+        F, zero = self.F, self.zero
+        out = [zero] * len(rows)
+        for c, row in zip(g, rows):
+            if c == zero:
+                continue
+            for i, r in enumerate(row):
+                out[i] = F._add(out[i], F._mul(c, r))
+        return self.trim(out)
+
+    def deriv(self, f):
+        F, out = self.F, []
+        for i in range(1, len(f)):
+            # i * c by repeated addition; only i mod p matters in characteristic p
+            acc = self.zero
+            for _ in range(i % self.p):
+                acc = F._add(acc, f[i])
+            out.append(acc)
+        return self.trim(out)
+
+    def pth_root(self, f):
+        """g for f(y) = g(y^p): coefficients c -> c^(q/p)."""
+        F, e = self.F, self.q // self.p
+        return self.trim([F._pow(c, e) for c in f[:: self.p]])
 
 
-def _ksub(p: int, f, g) -> List[int]:
-    out = [(a - b) % p for a, b in zip(f, g)]
-    out.extend(f[len(g):])
-    out.extend([-b % p for b in g[len(f):]])
-    return _ktrim(out)
+class _PrimeLists(_Lists):
+    """F_p[y] as lists of ints in [0, p): products summed as plain ints and
+    reduced mod p once per coefficient, one inverse of a divisor's lead per
+    division and none when it is 1.  It makes no element call, and element
+    products and inverses one level above F_p run on it."""
 
+    __slots__ = ()
 
-def _kmul(p: int, f, g) -> List[int]:
-    if not f or not g:
-        return []
-    return _ktrim([c % p for c in _conv(f, g)])
+    def __init__(self, p: int):
+        self.p = self.q = p
+        self.zero, self.one, self.y, self.unit = 0, 1, [0, 1], [1]
 
+    def add(self, f, g):
+        p = self.p
+        if len(f) < len(g):
+            f, g = g, f
+        out = [(a + b) % p for a, b in zip(f, g)]
+        out.extend(f[len(g):])
+        return self.trim(out)
 
-def _kdivide(p: int, r: List[int], negm, li: int) -> None:
-    """Divide the plain ints r in place by g, given by the inverse li of its
-    lead and negm = -g_j mod p for j < deg g: the one division loop.
+    def sub(self, f, g):
+        p = self.p
+        out = [(a - b) % p for a, b in zip(f, g)]
+        out.extend(f[len(g):])
+        out.extend([-b % p for b in g[len(f):]])
+        return self.trim(out)
 
-    Afterwards r[deg g:] holds the quotient, reduced mod p, and r[:deg g] the
-    remainder, still plain ints.
-    """
-    dg = len(negm)
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i] = r[i] * li % p
-        if c:
-            for j, n in enumerate(negm, i - dg):
-                r[j] += c * n
+    def mul(self, f, g):
+        if not f or not g:
+            return []
+        p = self.p
+        return self.trim([c % p for c in _conv(f, g)])
 
+    def divide(self, r: List[int], negm, li: int) -> None:
+        """Divide the plain ints r in place by g, given by the inverse li of its
+        lead and negm = -g_j mod p for j < deg g: the one division loop.
 
-def _kdivmod(p: int, f, g) -> Tuple[List[int], List[int]]:
-    """(quotient, remainder) of f by g, both reduced and g non-zero."""
-    dg = len(g) - 1
-    if len(f) <= dg:
-        return [], list(f)
-    r = list(f)
-    _kdivide(p, r, [-b % p for b in g[:dg]], 1 if g[-1] == 1 else pow(g[-1], -1, p))
-    return r[dg:], _ktrim([c % p for c in r[:dg]])
+        Afterwards r[deg g:] holds the quotient, reduced mod p, and r[:deg g]
+        the remainder, still plain ints.
+        """
+        p, dg = self.p, len(negm)
+        for i in range(len(r) - 1, dg - 1, -1):
+            c = r[i] = r[i] * li % p
+            if c:
+                for j, n in enumerate(negm, i - dg):
+                    r[j] += c * n
 
+    def divmod(self, f, g):
+        p, dg = self.p, len(g) - 1
+        if len(f) <= dg:
+            return [], list(f)
+        r = list(f)
+        self.divide(r, [-b % p for b in g[:dg]], 1 if g[-1] == 1 else pow(g[-1], -1, p))
+        return r[dg:], self.trim([c % p for c in r[:dg]])
 
-def _kmonic(p: int, f) -> List[int]:
-    if not f or f[-1] == 1:
-        return list(f)
-    li = pow(f[-1], -1, p)
-    return [c * li % p for c in f]
+    def inv(self, c):
+        return pow(c, -1, self.p)
 
+    def scale(self, f, c):
+        p = self.p
+        return [a * c % p for a in f]
 
-def _kgcd(p: int, f, g) -> List[int]:
-    while g:
-        f, g = g, _kdivmod(p, f, g)[1]
-    return _kmonic(p, f)
+    def frob(self, rows, g):
+        out = [0] * len(rows)
+        for c, row in zip(g, rows):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        p = self.p
+        return self.trim([c % p for c in out])
 
+    def deriv(self, f):
+        p = self.p
+        return self.trim([i * c % p for i, c in enumerate(f)][1:])
 
-def _kgcdex(p: int, f, g) -> Tuple[List[int], List[int]]:
-    """(s, d): d the monic gcd of f and g, not both zero, and s*f = d mod g
-    with deg s < deg g - deg d (s = 0 when g divides f)."""
-    f = _ktrim(list(f))
-    r0, r1 = list(g), (_kdivmod(p, f, g)[1] if g else f)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _kdivmod(p, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ksub(p, s0, _kmul(p, q, s1))
-    li = pow(r0[-1], -1, p)
-    return [c * li % p for c in s0], [c * li % p for c in r0]
-
-
-# ---------------------------------------------------------------------------
-# The F_2[y] kernel: polynomials over F_2 as packed ints
-# ---------------------------------------------------------------------------
-#
-# One bit per coefficient (von zur Gathen-Gerhard, Modern Computer Algebra,
-# ch. 14): a polynomial over F_2 is one int, bit i the coefficient of y^i.
-# Addition is XOR, multiplying by y^s is a shift by s, and a division step is
-# one XOR with a shifted divisor.  ff_factor and ff_is_irreducible run on it
-# over F_2 up to the equal-degree split, which takes lists.
+    def pth_root(self, f):
+        return f[:: self.p]
 
 
 def _pack(f) -> int:
@@ -448,207 +573,90 @@ def _unpack(a: int) -> List[int]:
     return [(a >> i) & 1 for i in range(a.bit_length())]
 
 
-def _bdivmod(a: int, b: int) -> Tuple[int, int]:
-    """(quotient, remainder) of a by a non-zero b."""
-    db = b.bit_length()
-    q = 0
-    s = a.bit_length() - db
-    while s >= 0:
-        q ^= 1 << s
-        a ^= b << s
-        s = a.bit_length() - db
-    return q, a
+class _Packed(_Ring):
+    """F_2[y] as packed ints, bit i the coefficient of y^i: a sum is one XOR,
+    multiplying by y^s a shift by s, and a division step one XOR with a
+    shifted divisor.  Every non-zero polynomial is monic."""
 
+    __slots__ = ()
 
-def _bmod(a: int, b: int) -> int:
-    db = b.bit_length()
-    s = a.bit_length() - db
-    while s >= 0:
-        a ^= b << s
-        s = a.bit_length() - db
-    return a
+    def __init__(self):
+        self.p = self.q = 2
+        self.y, self.unit = 2, 1
 
+    def deg(self, f: int) -> int:
+        return f.bit_length() - 1
 
-def _bgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _bmod(a, b)
-    return a
+    def add(self, f: int, g: int) -> int:
+        return f ^ g
 
+    sub = add
 
-def _brows(f: int) -> List[int]:
-    """The rows y^(2j) mod f, j < deg f, of the squaring map on F_2[y]/(f):
-    the packed :func:`_frobenius_rows`, each row the last shifted by two."""
-    rows = [1]
-    for _ in range(f.bit_length() - 2):
-        rows.append(_bmod(rows[-1] << 2, f))
-    return rows
+    def mul(self, f: int, g: int) -> int:
+        out = 0
+        while g:
+            low = g & -g  # y^i, the lowest term of g: f * low is f shifted by i
+            out ^= f * low
+            g ^= low
+        return out
 
+    def divmod(self, f: int, g: int) -> Tuple[int, int]:
+        q, dg = 0, g.bit_length()
+        while (s := f.bit_length() - dg) >= 0:
+            q ^= 1 << s
+            f ^= g << s
+        return q, f
 
-def _bfrobenius(rows: List[int], g: int) -> int:
-    """g^2 mod f for g reduced mod f: the rows of f picked out by g's bits."""
-    out = 0
-    for row in rows:
-        if g & 1:
-            out ^= row
-        g >>= 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over a tower level (internal, list-based)
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(F: TowerField, f: List) -> List:
-    while f and F._is_zero(f[-1]):
-        f.pop()
-    return f
-
-
-def _padd(F, f, g):
-    if F.sub is None:
-        return _kadd(F.p, f, g)
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else F._zero
-        b = g[i] if i < len(g) else F._zero
-        out.append(F._add(a, b))
-    return _ptrim(F, out)
-
-
-def _psub(F, f, g):
-    if F.sub is None:
-        return _ksub(F.p, f, g)
-    return _padd(F, f, [F._neg(c) for c in g])
-
-
-def _pmul(F, f, g):
-    if F.sub is None:
-        return _kmul(F.p, f, g)
-    if not f or not g:
-        return []
-    out = [F._zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if F._is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = F._add(out[i + j], F._mul(a, b))
-    return _ptrim(F, out)
-
-
-def _pdivmod(F, f, g):
-    """(quotient, remainder) of f by g; a monic g needs no inverse."""
-    if not g:
-        raise DomainError("polynomial division by zero")
-    if F.sub is None:
-        return _kdivmod(F.p, f, g)
-    lead_inv = None if F._is_one(g[-1]) else F._inv(g[-1])
-    r = list(f)
-    dg = len(g) - 1
-    q = [F._zero] * max(len(r) - dg, 0)
-    low = g[:dg]
-    for i in range(len(r) - dg - 1, -1, -1):
-        c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv)
-        if F._is_zero(c):
-            continue
-        q[i] = c
-        for j, b in enumerate(low, i):
-            r[j] = F._sub(r[j], F._mul(c, b))
-    return _ptrim(F, q), _ptrim(F, r[:dg])
-
-
-def _pmonic(F, f):
-    if F.sub is None:
-        return _kmonic(F.p, f)
-    if not f:
+    def rem(self, f: int, g: int) -> int:
+        dg = g.bit_length()
+        while (s := f.bit_length() - dg) >= 0:
+            f ^= g << s
         return f
-    if F._is_one(f[-1]):
-        return list(f)
-    li = F._inv(f[-1])
-    return [F._mul(c, li) for c in f]
+
+    def monic(self, f: int) -> int:
+        return f
+
+    def frob(self, rows: List[int], g: int) -> int:
+        out = 0
+        for row in rows:
+            if g & 1:
+                out ^= row
+            g >>= 1
+        return out
+
+    def deriv(self, f: int) -> int:
+        # the odd bits of f shifted down: bits 0, 2, 4, ... below deg f
+        return (f >> 1) & (4 ** (f.bit_length() // 2) - 1) // 3
+
+    def pth_root(self, f: int) -> int:
+        # the binary digits of f from bit 0 up, every second one, read back
+        return int(bin(f)[:1:-2][::-1], 2)
+
+    def for_split(self, g: int, d: int, rows: List[int]):
+        # rows reduced mod g, and only when g splits (deg g > d)
+        n = self.deg(g)
+        return _unpack(g), ([_unpack(self.rem(row, g)) for row in rows[:n]] if n > d else [])
 
 
-def _pgcd(F, f, g):
-    if F.sub is None:
-        return _kgcd(F.p, f, g)
-    a, b = list(f), list(g)
-    while b:
-        _, r = _pdivmod(F, a, b)
-        a, b = b, r
-    return _pmonic(F, a)
+_PACKED = _Packed()
 
 
-def _pgcdex(F, f, g):
-    """(s, d): d the monic gcd of f and g, not both zero, and s*f = d mod g."""
-    if F.sub is None:
-        return _kgcdex(F.p, f, g)
-    r0, r1 = list(g), _ptrim(F, list(f))
-    s0, s1 = [], [F._one]
-    while r1:
-        q, r = _pdivmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(F, s0, _pmul(F, q, s1))
-    li = F._inv(r0[-1])
-    return [F._mul(c, li) for c in s0], [F._mul(c, li) for c in r0]
-
-
-def _ppowmod(F, f, n: int, m):
-    return _power(
-        _pdivmod(F, f, m)[1],
-        n,
-        lambda a, b: _pdivmod(F, _pmul(F, a, b), m)[1],
-        [F._one],
-    )
-
-
-def _frobenius_rows(F, m):
+def _frobenius_rows(R: _Ring, m):
     """The rows y^(jq) mod m, j < deg m, of the q-power map on F_q[y]/(m).
 
     The map is F_q-linear, so g^q mod m is sum_j g_j * row_j (von zur
-    Gathen-Gerhard, Modern Computer Algebra, ch. 14).  One powering of y
-    builds every row.
+    Gathen-Gerhard, Modern Computer Algebra, ch. 14), which ``R.frob`` takes.
+    One powering of y builds every row.
     """
-    yq = _ppowmod(F, [F._zero, F._one], F.order, m)
-    rows = [[F._one]]
-    for _ in range(len(m) - 2):
-        rows.append(_pdivmod(F, _pmul(F, rows[-1], yq), m)[1])
+    yq = R.powmod(R.y, R.q, m)
+    rows = [R.unit]
+    for _ in range(R.deg(m) - 1):
+        rows.append(R.rem(R.mul(rows[-1], yq), m))
     return rows
 
 
-def _frobenius_apply(F, rows, g):
-    """g^q mod m for g reduced mod m, from the rows of m."""
-    if F.sub is None:
-        out = [0] * len(rows)
-        for c, row in zip(g, rows):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return _ktrim([c % F.p for c in out])
-    out = [F._zero] * len(rows)
-    for c, row in zip(g, rows):
-        if F._is_zero(c):
-            continue
-        for i, r in enumerate(row):
-            out[i] = F._add(out[i], F._mul(c, r))
-    return _ptrim(F, out)
-
-
-def _pderiv(F, f):
-    if F.sub is None:
-        return _ktrim([i * c % F.p for i, c in enumerate(f)][1:])
-    out = []
-    for i in range(1, len(f)):
-        # i * c by repeated addition; only i mod p matters in characteristic p
-        acc = F._zero
-        for _ in range(i % F.p):
-            acc = F._add(acc, f[i])
-        out.append(acc)
-    return _ptrim(F, out)
-
-
 def _poly_str(F: TowerField, f: List, var: str = "y") -> str:
-    f = _ptrim(F, list(f))
+    f = F.ring.trim(list(f))
     if not f:
         return "0"
     parts = []
@@ -696,7 +704,7 @@ class TowerPoly:
                 data.append(field.from_int(c).data)
             else:
                 data.append(c)
-        data = _ptrim(field, data)
+        data = field.ring.trim(data)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple([_shared_data(c) for c in data]))
 
@@ -776,11 +784,11 @@ class TowerPoly:
 
     def __add__(self, other):
         self._check(other)
-        return self._wrap(_padd(self.field, self._raw(), other._raw()))
+        return self._wrap(self.field.ring.add(self._raw(), other._raw()))
 
     def __sub__(self, other):
         self._check(other)
-        return self._wrap(_psub(self.field, self._raw(), other._raw()))
+        return self._wrap(self.field.ring.sub(self._raw(), other._raw()))
 
     def __neg__(self):
         F = self.field
@@ -788,7 +796,7 @@ class TowerPoly:
 
     def __mul__(self, other):
         self._check(other)
-        return self._wrap(_pmul(self.field, self._raw(), other._raw()))
+        return self._wrap(self.field.ring.mul(self._raw(), other._raw()))
 
     def scale(self, c: TowerElem) -> "TowerPoly":
         c = self.field.coerce(c)
@@ -802,7 +810,9 @@ class TowerPoly:
 
     def divmod(self, other: "TowerPoly") -> Tuple["TowerPoly", "TowerPoly"]:
         self._check(other)
-        q, r = _pdivmod(self.field, self._raw(), other._raw())
+        if other.is_zero:
+            raise DomainError("polynomial division by zero")
+        q, r = self.field.ring.divmod(self._raw(), other._raw())
         return self._wrap(q), self._wrap(r)
 
     def __mod__(self, other):
@@ -886,10 +896,11 @@ def _prime_factors(n: int) -> List[int]:
 # operation costs up to about D^3 operations in F_p: n^2 (n + 4) log2(q) D^3
 # in all.  2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over
 # F_16, each factored in under a second on a 2-vCPU host.  F_2 runs far under
-# the model on packed ints: at degree 100, factoring and testing each factor
-# takes 3 ms for an irreducible input and 11-18 ms for a product of 2-10
-# irreducibles of equal degree, most of it the equal-degree split on lists
-# (27-74 ms on lists alone; Python 3.11, 2 vCPUs).
+# the model on the packed ring: at degree 100, factoring and testing each
+# factor takes 3-5 ms for an irreducible input and 11-33 ms for a product of
+# 2-10 irreducibles of equal degree, most of it the equal-degree split on the
+# list ring (14-65 ms with every step on the F_2 list ring; Python 3.11,
+# 2 vCPUs).
 MAX_FF_WORK = 2**21
 
 # The most candidates monic_irreducibles, and so enumerate_keys, may test:
@@ -907,13 +918,22 @@ def _check_ff_work(psi: TowerPoly) -> None:
         )
 
 
+def _factor_ring(psi: TowerPoly):
+    """(R, f): the ring ff_factor and ff_is_irreducible work in, and psi made
+    monic in it.  That is the packed ring over F_2 and the field's list ring
+    elsewhere; only the equal-degree split takes lists over F_2."""
+    F = psi.field
+    if F.order == 2:
+        return _PACKED, _pack(psi.coeffs)
+    return F.ring, F.ring.monic(psi._raw())
+
+
 def ff_is_irreducible(psi: TowerPoly) -> bool:
     """Distinct-degree irreducibility test over the tower; ResourceError past
     MAX_FF_WORK.
 
     psi of degree n is irreducible when y^(q^n) = y mod psi and
-    gcd(y^(q^(n/l)) - y, psi) = 1 for every prime l dividing n.  Over F_2 the
-    test runs on packed ints (:func:`_bis_irreducible`).
+    gcd(y^(q^(n/l)) - y, psi) = 1 for every prime l dividing n.
     """
     if psi.is_zero or psi.is_constant:
         raise DomainError("irreducibility is asked of non-constant polynomials")
@@ -921,176 +941,75 @@ def ff_is_irreducible(psi: TowerPoly) -> bool:
     n = psi.degree
     if n == 1:
         return True
-    F = psi.field
-    if F.order == 2:
-        return _bis_irreducible(_pack(psi.coeffs), n)
-    f = _pmonic(F, psi._raw())
-    y = [F._zero, F._one]
-    rows = _frobenius_rows(F, f)
+    R, f = _factor_ring(psi)
+    y, rows = R.y, _frobenius_rows(R, f)
     frobs = [y]  # frobs[i] = y^(q^i) mod f
     for _ in range(n):
-        frobs.append(_frobenius_apply(F, rows, frobs[-1]))
-    if _psub(F, frobs[n], y):
-        return False
-    for ell in _prime_factors(n):
-        diff = _psub(F, frobs[n // ell], y)
-        g = _pgcd(F, diff, f)
-        if len(g) != 1:
-            return False
-    return True
+        frobs.append(R.frob(rows, frobs[-1]))
+    return not R.sub(frobs[n], y) and all(
+        R.deg(R.gcd(R.sub(frobs[n // ell], y), f)) == 0 for ell in _prime_factors(n)
+    )
 
 
-def _bis_irreducible(f: int, n: int) -> bool:
-    """The test of :func:`ff_is_irreducible` on a packed f of degree n >= 2."""
-    rows = _brows(f)
-    frobs = [2]  # frobs[i] = y^(2^i) mod f; y is the packed 2
-    for _ in range(n):
-        frobs.append(_bfrobenius(rows, frobs[-1]))
-    return frobs[n] == 2 and all(_bgcd(frobs[n // ell] ^ 2, f) == 1 for ell in _prime_factors(n))
-
-
-def _pth_root(F: TowerField, f: List) -> List:
-    """Exact p-th root of f(y) = g(y^p); coefficients map c -> c^(q/p)."""
-    p = F.p
-    q = F.order
-    out = []
-    for i in range(0, len(f), p):
-        out.append(F._pow(f[i], q // p))
-    return _ptrim(F, out)
-
-
-def _squarefree_decomposition(F, f) -> List[Tuple[List, int]]:
-    out: List[Tuple[List, int]] = []
-    deriv = _pderiv(F, f)
+def _squarefree_decomposition(R: _Ring, f) -> List[Tuple[object, int]]:
+    deriv = R.deriv(f)
     if not deriv:
-        for g, m in _squarefree_decomposition(F, _pth_root(F, f)):
-            out.append((g, m * F.p))
-        return out
-    c = _pgcd(F, f, deriv)
-    w = _pdivmod(F, f, c)[0]
+        return [(g, m * R.p) for g, m in _squarefree_decomposition(R, R.pth_root(f))]
+    c = R.gcd(f, deriv)
+    w = R.divmod(f, c)[0]
+    out = []
     i = 1
-    while len(w) > 1:
-        y = _pgcd(F, w, c)
-        z = _pdivmod(F, w, y)[0]
-        if len(z) > 1:
+    while R.deg(w) > 0:
+        y = R.gcd(w, c)
+        z = R.divmod(w, y)[0]
+        if R.deg(z) > 0:
             out.append((z, i))
         w = y
-        c = _pdivmod(F, c, y)[0]
+        c = R.divmod(c, y)[0]
         i += 1
-    if len(c) > 1:
-        for g, m in _squarefree_decomposition(F, _pth_root(F, c)):
-            out.append((g, m * F.p))
+    if R.deg(c) > 0:
+        out.extend((g, m * R.p) for g, m in _squarefree_decomposition(R, R.pth_root(c)))
     return out
 
 
-def _bsquarefree(f: int) -> List[Tuple[int, int]]:
-    """:func:`_squarefree_decomposition` of a packed f over F_2.  The
-    derivative is the odd bits of f shifted down, and the square root of a
-    square g(y^2) is its even bits."""
-    n = f.bit_length()
-    deriv = (f >> 1) & (4 ** (n // 2) - 1) // 3  # the bits 0, 2, 4, ... below n - 1
-    if not deriv:
-        return [(g, 2 * m) for g, m in _bsquarefree(_bsqrt(f))]
-    c = _bgcd(f, deriv)
-    w = _bdivmod(f, c)[0]
-    out = []
-    i = 1
-    while w > 1:
-        y = _bgcd(w, c)
-        z = _bdivmod(w, y)[0]
-        if z > 1:
-            out.append((z, i))
-        w = y
-        c = _bdivmod(c, y)[0]
-        i += 1
-    if c > 1:
-        out.extend((g, 2 * m) for g, m in _bsquarefree(_bsqrt(c)))
-    return out
-
-
-def _bsqrt(f: int) -> int:
-    # the binary digits of f from bit 0 up, every second one, read back
-    return int(bin(f)[:1:-2][::-1], 2)
-
-
-def _distinct_degree(F, f) -> List[Tuple[List, int, List[List]]]:
+def _distinct_degree(R: _Ring, f) -> List[Tuple[object, int, List]]:
     """Split a monic squarefree f into (g, d, rows): g the product of the
     irreducible factors of f of degree d, and rows the Frobenius rows of a
-    multiple of g (see :func:`_frobenius_rows`), which :func:`_equal_degree`
-    reduces mod g when it needs them.
+    multiple of g (see :func:`_frobenius_rows`).
 
     The rows of f are built once; after a split they are reduced mod the
     cofactor.
     """
     out = []
-    y = [F._zero, F._one]
-    cur = list(f)
-    rows = _frobenius_rows(F, cur) if len(cur) > 2 else []
+    cur, y = f, R.y
     frob = y
+    rows = _frobenius_rows(R, cur) if R.deg(cur) > 1 else []
     d = 0
     # once cur has no factor of degree <= d, a degree below 2(d + 1) makes it
     # irreducible
-    while len(cur) - 1 >= 2 * (d + 1):
+    while R.deg(cur) >= 2 * (d + 1):
         d += 1
-        frob = _frobenius_apply(F, rows, frob)
-        g = _pgcd(F, _psub(F, frob, y), cur)
-        if len(g) > 1:
+        frob = R.frob(rows, frob)
+        g = R.gcd(R.sub(frob, y), cur)
+        if R.deg(g) > 0:
             out.append((g, d, rows))
-            cur = _pdivmod(F, cur, g)[0]
-            frob = _pdivmod(F, frob, cur)[1]
-            rows = [_pdivmod(F, row, cur)[1] for row in rows[: len(cur) - 1]]
-    if len(cur) > 1:
-        out.append((cur, len(cur) - 1, rows))
+            cur = R.divmod(cur, g)[0]
+            frob = R.rem(frob, cur)
+            rows = [R.rem(row, cur) for row in rows[: R.deg(cur)]]
+    if R.deg(cur) > 0:
+        out.append((cur, R.deg(cur), rows))
     return out
-
-
-def _bdistinct_degree(f: int) -> List[Tuple[int, int, List[int]]]:
-    """:func:`_distinct_degree` of a packed f over F_2, with packed rows."""
-    out = []
-    cur, frob, d = f, 2, 0  # y is the packed 2
-    rows = _brows(cur) if cur.bit_length() > 2 else []
-    while cur.bit_length() - 1 >= 2 * (d + 1):
-        d += 1
-        frob = _bfrobenius(rows, frob)
-        g = _bgcd(frob ^ 2, cur)
-        if g > 1:
-            out.append((g, d, rows))
-            cur = _bdivmod(cur, g)[0]
-            frob = _bmod(frob, cur)
-            rows = [_bmod(row, cur) for row in rows[: cur.bit_length() - 1]]
-    if cur > 1:
-        out.append((cur, cur.bit_length() - 1, rows))
-    return out
-
-
-def _factor_parts(F, f):
-    """(g, d, rows, mult) for each product g of the degree-d irreducible
-    factors of multiplicity mult in a monic f, with the Frobenius rows of a
-    multiple of g: the arguments of :func:`_equal_degree`."""
-    for sqf, mult in _squarefree_decomposition(F, f):
-        for g, d, rows in _distinct_degree(F, sqf):
-            yield g, d, rows, mult
-
-
-def _bfactor_parts(f: int):
-    """:func:`_factor_parts` of a packed f over F_2, unpacked for
-    :func:`_equal_degree`: g as a list, and rows, reduced mod g, only when g
-    splits (deg g > d)."""
-    for sqf, mult in _bsquarefree(f):
-        for g, d, rows in _bdistinct_degree(sqf):
-            n = g.bit_length() - 1
-            rows = [_unpack(_bmod(row, g)) for row in rows[:n]] if n > d else []
-            yield _unpack(g), d, rows, mult
 
 
 def _random_poly(F: TowerField, deg: int, rng) -> List:
     order = F.order
     coeffs = [F._from_index(rng.randrange(order)) for _ in range(deg)]
-    return _ptrim(F, coeffs)
+    return F.ring.trim(coeffs)
 
 
 def _equal_degree(F, rows, f, d: int, rng) -> List[List]:
-    """Cantor-Zassenhaus split of a monic product f of degree-d irreducibles.
+    """Cantor-Zassenhaus split of a monic product f of degree-d irreducibles,
+    on the field's list ring.
 
     rows are the Frobenius rows of a multiple of f.  Each trial draws r of
     degree < deg f and splits f by gcd(r, f), else by gcd(T(r), f) for q = 2^k
@@ -1105,33 +1024,33 @@ def _equal_degree(F, rows, f, d: int, rng) -> List[List]:
     n = len(f) - 1
     if n == d:
         return [f]
-    q = F.order
+    R, q = F.ring, F.order
     if F.p == 2:
-        rows = [_pdivmod(F, row, f)[1] for row in rows[:n]]
+        rows = [R.rem(row, f) for row in rows[:n]]
     while True:
         r = _random_poly(F, n, rng)
         if len(r) <= 1:
             continue
-        g = _pgcd(F, r, f)
+        g = R.gcd(r, f)
         if 1 < len(g) < len(f):
             u = g
         else:
             if F.p == 2:
                 t = acc = r
                 for _ in range(d - 1):
-                    t = _frobenius_apply(F, rows, t)
-                    acc = _padd(F, acc, t)
+                    t = R.frob(rows, t)
+                    acc = R.add(acc, t)
                 t = acc
                 for _ in range(q.bit_length() - 2):
-                    t = _ppowmod(F, t, 2, f)
-                    acc = _padd(F, acc, t)
-                u = _pgcd(F, acc, f)
+                    t = R.powmod(t, 2, f)
+                    acc = R.add(acc, t)
+                u = R.gcd(acc, f)
             else:
-                t = _ppowmod(F, r, (q**d - 1) // 2, f)
-                u = _pgcd(F, _psub(F, t, [F._one]), f)
+                t = R.powmod(r, (q**d - 1) // 2, f)
+                u = R.gcd(R.sub(t, R.unit), f)
             if not (1 < len(u) < len(f)):
                 continue
-        rest = _pdivmod(F, f, u)[0]
+        rest = R.divmod(f, u)[0]
         return _equal_degree(F, rows, u, d, rng) + _equal_degree(F, rows, rest, d, rng)
 
 
@@ -1145,29 +1064,27 @@ def _shared_factor(F: TowerField, coeffs: tuple, mult: int) -> Tuple[TowerPoly, 
 def ff_factor(psi: TowerPoly, seed: int = 0) -> List[Tuple[TowerPoly, int]]:
     """Factor into monic irreducibles with multiplicities.
 
-    Squarefree decomposition, then distinct-degree splitting, then seeded
-    Cantor-Zassenhaus equal-degree splitting.  Over F_2 the first two run on
-    packed ints (:func:`_bfactor_parts`), and every field's equal-degree
-    split on lists.  The output is sorted by (degree, coefficient data), so
-    it is deterministic for a fixed seed; the product of factors
-    re-multiplies to the monic normalization of the input.  ResourceError
-    past MAX_FF_WORK.
+    Squarefree decomposition, then distinct-degree splitting, on the ring of
+    :func:`_factor_ring`, then seeded Cantor-Zassenhaus equal-degree splitting
+    on the field's list ring.  Every part is monic, and so is every factor.
+    The output is sorted by (degree, coefficient data), so it is
+    deterministic for a fixed seed; the product of factors re-multiplies to
+    the monic normalization of the input.  ResourceError past MAX_FF_WORK.
     """
     if psi.is_zero or psi.is_constant:
         raise DomainError("factorization is asked of non-constant polynomials")
     _check_ff_work(psi)
     F = psi.field
-    if F.order == 2:
-        parts = _bfactor_parts(_pack(psi.coeffs))
-    else:
-        parts = _factor_parts(F, _pmonic(F, psi._raw()))
     rng = None  # built at the first equal-degree split that draws a trial
     out: List[Tuple[TowerPoly, int]] = []
-    for prod, d, rows, mult in parts:
-        if rng is None and len(prod) - 1 > d:
-            rng = random.Random(seed)
-        for irr in _equal_degree(F, rows, prod, d, rng):
-            out.append(_shared_factor(F, tuple(_pmonic(F, irr)), mult))
+    R, f = _factor_ring(psi)
+    for sqf, mult in _squarefree_decomposition(R, f):
+        for g, d, rows in _distinct_degree(R, sqf):
+            prod, rows = R.for_split(g, d, rows)
+            if rng is None and len(prod) - 1 > d:
+                rng = random.Random(seed)
+            for irr in _equal_degree(F, rows, prod, d, rng):
+                out.append(_shared_factor(F, tuple(irr), mult))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 

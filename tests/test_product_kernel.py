@@ -3,7 +3,7 @@
 ``_conv`` multiplies by Kronecker substitution or by the schoolbook loop,
 picked by operand size; both must give the exact product at every size.  The
 reference is sympy's dense multiplication over ZZ (``dup_mul``), and for the
-prime-field products of ``towers`` its ``gf_mul``.  Draws cover 1 to 64
+products of the F_p[y] ring of ``towers`` its ``gf_mul``.  Draws cover 1 to 64
 coefficients of 1 to more than 128 bits, of both signs, with interior zeros;
 explicit cases sit on each side of the selection rule and at each slot width
 of the Kronecker product (64 bits, 128 bits and wider).
@@ -21,7 +21,7 @@ from sympy.polys.galoistools import gf_mul
 import indval.basefield as basefield
 from indval import Poly
 from indval.basefield import _conv, _height, _kronecker
-from indval.towers import _kmul
+from indval.towers import _PrimeLists
 from conftest import trim
 
 
@@ -134,4 +134,4 @@ def test_kmul_matches_gf_mul(p, data):
     elems = st.lists(st.integers(0, p - 1), min_size=0, max_size=64)
     f, g = data.draw(elems), data.draw(elems)
     want = [int(c) for c in reversed(gf_mul([ZZ(c) for c in reversed(f)], [ZZ(c) for c in reversed(g)], p, ZZ))]
-    assert _kmul(p, f, g) == want
+    assert _PrimeLists(p).mul(f, g) == want

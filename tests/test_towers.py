@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (
+    gf_diff,
     gf_div,
     gf_factor,
     gf_gcd,
     gf_gcdex,
     gf_irreducible_p,
     gf_mul,
+    gf_pow_mod,
     gf_quo,
     gf_rem,
 )
@@ -34,6 +36,7 @@ from indval.basefield import MAX_PARSE_DEGREE
 from indval.values import MAX_PARSE_DIGITS
 from indval import towers
 from indval.towers import extend_with_root
+from conftest import trim
 
 
 @pytest.fixture(scope="module")
@@ -455,10 +458,11 @@ class TestSympyOracle:
 
 
 def _list_factor(F, psi, seed):
-    """ff_factor's pairs from the list routines alone, as (coeffs, mult)."""
+    """ff_factor's pairs from the same algorithms on the field's list ring
+    alone, as (coeffs, mult)."""
     rng, out = random.Random(seed), []
-    for sqf, mult in towers._squarefree_decomposition(F, list(psi.coeffs)):
-        for g, d, rows in towers._distinct_degree(F, sqf):
+    for sqf, mult in towers._squarefree_decomposition(F.ring, list(psi.coeffs)):
+        for g, d, rows in towers._distinct_degree(F.ring, sqf):
             out += [(tuple(irr), mult) for irr in towers._equal_degree(F, rows, g, d, rng)]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
@@ -480,9 +484,10 @@ def _f2_product(draw):
 
 
 class TestPackedF2:
-    """Over F_2, ff_factor and ff_is_irreducible run on packed ints.  Their
-    results equal galoistools' and, pair for pair in the same order, the list
-    routines' on the same input, up to the degree-100 edge of the budget."""
+    """Over F_2, ff_factor and ff_is_irreducible run on the packed ring.  Their
+    results equal galoistools' and, pair for pair in the same order, those of
+    the same algorithms on the F_2 list ring, up to the degree-100 edge of the
+    budget."""
 
     @staticmethod
     def _check(psi, seed=0):
@@ -520,7 +525,7 @@ class TestPackedF2:
 
 def _to_gf(f):
     """Constant-first ints as galoistools' highest-first list, zeros stripped."""
-    return [ZZ(c) for c in reversed(towers._ktrim(list(f)))]
+    return [ZZ(c) for c in reversed(trim(f))]
 
 
 def _from_gf(g):
@@ -530,14 +535,14 @@ def _from_gf(g):
 @st.composite
 def _kernel_pair(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    poly = st.lists(st.integers(0, p - 1), max_size=14).map(towers._ktrim)
+    poly = st.lists(st.integers(0, p - 1), max_size=14).map(trim)
     return p, draw(poly), draw(poly)
 
 
 @st.composite
 def _packed_pair(draw):
     """Two polynomials over F_2 of up to 101 coefficients, trimmed lists."""
-    poly = st.lists(st.integers(0, 1), max_size=101).map(towers._ktrim)
+    poly = st.lists(st.integers(0, 1), max_size=101).map(trim)
     return draw(poly), draw(poly)
 
 
@@ -546,48 +551,52 @@ _LEVEL_ONE = {4: (2, "y^2+y+1"), 8: (2, "y^3+y+1"), 9: (3, "y^2+1")}
 
 
 class TestKernelOracle:
-    """The F_p[y] kernel, and the level-1 element products and inverses built
-    on it, against sympy's galoistools."""
+    """The F_p[y] ring, the packed F_2[y] ring, and the level-1 element
+    products and inverses built on the F_p ring, against sympy's
+    galoistools."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_kernel_pair())
-    def test_products_divisions_and_gcds(self, case):
+    @given(_kernel_pair(), st.integers(1, 40))
+    def test_products_divisions_and_gcds(self, case, n):
         p, f, g = case
-        gf, gg = _to_gf(f), _to_gf(g)
-        assert towers._kmul(p, f, g) == _from_gf(gf_mul(gf, gg, p, ZZ))
-        assert towers._kgcd(p, f, g) == _from_gf(gf_gcd(gf, gg, p, ZZ))
+        R, gf, gg = towers._PrimeLists(p), _to_gf(f), _to_gf(g)
+        assert R.mul(f, g) == _from_gf(gf_mul(gf, gg, p, ZZ))
+        assert R.gcd(f, g) == _from_gf(gf_gcd(gf, gg, p, ZZ))
+        assert R.deriv(f) == _from_gf(gf_diff(gf, p, ZZ))
         if g:
-            assert towers._kdivmod(p, f, g) == (_from_gf(gf_quo(gf, gg, p, ZZ)), _from_gf(gf_rem(gf, gg, p, ZZ)))
+            assert R.divmod(f, g) == (_from_gf(gf_quo(gf, gg, p, ZZ)), _from_gf(gf_rem(gf, gg, p, ZZ)))
+            assert R.powmod(f, n, g) == _from_gf(gf_pow_mod(gf, n, gg, p, ZZ))
         if f or g:
             s_ref, t_ref, d_ref = gf_gcdex(gf, gg, p, ZZ)
-            s, d = towers._kgcdex(p, f, g)
+            s, d = R.gcdex(f, g)
             assert (s, d) == (_from_gf(s_ref), _from_gf(d_ref))
             if g:  # the cofactor t = (d - s*f) / g, exactly
-                t, rest = towers._kdivmod(p, towers._ksub(p, d, towers._kmul(p, s, f)), g)
+                t, rest = R.divmod(R.sub(d, R.mul(s, f)), g)
                 assert (t, rest) == (_from_gf(t_ref), [])
 
     @settings(max_examples=200, deadline=None)
     @given(_packed_pair())
     def test_packed_divisions_gcds_and_squares(self, case):
-        # The F_2[y] kernel on packed ints has no general product: it
-        # multiplies by powers of y with shifts, and squares mod f from the
-        # Frobenius rows.  So gf_mul's product checks the exact division, and
-        # gf_mul's square the rows and the square root.
+        # gf_mul's product checks the carry-less product and the exact
+        # division, and gf_mul's square the Frobenius rows and the square root.
         f, g = case
         gf, gg = _to_gf(f), _to_gf(g)
-        a, b = towers._pack(f), towers._pack(g)
+        P, a, b = towers._PACKED, towers._pack(f), towers._pack(g)
         assert towers._unpack(a) == f
+        product = towers._pack(_from_gf(gf_mul(gf, gg, 2, ZZ)))
+        assert P.mul(a, b) == product
         if g:
-            q, r = towers._bdivmod(a, b)
+            q, r = P.divmod(a, b)
             assert (towers._unpack(q), towers._unpack(r)) == tuple(map(_from_gf, gf_div(gf, gg, 2, ZZ)))
-            assert towers._bmod(a, b) == r
-            assert towers._bdivmod(towers._pack(_from_gf(gf_mul(gf, gg, 2, ZZ))), b) == (a, 0)
-        assert towers._unpack(towers._bgcd(a, b)) == _from_gf(gf_gcd(gf, gg, 2, ZZ))
+            assert P.rem(a, b) == r
+            assert P.divmod(product, b) == (a, 0)
+        assert towers._unpack(P.gcd(a, b)) == _from_gf(gf_gcd(gf, gg, 2, ZZ))
+        assert towers._unpack(P.deriv(a)) == _from_gf(gf_diff(gf, 2, ZZ))
         square = towers._pack(_from_gf(gf_mul(gf, gf, 2, ZZ)))
-        assert towers._bsqrt(square) == a
+        assert P.pth_root(square) == a
         if len(g) > 2:  # rows of a modulus of degree >= 2
             want = towers._pack(_from_gf(gf_rem(gf_mul(gf, gf, 2, ZZ), gg, 2, ZZ)))
-            assert towers._bfrobenius(towers._brows(b), towers._bmod(a, b)) == want
+            assert P.frob(towers._frobenius_rows(P, b), P.rem(a, b)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(_LEVEL_ONE)), st.data())
@@ -598,11 +607,49 @@ class TestKernelOracle:
         m = _to_gf(F.moduli[0])
         a, b = (F.from_index(data.draw(st.integers(0, order - 1))) for _ in range(2))
         want = gf_rem(gf_mul(_to_gf(a.data), _to_gf(b.data), p, ZZ), m, p, ZZ)
-        assert towers._ktrim(list((a * b).data)) == _from_gf(want)
+        assert trim((a * b).data) == _from_gf(want)
         if not a.is_zero:
             s, _t, d = gf_gcdex(_to_gf(a.data), m, p, ZZ)
             assert _from_gf(d) == [1]
-            assert towers._ktrim(list(a.inv().data)) == _from_gf(s)
+            assert trim(a.inv().data) == _from_gf(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_pair(), st.integers(1, 40), st.data())
+    def test_element_data_ring_equals_the_prime_ring(self, case, n, data):
+        # The element-data list ring serves every field above F_p.  Over F_p
+        # itself it must agree, op for op, with the F_p ring that the oracle
+        # above checks against galoistools.
+        p, f, g = case
+        F = TowerField(p)
+        E, R = towers._Lists(F), F.ring
+        assert type(R) is towers._PrimeLists
+        for op in ("add", "sub", "mul"):
+            assert getattr(E, op)(f, g) == getattr(R, op)(f, g), op
+        assert E.gcd(f, g) == R.gcd(f, g)
+        assert E.deriv(f) == R.deriv(f)
+        if g:
+            assert E.divmod(f, g) == R.divmod(f, g)
+        if f or g:
+            assert E.gcdex(f, g) == R.gcdex(f, g)
+        if len(g) > 1:
+            m = R.monic(g)
+            assert E.powmod(f, n, m) == R.powmod(f, n, m)
+            rows = towers._frobenius_rows(R, m)
+            assert towers._frobenius_rows(E, m) == rows
+            assert E.frob(rows, R.rem(f, m)) == R.frob(rows, R.rem(f, m))
+
+        # a^2 * b(y^p): squares and p-th powers for the squarefree
+        # decomposition, whose parts go to the distinct-degree split
+        small = st.lists(st.integers(0, p - 1), max_size=6).map(trim)
+        a, b = data.draw(small), data.draw(small)
+        spread = trim([b[i // p] if i % p == 0 else 0 for i in range(p * len(b))])
+        assert E.pth_root(spread) == R.pth_root(spread) == b
+        h = R.monic(R.mul(R.mul(a, a), spread))
+        if len(h) > 1:
+            parts = towers._squarefree_decomposition(R, h)
+            assert towers._squarefree_decomposition(E, h) == parts
+            for sqf, _m in parts:
+                assert towers._distinct_degree(E, sqf) == towers._distinct_degree(R, sqf)
 
 
 class TestWork:
@@ -632,8 +679,8 @@ class TestWork:
     def test_power_of_two_is_k_squarings(self, monkeypatch, F4, k):
         f, m = _random_monic(F4, 5, random.Random(43)), _random_monic(F4, 4, random.Random(44))
         want = (f ** (2**k)) % m
-        calls = self._count(monkeypatch, towers, "_pmul")
-        got = towers._ppowmod(F4, list(f.coeffs), 2**k, list(m.coeffs))
+        calls = self._count(monkeypatch, towers._Lists, "mul")
+        got = F4.ring.powmod(list(f.coeffs), 2**k, list(m.coeffs))
         assert calls[0] == k
         assert TowerPoly(F4, got) == want
 
@@ -658,27 +705,35 @@ class TestWork:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_prime_field_makes_no_element_calls(self, monkeypatch, p):
-        # Over F_p every polynomial routine runs on the integer kernel: no
-        # coefficient goes through the tower's element arithmetic.  The seeds
-        # give a repeated factor and two cubics for the equal-degree split:
-        # (y^2+y+1)^3 times two cubics over F_2, a square of a linear factor,
-        # two cubics and a quartic over F_3.
+        # Over F_p every polynomial routine runs on the F_p ring (or, over
+        # F_2, the packed ring): no coefficient goes through the tower's
+        # element arithmetic, not even a p-th root.  The seeds give a repeated
+        # factor and two cubics for the equal-degree split: (y^2+y+1)^3 times
+        # two cubics over F_2, a square of a linear factor, two cubics and a
+        # quartic over F_3.  The second input has a p-th power factor, so the
+        # squarefree decomposition takes a p-th root.
         F = TowerField(p)
-        psi = _random_monic(F, 12, random.Random({2: 25, 3: 26}[p]))
-        calls = [self._count(monkeypatch, TowerField, name) for name in ("_mul", "_add", "_sub")]
-        factors = ff_factor(psi, 5)
-        assert all(ff_is_irreducible(g) for g, _m in factors)
-        assert [c[0] for c in calls] == [0, 0, 0]
-        assert sorted(g.degree for g, _m in factors) == ([2, 3, 3] if p == 2 else [1, 3, 3, 4])
-        prod = TowerPoly.one(F)
-        for g, m in factors:
-            prod = prod * g**m
-        assert prod == psi
+        y1 = TowerPoly.parse(F, "y+1")
+        cases = [
+            (_random_monic(F, 12, random.Random({2: 25, 3: 26}[p])), [2, 3, 3] if p == 2 else [1, 3, 3, 4]),
+            (y1**p * TowerPoly.parse(F, {2: "y^2+y+1", 3: "y^2+1"}[p]), [1, 2]),
+        ]
+        names = ("_mul", "_add", "_sub", "_neg", "_inv", "_pow")
+        calls = [self._count(monkeypatch, TowerField, name) for name in names]
+        for psi, degrees in cases:
+            factors = ff_factor(psi, 5)
+            assert all(ff_is_irreducible(g) for g, _m in factors)
+            assert dict(zip(names, [c[0] for c in calls])) == dict.fromkeys(names, 0)
+            assert sorted(g.degree for g, _m in factors) == degrees
+            prod = TowerPoly.one(F)
+            for g, m in factors:
+                prod = prod * g**m
+            assert prod == psi
 
     def test_f2_takes_the_list_kernel_only_in_the_equal_degree_split(self, monkeypatch, F2):
         # Over F_2 the squarefree decomposition, the distinct-degree split and
-        # the irreducibility test run on packed ints, so the list kernel's
-        # division, product and Frobenius rows run only inside _equal_degree.
+        # the irreducibility test run on the packed ring, so the F_2 list
+        # ring's arithmetic and algorithms run only inside _equal_degree.
         # The seed-25 input is (y^2+y+1)^3 times the two cubics, whose product
         # the equal-degree split takes apart.
         psi = _random_monic(F2, 12, random.Random(25))
@@ -692,29 +747,31 @@ class TestWork:
             finally:
                 depth[0] -= 1
 
-        def counter(name):
-            inner = getattr(towers, name)
-
+        def counter(name, inner, lists=lambda args: True):
             def counted(*args):
-                (inside if depth[0] else outside)[name] += 1
+                if lists(args):
+                    (inside if depth[0] else outside)[name] += 1
                 return inner(*args)
 
             return counted
 
         monkeypatch.setattr(towers, "_equal_degree", counted_split)
-        for name in ("_kdivmod", "_kmul", "_frobenius_rows"):
-            monkeypatch.setattr(towers, name, counter(name))
+        ring = type(F2.ring)
+        for name in ("add", "sub", "mul", "divmod", "rem", "gcd", "powmod", "monic", "frob", "deriv", "pth_root"):
+            monkeypatch.setattr(ring, name, counter(name, getattr(ring, name)))
+        rows = towers._frobenius_rows
+        monkeypatch.setattr(towers, "_frobenius_rows", counter("rows", rows, lambda args: args[0] is not towers._PACKED))
         factors = ff_factor(psi, 5)
         assert all(ff_is_irreducible(g) for g, _m in factors)
         assert [(g.degree, m) for g, m in factors] == [(2, 3), (3, 1), (3, 1)]
-        assert outside == Counter() and inside["_kdivmod"] > 0
+        assert outside == Counter() and inside["divmod"] > 0
 
     def test_characteristic_two_trace_from_the_rows(self, monkeypatch, F4):
         # y^30 + y + 1 is two irreducibles of degree 15 over F_4.  Squaring
         # out the trace took 29 powerings mod f in each of the 8 trials, plus
         # 1 for the rows: 233.  From the rows it takes k - 1 = 1 per trial.
         psi = TowerPoly.parse(F4, "y^30+y+1")
-        powmods = self._count(monkeypatch, towers, "_ppowmod")
+        powmods = self._count(monkeypatch, towers._Ring, "powmod")
         draws = self._count(monkeypatch, towers, "_random_poly")
         factors = ff_factor(psi, 0)
         assert powmods[0] <= 10

@@ -16,10 +16,10 @@ the following call it, recorded with ``sys.setprofile``:
 ``bench/workloads.py`` is loaded from its file with no bytecode written.
 Functions that none of them reach are listed at the end.  That list names
 a sample, not dead code: a rare branch that one block of a workload misses
-may be reached in a longer run or under another seed.  ``towers._kadd``,
-through the F_2 trace sums of ``_equal_degree``, is reached in 1 of the 288
-operations of four seed-1 blocks of ``finite_fields``, and in none of the
-576 of eight seed-11 blocks.
+may be reached in a longer run or under another seed.
+``towers._PrimeLists.add``, through the F_2 trace sums of ``_equal_degree``,
+is reached in 1 of the 288 operations of four seed-1 blocks of
+``finite_fields``, and in none of the 576 of eight seed-11 blocks.
 
 ``retain``: the bytes that the outputs of one block of each benchmark
 workload (seed 11) keep alive per operation when every output is kept, as
