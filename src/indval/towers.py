@@ -346,23 +346,22 @@ def _data_str(data) -> str:
 # every algorithm above it is written once over any ring: gcd, powering mod m
 # and the extended gcd here, the Frobenius rows, the irreducibility test, the
 # squarefree decomposition and the distinct-degree split below.  No ring
-# operation but ``trim`` and ``divide``, which work in place, changes its
-# arguments, and a result may be one of them, so no caller changes a result.
+# operation but ``trim`` and ``divide``, which work in place, and the list
+# ``rem``, which fills the quotient list it is given, changes its arguments,
+# and a result may be one of them, so no caller changes a result.
 
 
 class _Ring:
     """F[y] in one representation: p, q = |F|, the polynomials y and 1, and
-    the algorithms written once over a subclass's deg, add, sub, mul, divmod,
-    monic, deriv, pth_root and frob (g^q mod m from the Frobenius rows of m)."""
+    the algorithms written once over a subclass's deg, add, sub, mul, shift
+    (f * y^s), divmod, rem, monic, deriv, pth_root and frob (g^q mod m from
+    the Frobenius rows of m)."""
 
     __slots__ = ("p", "q", "y", "unit")
 
-    def rem(self, f, g):
-        return self.divmod(f, g)[1]
-
     def gcd(self, f, g):
         while g:
-            f, g = g, self.divmod(f, g)[1]  # not rem: one call less per step on lists
+            f, g = g, self.rem(f, g)
         return self.monic(f)
 
     def powmod(self, f, n: int, m):
@@ -420,20 +419,29 @@ class _Lists(_Ring):
 
     def divmod(self, f, g):
         """(quotient, remainder) of f by a non-zero g."""
-        F, zero = self.F, self.zero
+        q = [self.zero] * max(len(f) - len(g) + 1, 0)
+        r = self.rem(f, g, q)
+        return self.trim(q), r
+
+    def rem(self, f, g, q=None):
+        """The remainder of f by a non-zero g: the one division loop of the
+        ring.  The quotient goes into q when one is given, of length
+        len(f) - deg g; otherwise none is built."""
+        F, zero, dg = self.F, self.zero, len(g) - 1
         lead_inv = None if g[-1] == self.one else F._inv(g[-1])
-        r = list(f)
-        dg = len(g) - 1
-        q = [zero] * max(len(r) - dg, 0)
-        low = g[:dg]
+        r, low = list(f), g[:dg]
         for i in range(len(r) - dg - 1, -1, -1):
             c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv)
-            if c == zero:
-                continue
-            q[i] = c
-            for j, b in enumerate(low, i):
-                r[j] = F._sub(r[j], F._mul(c, b))
-        return self.trim(q), self.trim(r[:dg])
+            if c != zero:
+                if q is not None:
+                    q[i] = c
+                for j, b in enumerate(low, i):
+                    r[j] = F._sub(r[j], F._mul(c, b))
+        return self.trim(r[:dg])
+
+    def shift(self, f, s: int):
+        """f * y^s."""
+        return [self.zero] * s + f if f else f
 
     def inv(self, c):
         return self.F._inv(c)
@@ -521,7 +529,8 @@ class _PrimeLists(_Lists):
 
     def divide(self, r: List[int], negm, li: int) -> None:
         """Divide the plain ints r in place by g, given by the inverse li of its
-        lead and negm = -g_j mod p for j < deg g: the one division loop.
+        lead and negm = -g_j mod p for j < deg g: the loop of ``divmod`` and
+        of the element products one level up, whose negm is kept.
 
         Afterwards r[deg g:] holds the quotient, reduced mod p, and r[:deg g]
         the remainder, still plain ints.
@@ -540,6 +549,17 @@ class _PrimeLists(_Lists):
         r = list(f)
         self.divide(r, [-b % p for b in g[:dg]], 1 if g[-1] == 1 else pow(g[-1], -1, p))
         return r[dg:], self.trim([c % p for c in r[:dg]])
+
+    def rem(self, f, g):
+        """The remainder of f by a non-zero g: no quotient is kept and no
+        negated divisor built, so a short division costs only its steps."""
+        p, dg = self.p, len(g) - 1
+        r, li, low = list(f), pow(g[-1], -1, p), g[:dg]
+        for i in range(len(r) - 1, dg - 1, -1):
+            if c := r[i] * li % p:
+                for j, b in enumerate(low, i - dg):
+                    r[j] -= c * b
+        return self.trim([c % p for c in r[:dg]])
 
     def inv(self, c):
         return pow(c, -1, self.p)
@@ -613,6 +633,9 @@ class _Packed(_Ring):
             f ^= g << s
         return f
 
+    def shift(self, f: int, s: int) -> int:
+        return f << s
+
     def monic(self, f: int) -> int:
         return f
 
@@ -646,12 +669,16 @@ def _frobenius_rows(R: _Ring, m):
 
     The map is F_q-linear, so g^q mod m is sum_j g_j * row_j (von zur
     Gathen-Gerhard, Modern Computer Algebra, ch. 14), which ``R.frob`` takes.
-    One powering of y builds every row.
+    Each row is the one before times y^q mod m.  When q < deg m, y^q is
+    already reduced, so that product is a shift by q and q division steps,
+    O(q deg m) in all; otherwise y is powered once and each row is a product.
     """
-    yq = R.powmod(R.y, R.q, m)
+    q, n = R.q, R.deg(m)
+    yq = None if q < n else R.powmod(R.y, q, m)
     rows = [R.unit]
-    for _ in range(R.deg(m) - 1):
-        rows.append(R.rem(R.mul(rows[-1], yq), m))
+    for _ in range(n - 1):
+        row = R.shift(rows[-1], q) if yq is None else R.mul(rows[-1], yq)
+        rows.append(R.rem(row, m))
     return rows
 
 
@@ -894,13 +921,15 @@ def _prime_factors(n: int) -> List[int]:
 # degree D over F_p, both raise polynomials mod psi to powers of up to about
 # q^n, some n log2(q) products of n^2 field operations each, and a tower
 # operation costs up to about D^3 operations in F_p: n^2 (n + 4) log2(q) D^3
-# in all.  2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over
-# F_16, each factored in under a second on a 2-vCPU host.  F_2 runs far under
-# the model on the packed ring: at degree 100, factoring and testing each
-# factor takes 3-5 ms for an irreducible input and 11-33 ms for a product of
-# 2-10 irreducibles of equal degree, most of it the equal-degree split on the
-# list ring (14-65 ms with every step on the F_2 list ring; Python 3.11,
-# 2 vCPUs).
+# in all.  The Frobenius rows stay within it: shifted when q < n, n rows of
+# q n operations, q n^2 < n^3; otherwise one powering of y and n products.
+# 2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over F_16; a
+# random input at those edges is factored, each factor tested, in 33-60 ms,
+# 140-210 ms and 180-200 ms (Python 3.11, 2 vCPUs).  F_2 runs far under the
+# model on the packed ring: at degree 100 that takes 2.5-3 ms for an
+# irreducible input and 14-21 ms for a product of 2-10 irreducibles of equal
+# degree, most of it the equal-degree split on the list ring (20-45 ms with
+# every step on the F_2 list ring).
 MAX_FF_WORK = 2**21
 
 # The most candidates monic_irreducibles, and so enumerate_keys, may test:
@@ -956,6 +985,8 @@ def _squarefree_decomposition(R: _Ring, f) -> List[Tuple[object, int]]:
     if not deriv:
         return [(g, m * R.p) for g, m in _squarefree_decomposition(R, R.pth_root(f))]
     c = R.gcd(f, deriv)
+    if R.deg(c) == 0:  # f is squarefree
+        return [(f, 1)]
     w = R.divmod(f, c)[0]
     out = []
     i = 1

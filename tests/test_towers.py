@@ -565,6 +565,7 @@ class TestKernelOracle:
         assert R.deriv(f) == _from_gf(gf_diff(gf, p, ZZ))
         if g:
             assert R.divmod(f, g) == (_from_gf(gf_quo(gf, gg, p, ZZ)), _from_gf(gf_rem(gf, gg, p, ZZ)))
+            assert R.rem(f, g) == _from_gf(gf_rem(gf, gg, p, ZZ))
             assert R.powmod(f, n, g) == _from_gf(gf_pow_mod(gf, n, gg, p, ZZ))
         if f or g:
             s_ref, t_ref, d_ref = gf_gcdex(gf, gg, p, ZZ)
@@ -598,6 +599,38 @@ class TestKernelOracle:
             want = towers._pack(_from_gf(gf_rem(gf_mul(gf, gf, 2, ZZ), gg, 2, ZZ)))
             assert P.frob(towers._frobenius_rows(P, b), P.rem(a, b)) == want
 
+    # Moduli of degree below q, equal to q and above it: up to q the rows
+    # come from powering y once and multiplying, above q by shifting.
+    @pytest.mark.parametrize("p, degrees", [(2, (1, 2, 3, 5, 12)), (3, (1, 2, 3, 4, 7, 12))])
+    def test_frobenius_rows_are_powers_of_y(self, p, degrees):
+        # row j of the rows of m is y^(qj) mod m, here q = p
+        rng = random.Random(71 + p)
+        for n in degrees:
+            for _ in range(4):
+                m = [rng.randrange(p) for _ in range(n)] + [1]
+                gm = _to_gf(m)
+                want = [_from_gf(gf_pow_mod([ZZ(1), ZZ(0)], p * j, gm, p, ZZ)) for j in range(n)]
+                if p == 2:
+                    rows = [towers._unpack(r) for r in towers._frobenius_rows(towers._PACKED, towers._pack(m))]
+                else:
+                    rows = towers._frobenius_rows(towers._PrimeLists(p), m)
+                assert rows == want, m
+
+    def test_frobenius_rows_over_extension_fields(self, F4, F16):
+        # on the element-data rings, against the product path written with
+        # TowerPoly: y^q mod m once, then each row the one before times it
+        rng = random.Random(73)
+        for F, degrees in ((F4, (2, 3, 4, 5, 9)), (F16, (2, 5, 16, 17))):
+            y = TowerPoly.y(F)
+            for n in degrees:
+                m = _random_monic(F, n, rng)
+                yq = y**F.order % m
+                want = [TowerPoly.one(F)]
+                for _ in range(n - 1):
+                    want.append(want[-1] * yq % m)
+                rows = towers._frobenius_rows(F.ring, list(m.coeffs))
+                assert [TowerPoly(F, r) for r in rows] == want, str(m)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(_LEVEL_ONE)), st.data())
     def test_level_one_products_and_inverses(self, order, data):
@@ -629,6 +662,8 @@ class TestKernelOracle:
         assert E.deriv(f) == R.deriv(f)
         if g:
             assert E.divmod(f, g) == R.divmod(f, g)
+            assert E.rem(f, g) == R.rem(f, g) == R.divmod(f, g)[1]
+        assert E.shift(f, n) == R.shift(f, n) == R.mul(f, [0] * n + [1])
         if f or g:
             assert E.gcdex(f, g) == R.gcdex(f, g)
         if len(g) > 1:
@@ -697,11 +732,42 @@ class TestWork:
         # into F_p for every product over F_4 and multiplied by zero.  The
         # parent of the F_p[y] integer kernel made 18,956: each division step
         # also multiplied by the divisor's lead, and an inverse in F_4 made
-        # its products in F_p one coefficient at a time.  Now 13,908.
+        # its products in F_p one coefficient at a time.  The parent of the
+        # shifted Frobenius rows made 13,908: it built each row over F_4 of
+        # degree above 4 as a product mod m.  Now 13,028.
         calls = self._count(monkeypatch, TowerField, "_mul")
         for psi in cases:
             assert all(ff_is_irreducible(g) for g, _m in ff_factor(psi, 3))
         assert calls[0] <= 0.15 * 141_461
+
+    def test_frobenius_rows_by_shifting_make_no_products(self, monkeypatch, F2, F4):
+        # with q < deg m each row is the one before shifted by q: no product
+        # and no powering; with q >= deg m, one powering and a product a row
+        rng = random.Random(47)
+        rings = [(towers._PACKED, F2, towers._pack), (towers._PrimeLists(3), TowerField(3), list), (F4.ring, F4, list)]
+        for R, F, raw in rings:
+            counts = [self._count(monkeypatch, type(R), name) for name in ("mul", "powmod")]
+            for n in (R.q, R.q + 1, R.q + 6):
+                for c in counts:
+                    c[0] = 0
+                rows = towers._frobenius_rows(R, raw(_random_monic(F, n, rng).coeffs))
+                muls, powmods = (c[0] for c in counts)
+                assert len(rows) == n
+                if n > R.q:
+                    assert (muls, powmods) == (0, 0), (R, n)
+                else:  # the powering squares too
+                    assert powmods == 1 and muls >= n - 1, (R, n)
+
+    def test_squarefree_input_takes_one_gcd(self, monkeypatch, F2, F3, F4):
+        # gcd(f, f') = 1 ends the decomposition: [(f, 1)] and no more gcds
+        calls = self._count(monkeypatch, towers._Ring, "gcd")
+        rng = random.Random(53)
+        for F in (F2, F3, F4):
+            irr = _distinct_irreducibles(F, 3, 2, rng) + _distinct_irreducibles(F, 2, 1, rng)
+            R, f = towers._factor_ring(math.prod(irr[1:], start=irr[0]))
+            calls[0] = 0
+            assert towers._squarefree_decomposition(R, f) == [(f, 1)]
+            assert calls[0] == 1
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_prime_field_makes_no_element_calls(self, monkeypatch, p):
