@@ -21,14 +21,18 @@ operation), and F_2[y] as packed ints (``_Packed``, bit i the coefficient of
 y^i).  Each field holds its list ring as ``ring``.  The polynomial algorithms
 are written once over a ring (``_Ring``), and an element product or inverse
 one level above F_p is the F_p ring's division or extended gcd mod that
-level's modulus.  ff_factor and ff_is_irreducible take the packed ring over
-F_2 (:func:`_factor_ring`); there only the equal-degree split gets lists.
+level's modulus.  Each field keeps the inverses it has taken in a table of
+at most _CACHE_SIZE entries, so an inverse taken again is a dict lookup.
+ff_factor and ff_is_irreducible take the packed ring over F_2
+(:func:`_factor_ring`); there only the equal-degree split gets lists.
 
 Factoring is squarefree decomposition, then the distinct-degree split, then
 Cantor-Zassenhaus on each product of same-degree factors.  The q-power map on
 F_q[y]/(m) is F_q-linear, so its rows y^(jq) mod m are built once per
-squarefree part and handed from the distinct-degree split to the equal-degree
-split, which in characteristic 2 takes the trace of a trial from them.
+squarefree part, each from the one before by a shift when q < deg m and
+through the map of multiplication by y^q otherwise, and handed from the
+distinct-degree split to the equal-degree split, which in characteristic 2
+takes the trace of a trial from them.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ from .basefield import _conv, _power, _terms
 from .errors import DomainError, InvariantError, ParseError, ResourceError
 from .values import _check_digits
 
+# The bound of every cache here: the two lru_caches of shared data and each
+# field's inverse table.
+_CACHE_SIZE = 4096
+
 
 class TowerField:
     """One level of an explicit finite-field tower over F_p.
@@ -51,9 +59,15 @@ class TowerField:
     raw zero and one, the negated low coefficients of its modulus, and
     ``ring``, its polynomial ring of lists; the element routines work on the
     field they are given and recurse through ``sub``.
+
+    Each field also keeps a table of the inverses it has taken, filled as
+    ``_inv`` meets new units and capped at _CACHE_SIZE entries: a field of
+    order up to _CACHE_SIZE + 1 ends up with all of them, a larger one with
+    the first _CACHE_SIZE it meets.  The table is not part of the field's
+    value: equal fields may hold different tables.
     """
 
-    __slots__ = ("p", "moduli", "sub", "degree", "order", "_zero", "_one", "_negmod", "ring")
+    __slots__ = ("p", "moduli", "sub", "degree", "order", "_zero", "_one", "_negmod", "ring", "_invs")
 
     def __init__(self, p: int, moduli: Sequence[tuple] = ()):
         moduli = tuple(tuple(m) for m in moduli)
@@ -74,6 +88,7 @@ class TowerField:
         for name, value in zip(self.__slots__, slots):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "ring", _PrimeLists(p) if sub is None else _Lists(self))
+        object.__setattr__(self, "_invs", {})
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TowerField is immutable")
@@ -167,16 +182,24 @@ class TowerField:
         return tuple(prod[:k])
 
     def _inv(self, a):
+        invs = self._invs
+        inv = invs.get(a)
+        if inv is not None:
+            return inv
         if self._is_zero(a):
             raise DomainError("inverse of zero")
         sub = self.sub
         if sub is None:
-            return pow(a, -1, self.p)
-        # extended Euclid of a against the modulus, over the sublevel
-        s, d = sub.ring.gcdex(list(a), list(self.moduli[-1]))
-        if len(d) != 1:  # a non-constant gcd: the modulus is reducible
-            raise InvariantError(f"the top modulus of {self.describe()} is not irreducible")
-        return tuple(s + [sub._zero] * (len(a) - len(s)))
+            inv = pow(a, -1, self.p)
+        else:
+            # extended Euclid of a against the modulus, over the sublevel
+            s, d = sub.ring.gcdex(list(a), list(self.moduli[-1]))
+            if len(d) != 1:  # a non-constant gcd: the modulus is reducible
+                raise InvariantError(f"the top modulus of {self.describe()} is not irreducible")
+            inv = tuple(s + [sub._zero] * (len(a) - len(s)))
+        if len(invs) < _CACHE_SIZE:
+            invs[a] = inv
+        return inv
 
     def _pow(self, a, n: int):
         if n < 0:
@@ -665,20 +688,32 @@ _PACKED = _Packed()
 
 
 def _frobenius_rows(R: _Ring, m):
-    """The rows y^(jq) mod m, j < deg m, of the q-power map on F_q[y]/(m).
+    """The rows y^(jq) mod m, j < n = deg m, of the q-power map on F_q[y]/(m).
 
     The map is F_q-linear, so g^q mod m is sum_j g_j * row_j (von zur
     Gathen-Gerhard, Modern Computer Algebra, ch. 14), which ``R.frob`` takes.
-    Each row is the one before times y^q mod m.  When q < deg m, y^q is
-    already reduced, so that product is a shift by q and q division steps,
-    O(q deg m) in all; otherwise y is powered once and each row is a product.
+    Each row is the one before times y^q mod m.  In element products:
+
+    - q < n: y^q is already reduced, so that product is a shift by q and q
+      division steps, q n a row and q n^2 in all.
+    - q >= n: y is powered once to T_0 = y^q mod m, and T_i = y^(q+i) mod m,
+      i < n, is T_(i-1) shifted by one and reduced by one division step,
+      n^2 in all.  The T_i are the rows of multiplication by y^q, so each
+      row after T_0 is ``R.frob(T, row)``: n^2 a row where a product and a
+      remainder took 2 n^2, about n^3 in all besides the powering.
     """
     q, n = R.q, R.deg(m)
-    yq = None if q < n else R.powmod(R.y, q, m)
     rows = [R.unit]
-    for _ in range(n - 1):
-        row = R.shift(rows[-1], q) if yq is None else R.mul(rows[-1], yq)
-        rows.append(R.rem(row, m))
+    if q < n:
+        for _ in range(n - 1):
+            rows.append(R.rem(R.shift(rows[-1], q), m))
+    elif n > 1:
+        ts = [R.powmod(R.y, q, m)]  # ts[i] = T_i
+        for _ in range(n - 1):
+            ts.append(R.rem(R.shift(ts[-1], 1), m))
+        rows.append(ts[0])
+        for _ in range(n - 2):
+            rows.append(R.frob(ts, rows[-1]))
     return rows
 
 
@@ -706,7 +741,7 @@ def _poly_str(F: TowerField, f: List, var: str = "y") -> str:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _shared_data(data):
     """Equal coefficient data share one immutable object while it stays in the
     bounded cache; element data carry no field, so towers share it too."""
@@ -921,15 +956,18 @@ def _prime_factors(n: int) -> List[int]:
 # degree D over F_p, both raise polynomials mod psi to powers of up to about
 # q^n, some n log2(q) products of n^2 field operations each, and a tower
 # operation costs up to about D^3 operations in F_p: n^2 (n + 4) log2(q) D^3
-# in all.  The Frobenius rows stay within it: shifted when q < n, n rows of
-# q n operations, q n^2 < n^3; otherwise one powering of y and n products.
-# 2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over F_16; a
-# random input at those edges is factored, each factor tested, in 33-60 ms,
-# 140-210 ms and 180-200 ms (Python 3.11, 2 vCPUs).  F_2 runs far under the
-# model on the packed ring: at degree 100 that takes 2.5-3 ms for an
-# irreducible input and 14-21 ms for a product of 2-10 irreducibles of equal
-# degree, most of it the equal-degree split on the list ring (20-45 ms with
-# every step on the F_2 list ring).
+# in all.  The Frobenius rows stay within it.  When q < n they are n rows of
+# q n operations each, q n^2 < n^3.  Otherwise they take one powering of y,
+# n shifted multiples of y^q of n operations each and n applications of the
+# map of multiplication by y^q of n^2 each, about n^3.
+# 2^21 admits degree 100 over F_2 and F_3, 43 over F_4 and 17 over F_16.
+# Five random inputs at the edges over F_3, F_4 and F_16 are factored, each
+# factor tested, in 18-43 ms, 100-236 ms and 115-193 ms (Python 3.11,
+# 2 vCPUs).  F_2 runs far under the model on the packed ring.  At degree 100
+# that takes 1.0-1.8 ms for a random input, 1.9 ms for an irreducible one and
+# 10-15 ms for a product of 2-10 irreducibles of equal degree, most of it the
+# equal-degree split on the list ring (12-38 ms, and 42-44 ms for an
+# irreducible input, with every step on the F_2 list ring).
 MAX_FF_WORK = 2**21
 
 # The most candidates monic_irreducibles, and so enumerate_keys, may test:
@@ -1085,7 +1123,7 @@ def _equal_degree(F, rows, f, d: int, rng) -> List[List]:
         return _equal_degree(F, rows, u, d, rng) + _equal_degree(F, rows, rest, d, rng)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _shared_factor(F: TowerField, coeffs: tuple, mult: int) -> Tuple[TowerPoly, int]:
     """The pair (factor, multiplicity); equal pairs share one immutable object
     while it stays in the bounded cache."""

@@ -1,5 +1,7 @@
 """Smoke tests of the reports in tools/census.py, run as a script."""
 
+import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -60,3 +62,14 @@ def test_reach_names_its_sample():
         last,
     )
     assert m and int(m[1]) <= int(m[2])
+
+
+def test_headroom_fits_a_line_through_two_runs():
+    spec = importlib.util.spec_from_file_location("census", CENSUS)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    # 800 more operations kept 0.8 MB more: 1 kB each over a base of 29.9 MB
+    base, per_op, ops, mb, k = census.headroom([(100, 1.0, 30.0), (900, 8.0, 30.8)], 0.1)
+    assert (round(base, 6), round(per_op), round(ops)) == (29.9, 1049, 2475)
+    assert math.isclose(mb, 29.9 + 2.475) and math.isclose(k, 1 + 0.1 * mb / 2.475)
+    assert census.headroom([(100, 1.0, 30.0), (900, 8.0, 30.0)], 0.1)[-1] == math.inf

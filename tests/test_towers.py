@@ -22,6 +22,7 @@ from sympy.polys.galoistools import (
 
 from indval import (
     DomainError,
+    InvariantError,
     ParseError,
     Poly,
     ResourceError,
@@ -75,6 +76,17 @@ def _random_monic(F, d, rng):
 
 def _first_irreducible(F, d):
     return next(psi for psi in monic_irreducibles(F, d) if psi.degree == d)
+
+
+def _top_degree(F):
+    """The largest degree over F that the work budget admits."""
+    n = 1
+    while True:
+        try:
+            towers._check_ff_work(TowerPoly(F, [F.zero()] * (n + 1) + [F.one()]))
+        except ResourceError:
+            return n
+        n += 1
 
 
 def _distinct_irreducibles(F, d, count, rng):
@@ -315,6 +327,21 @@ class TestFactor:
                     assert sorted(str(g) for g, _m in got) == sorted(map(str, irr))
                     assert all(m == 1 for _g, m in got)
 
+    def test_high_degrees_against_plain_powering(self, F9, F16):
+        # degrees where the rows come from the y^q multiplication map (F_16)
+        # and past q (F_9), beyond the reach of trial division
+        rng = random.Random(83)
+        for F, degrees in ((F9, (8, 9, 10)), (F16, (15, 16, 17))):
+            for n in degrees:
+                psi = _random_monic(F, n, rng)
+                factors = ff_factor(psi, n)
+                prod = TowerPoly.one(F)
+                for g, m in factors:
+                    assert g.is_monic and _powering_irreducible(g), str(g)
+                    prod = prod * g**m
+                assert prod == psi
+                assert ff_is_irreducible(psi) == (factors == [(psi, 1)]), str(psi)
+
     def test_printed_factors_digest(self, F2, F3, F4, F8, F9, F16):
         # seeded inputs, a third of them with a squared or p-th power
         # factor; the digest pins the printed factors and multiplicities
@@ -465,6 +492,18 @@ def _list_factor(F, psi, seed):
         for g, d, rows in towers._distinct_degree(F.ring, sqf):
             out += [(tuple(irr), mult) for irr in towers._equal_degree(F, rows, g, d, rng)]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def _powering_irreducible(psi: TowerPoly) -> bool:
+    """Rabin's test from plain powering mod psi, no Frobenius rows: psi of
+    degree n is irreducible when y^(q^n) = y and gcd(y^(q^(n/l)) - y, psi) = 1
+    for every prime l dividing n."""
+    R, f, n = psi.field.ring, list(psi.coeffs), psi.degree
+    frobs = [R.y]  # frobs[i] = y^(q^i) mod psi
+    for _ in range(n):
+        frobs.append(R.powmod(frobs[-1], R.q, f))
+    primes = [ell for ell in range(2, n + 1) if n % ell == 0 and all(ell % k for k in range(2, ell))]
+    return frobs[n] == R.rem(R.y, f) and all(len(R.gcd(R.sub(frobs[n // ell], R.y), f)) == 1 for ell in primes)
 
 
 @st.composite
@@ -631,6 +670,22 @@ class TestKernelOracle:
                 rows = towers._frobenius_rows(F.ring, list(m.coeffs))
                 assert [TowerPoly(F, r) for r in rows] == want, str(m)
 
+    def test_frobenius_rows_are_powers_of_y_on_every_ring(self, F2, F4, F9, F16):
+        # row j of the rows of m is y^(qj) mod m on each ring, at degrees 2,
+        # q - 1, q, q + 1 and q + 6 up to the largest the budget admits: the
+        # shifted rows below q, those from the y^q multiplication map from q
+        rng = random.Random(79)
+        rings = [(towers._PACKED, F2, towers._pack)]
+        rings += [(TowerField(p).ring, TowerField(p), list) for p in (3, 101)]
+        rings += [(F.ring, F, list) for F in (F4, F9, F16)]
+        for R, F, raw in rings:
+            q = R.q
+            degrees = sorted({min(n, _top_degree(F)) for n in (2, q - 1, q, q + 1, q + 6) if n >= 1})
+            for n in degrees:
+                m = raw(_random_monic(F, n, rng).coeffs)
+                rows = towers._frobenius_rows(R, m)
+                assert rows == [R.powmod(R.y, j * q, m) if j else R.unit for j in range(n)], (q, n)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(_LEVEL_ONE)), st.data())
     def test_level_one_products_and_inverses(self, order, data):
@@ -710,6 +765,17 @@ class TestWork:
         assert calls[0] == 0
         assert q * g + r == f and (r.degree or 0) < g.degree
 
+    def test_repeated_inverse_takes_no_gcdex(self, monkeypatch, F4, F16):
+        for F in (F4, F16):
+            F = TowerField(F.p, F.moduli)  # an empty inverse table
+            calls = self._count(monkeypatch, towers._Lists, "gcdex")
+            units = [F._from_index(i) for i in range(1, F.order)]
+            cold = [F._inv(a) for a in units]
+            assert calls[0] >= F.order - 1
+            calls[0] = 0
+            assert [F._inv(a) for a in units] == cold
+            assert calls[0] == 0
+
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_power_of_two_is_k_squarings(self, monkeypatch, F4, k):
         f, m = _random_monic(F4, 5, random.Random(43)), _random_monic(F4, 4, random.Random(44))
@@ -741,22 +807,42 @@ class TestWork:
         assert calls[0] <= 0.15 * 141_461
 
     def test_frobenius_rows_by_shifting_make_no_products(self, monkeypatch, F2, F4):
-        # with q < deg m each row is the one before shifted by q: no product
-        # and no powering; with q >= deg m, one powering and a product a row
+        # With q < deg m each row is the one before shifted by q: no product,
+        # no powering and no application of the rows.  With q >= deg m, one
+        # powering of y, then each row past y^q one application of the
+        # y^q multiplication map: n - 2 frob calls and no product outside
+        # the powering.
         rng = random.Random(47)
         rings = [(towers._PACKED, F2, towers._pack), (towers._PrimeLists(3), TowerField(3), list), (F4.ring, F4, list)]
         for R, F, raw in rings:
-            counts = [self._count(monkeypatch, type(R), name) for name in ("mul", "powmod")]
-            for n in (R.q, R.q + 1, R.q + 6):
-                for c in counts:
-                    c[0] = 0
+            kind, calls, powering = type(R), Counter(), [0]
+            powmod = kind.powmod
+
+            def counted_powmod(*args):
+                calls["powmod"] += 1
+                powering[0] += 1
+                try:
+                    return powmod(*args)
+                finally:
+                    powering[0] -= 1
+
+            def counter(name, inner):
+                def counted(*args):
+                    if not powering[0]:
+                        calls[name] += 1
+                    return inner(*args)
+
+                return counted
+
+            monkeypatch.setattr(kind, "powmod", counted_powmod)
+            for name in ("mul", "frob"):
+                monkeypatch.setattr(kind, name, counter(name, getattr(kind, name)))
+            for n in (2, R.q, R.q + 1, R.q + 6):
+                calls.clear()
                 rows = towers._frobenius_rows(R, raw(_random_monic(F, n, rng).coeffs))
-                muls, powmods = (c[0] for c in counts)
                 assert len(rows) == n
-                if n > R.q:
-                    assert (muls, powmods) == (0, 0), (R, n)
-                else:  # the powering squares too
-                    assert powmods == 1 and muls >= n - 1, (R, n)
+                work = (calls["powmod"], calls["mul"], calls["frob"])
+                assert work == ((0, 0, 0) if n > R.q else (1, 0, n - 2)), (R.q, n)
 
     def test_squarefree_input_takes_one_gcd(self, monkeypatch, F2, F3, F4):
         # gcd(f, f') = 1 ends the decomposition: [(f, 1)] and no more gcds
@@ -844,6 +930,47 @@ class TestWork:
         assert draws[0] == 8
         assert [(g.degree, m) for g, m in factors] == [(15, 1), (15, 1)]
         assert factors[0][0] * factors[1][0] == psi
+
+
+class TestInverseTable:
+    """Each field keeps the inverses it has taken, up to _CACHE_SIZE of them;
+    an error is never kept."""
+
+    @staticmethod
+    def _fresh(F):
+        return TowerField(F.p, F.moduli)  # equal to F, with an empty table
+
+    def test_every_unit_cold_and_warm(self, F4, F9, F16):
+        for F in (F4, F9, F16):
+            F = self._fresh(F)
+            units = [F.from_index(i) for i in range(1, F.order)]
+            for _ in range(2):
+                assert all((a * a.inv()).is_one for a in units), F
+            assert len(F._invs) == F.order - 1
+
+    def test_the_table_is_capped(self):
+        # y^13 + y^4 + y^3 + y + 1 is irreducible over F_2: a field of order
+        # 2^13 keeps the first _CACHE_SIZE of its 8,191 inverses
+        F2 = TowerField(2)
+        F = tower_extend(F2, TowerPoly.parse(F2, "y^13+y^4+y^3+y+1"))
+        assert towers._CACHE_SIZE == 4096 < F.order - 1
+        for i in range(1, F.order):
+            a = F.from_index(i)
+            assert (a * a.inv()).is_one
+        assert len(F._invs) == towers._CACHE_SIZE
+        a = F.from_index(F.order - 1)  # past the cap, still right
+        assert (a * a.inv()).is_one and len(F._invs) == towers._CACHE_SIZE
+
+    def test_errors_are_raised_on_every_call(self):
+        # y^2 + 1 = (y + 1)^2 over F_2: y + 1 has no inverse mod it
+        F = TowerField(2, [(1, 0, 1)])
+        for _ in range(3):
+            with pytest.raises(DomainError, match="inverse of zero"):
+                F.zero().inv()
+            with pytest.raises(InvariantError, match="not irreducible"):
+                F.from_index(3).inv()
+        assert F._invs == {}
+        assert F.one().inv().is_one and len(F._invs) == 1
 
 
 class TestSharedData:

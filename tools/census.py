@@ -47,13 +47,25 @@ edge's own operation is marked.  Those are the cells a change must speed up
 to move that metric.  Times are ``time.perf_counter``
 on this host, not scaled as ``bench/run.py`` scales them.
 
+``headroom [workload]``: how much faster a workload may run before
+``peak_rss_mb`` passes its bound.  It runs ``bench/run.py`` on the checkout
+for HEADROOM_SECONDS (1 s and 8 s, seed 1, untraced), fits
+``peak_rss_mb = base + bytes * ops`` through the two runs, and extrapolates
+the 8-s rate to a RUN_SECONDS run.  A k times faster run completes k times
+the operations, so it prints the base, the bytes per operation and the
+largest k whose run stays within the bound ``BENCHMARK.json`` gives
+``peak_rss_mb``.  Two single runs make a rough fit: RSS varies by about a
+megabyte between runs, so a difference of that size is noise.  Every
+workload when none is named.  It is not a gate.
+
 Usage, from anywhere in the checkout::
 
-    python tools/census.py            # every report
+    python tools/census.py            # every report but headroom
     python tools/census.py lines
     python tools/census.py reach
     python tools/census.py retain
     python tools/census.py cells
+    python tools/census.py headroom [workload]
 """
 
 from __future__ import annotations
@@ -64,10 +76,12 @@ import functools
 import gc
 import importlib.util
 import io
+import json
 import math
 import random
 import runpy
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -320,14 +334,65 @@ def report_cells() -> None:
                 print(f"{name:<15}{_label(wl, cell):<24}{len(ts):>5}{mean:>10.3f}{share:>8.1%}  {' '.join(marked[cell])}")
 
 
+# the lengths of the two fitted runs, and of a benchmark run (bench/run.py's
+# default --seconds)
+HEADROOM_SECONDS = (1.0, 8.0)
+RUN_SECONDS = 22.0
+
+
+def _bench_run(workload: str, seconds: float) -> tuple:
+    """(operations, wall seconds, peak RSS in MB) of one untraced run."""
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--seed", "1",
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
+    lines = proc.stdout.strip().splitlines()
+    detail, result = json.loads(lines[-2][len("detail: "):]), json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"error: {workload} failed {result['failed']} operations")
+    return result["attempted"], detail["wall_s"], result["metrics"]["peak_rss_mb"]["value"]
+
+
+def headroom(runs, bound: float) -> tuple:
+    """(base MB, bytes per operation, operations and MB of a RUN_SECONDS run,
+    the largest speed-up k within the bound) from two runs (ops, wall s, MB).
+    k is infinite when RSS does not grow with the operations."""
+    (ops1, _w1, mb1), (ops2, wall2, mb2) = runs
+    per_op = (mb2 - mb1) / (ops2 - ops1)  # MB
+    base = mb1 - per_op * ops1
+    ops = ops2 / wall2 * RUN_SECONDS
+    mb = base + per_op * ops
+    k = 1 + bound * mb / (per_op * ops) if per_op > 0 else math.inf
+    return base, per_op * 2**20, ops, mb, k
+
+
+def report_headroom(workloads=()) -> None:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_rss_mb")
+    names = list(workloads) or [w["name"] for w in spec["workloads"]]
+    unknown = [n for n in names if n not in {w["name"] for w in spec["workloads"]}]
+    if unknown:
+        raise SystemExit(f"unknown workload {unknown[0]!r}")
+    print(f"{'workload':<15}{'ops 1s':>8}{'ops 8s':>8}{'MB 1s':>8}{'MB 8s':>8}"
+          f"{'base MB':>9}{'B/op':>8}{'ops 22s':>9}{'MB 22s':>8}  max speed-up within +{bound:.0%} RSS")
+    for name in names:
+        runs = [_bench_run(name, s) for s in HEADROOM_SECONDS]
+        base, per_op, ops, mb, k = headroom(runs, bound)
+        (o1, _, m1), (o2, _, m2) = runs
+        print(f"{name:<15}{o1:>8}{o2:>8}{m1:>8.1f}{m2:>8.1f}{base:>9.1f}{per_op:>8.0f}{ops:>9.0f}{mb:>8.1f}  x{k:.2f}")
+
+
 REPORTS = {"lines": report_lines, "reach": report_reach, "retain": report_retain, "cells": report_cells}
 
 
 def main(argv=None) -> int:
-    which = (sys.argv[1:] if argv is None else argv) or sorted(REPORTS)
+    which = sys.argv[1:] if argv is None else argv
+    if which[:1] == ["headroom"]:
+        report_headroom(which[1:])
+        return 0
+    which = which or sorted(REPORTS)
     unknown = [r for r in which if r not in REPORTS]
     if unknown:
-        print(f"unknown report {unknown[0]!r}; choose from {', '.join(sorted(REPORTS))}", file=sys.stderr)
+        print(f"unknown report {unknown[0]!r}; choose from {', '.join(sorted(REPORTS) + ['headroom'])}", file=sys.stderr)
         return 2
     for report in which:
         REPORTS[report]()
