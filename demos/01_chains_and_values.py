@@ -32,6 +32,18 @@ nu2 = iv.augment(nu1, f, Fraction(3, 2))
 print("nu2 =", nu2.describe())
 print("nu2(x^4+4) =", nu2(Poly.parse("x^4+4")))
 
+# The three notions the paper builds on, each once true and once false on nu2.
+# A mu-unit has an invertible initial term (its top-key expansion attains the
+# minimum only at the constant coefficient); a mu-minimal f divides nothing of
+# smaller degree; mu-equivalent f and g share their initial term,
+# nu2(f - g) > nu2(g).
+for text in ("x", "x^2+2"):
+    print(f"is_unit(nu2, {text}):", iv.is_unit(nu2, Poly.parse(text)))
+for text in ("x^2+2", "x^3"):
+    print(f"is_minimal(nu2, {text}):", iv.is_minimal(nu2, Poly.parse(text)))
+for text in ("x^2+10", "x^2"):
+    print(f"is_equivalent(nu2, {text}, x^2+2):", iv.is_equivalent(nu2, Poly.parse(text), f))
+
 # Values never decrease under augmentation; they grow exactly on multiples of
 # the new key in the graded sense.
 for g in (Poly.parse("x"), f, Poly.parse("x^4+4")):

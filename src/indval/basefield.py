@@ -4,7 +4,7 @@ Everything is exact.  Rationals are `fractions.Fraction`.  A polynomial is
 kept in integer-content form: integer numerators, constant term first and no
 trailing zero, over one positive common denominator that shares no factor
 with all of them.  Its arithmetic runs on Python integers; Fractions appear
-only where a coefficient leaves the class (``coeffs``, ``coeff``, printing).
+only where a coefficient leaves the class (``coeffs`` and printing).
 Products of Polys, and of the prime-field polynomials of ``towers``, go
 through one convolution (``_conv``) that picks its method from its operands:
 wide ones, with 1/len(f) + 1/len(g) <= 1/4 and a product coefficient bound
@@ -434,9 +434,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.num) <= 1
 
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
-
     def constant_value(self) -> Fraction:
         """The rational represented by a constant polynomial."""
         if len(self.num) > 1:
@@ -467,9 +464,6 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self._combine(other, -1)
-
-    def __neg__(self) -> "Poly":
-        return Poly.from_ints([-n for n in self.num], self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.num or not other.num:
@@ -512,9 +506,6 @@ class Poly:
         if not g.is_monic:
             raise DomainError("divisor must be monic")
         return self._divmod_any(g)
-
-    def __mod__(self, g: "Poly") -> "Poly":
-        return self.divmod_monic(g)[1]
 
     # -- equality / rendering -------------------------------------------------
 

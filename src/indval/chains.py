@@ -99,16 +99,6 @@ class InductiveValuation:
     def top_degree(self) -> int:
         return self.degrees[-1]
 
-    def prefix(self, i: int) -> "InductiveValuation":
-        """The chain formed by the first i steps (1 <= i <= length): the
-        validated ancestor stored with this chain, not a copy."""
-        if not 1 <= i <= self.length:
-            raise DomainError("prefix length out of range")
-        nu = self
-        while nu.length > i:
-            nu = nu._parent
-        return nu
-
     def __eq__(self, other):
         return (
             isinstance(other, InductiveValuation)
@@ -135,27 +125,6 @@ class InductiveValuation:
         go into the major coordinate, q -> (q, 0).
         """
         return v.embed(self.steps[i - 1].gamma.rank, major=True)
-
-    def group_gens(self, i: int) -> Tuple[Value, ...]:
-        """Generators, in the chain's rank, of the value group of polynomials
-        of degree < deg(phi_i).
-
-        For a validated chain this group is generated by v(p) = 1 together
-        with gamma_1, ..., gamma_{i-1}.
-        """
-        gens = (Value.of(1),) + tuple(s.gamma for s in self.steps[: i - 1])
-        return tuple(self._in_rank(g, self.length) for g in gens)
-
-    def ram_index(self, i: int) -> int:
-        """Least e >= 1 with e*gamma_i in the value group below level i.
-
-        That group is (1/D_i)Z (see :meth:`_digit_table`), so e_i is the
-        denominator of gamma_i * D_i, read from the digit table.
-        """
-        rows = self._digit_table()
-        if i > len(rows):
-            raise DomainError(f"gamma_{i} is incommensurable with the group below it")
-        return rows[i - 1][0]
 
     def commensurable_at(self, i: int) -> bool:
         """Whether gamma_i is commensurable with the group below level i.
@@ -216,10 +185,6 @@ class InductiveValuation:
             if st.phi.degree <= f.degree:
                 check_expansion_work(f, st.phi)
                 return
-
-    def weighted_cap(self) -> Value:
-        """gamma_r / deg(phi_r): the maximal weighted value mu(f)/deg(f)."""
-        return self.top.gamma.scaled(Fraction(1, self.top_degree))
 
     # -- canonical monomials -------------------------------------------------------
 

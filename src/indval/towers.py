@@ -295,7 +295,9 @@ class TowerField:
 
 
 class TowerElem:
-    """An element of a :class:`TowerField`; immutable, representation equality."""
+    """An element of a :class:`TowerField`: its field and raw data, immutable,
+    with representation equality.  It has no arithmetic: the library computes
+    on raw data with the field's element routines and polynomial ring."""
 
     __slots__ = ("field", "data")
 
@@ -313,27 +315,6 @@ class TowerElem:
     @property
     def is_one(self) -> bool:
         return self.data == self.field._one
-
-    def __add__(self, other):
-        other = self.field.coerce(other)
-        return TowerElem(self.field, self.field._add(self.data, other.data))
-
-    def __sub__(self, other):
-        other = self.field.coerce(other)
-        return TowerElem(self.field, self.field._sub(self.data, other.data))
-
-    def __neg__(self):
-        return TowerElem(self.field, self.field._neg(self.data))
-
-    def __mul__(self, other):
-        other = self.field.coerce(other)
-        return TowerElem(self.field, self.field._mul(self.data, other.data))
-
-    def inv(self) -> "TowerElem":
-        return TowerElem(self.field, self.field._inv(self.data))
-
-    def __pow__(self, n: int):
-        return TowerElem(self.field, self.field._pow(self.data, n))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -776,10 +757,6 @@ class TowerPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, field) -> "TowerPoly":
-        return cls(field, ())
-
-    @classmethod
     def one(cls, field) -> "TowerPoly":
         return cls(field, (1,))
 
@@ -796,11 +773,11 @@ class TowerPoly:
         An exponent above MAX_PARSE_DEGREE, or a number of more than
         MAX_PARSE_DIGITS digits, raises ResourceError.
         """
-        acc: dict[int, TowerElem] = {}
+        acc = {}  # exponent -> the raw data of its coefficient
         for sgn, c, k in _terms(text, "y"):
-            a = field.one() if c is None else field.parse_elem(c)
-            acc[k] = acc.get(k, field.zero()) + (a if sgn > 0 else -a)
-        return cls(field, [acc.get(i, field.zero()) for i in range(max(acc) + 1)])
+            a = field._one if c is None else field.parse_elem(c).data
+            acc[k] = field._add(acc.get(k, field._zero), a if sgn > 0 else field._neg(a))
+        return cls(field, [acc.get(i, field._zero) for i in range(max(acc) + 1)])
 
     # -- queries --------------------------------------------------------------
 
@@ -811,10 +788,6 @@ class TowerPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.field._is_one(self.coeffs[0])
 
     @property
     def is_constant(self) -> bool:
@@ -844,26 +817,9 @@ class TowerPoly:
         if self.field != other.field:
             raise DomainError("polynomials over different towers")
 
-    def __add__(self, other):
-        self._check(other)
-        return self._wrap(self.field.ring.add(self._raw(), other._raw()))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._wrap(self.field.ring.sub(self._raw(), other._raw()))
-
-    def __neg__(self):
-        F = self.field
-        return self._wrap([F._neg(c) for c in self.coeffs])
-
     def __mul__(self, other):
         self._check(other)
         return self._wrap(self.field.ring.mul(self._raw(), other._raw()))
-
-    def scale(self, c: TowerElem) -> "TowerPoly":
-        c = self.field.coerce(c)
-        F = self.field
-        return self._wrap([F._mul(x, c.data) for x in self.coeffs])
 
     def __pow__(self, n: int) -> "TowerPoly":
         if n < 0:
@@ -876,9 +832,6 @@ class TowerPoly:
             raise DomainError("polynomial division by zero")
         q, r = self.field.ring.divmod(self._raw(), other._raw())
         return self._wrap(q), self._wrap(r)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def divides(self, other: "TowerPoly") -> bool:
         if self.is_zero:
@@ -927,7 +880,7 @@ def extend_with_root(field: TowerField, psi: TowerPoly) -> Tuple[TowerField, Tow
     if not ff_is_irreducible(psi):
         raise DomainError(f"modulus {psi} is reducible over {field.describe()}")
     if psi.degree == 1:
-        return field, -psi.coeff(0)
+        return field, TowerElem(field, field._neg(psi.coeffs[0]))
     new = TowerField(field.p, field.moduli + (tuple(psi.coeffs),))
     return new, new.generator()
 

@@ -162,17 +162,6 @@ class Value:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Value":
-        if self.coords is None:
-            raise DomainError("cannot negate Infinity")
-        return Value(tuple(-c for c in self.coords))
-
-    def __sub__(self, other) -> "Value":
-        b = Value.of(other)
-        if b.is_infinite:
-            raise DomainError("cannot subtract Infinity")
-        return self + (-b)
-
     def scaled(self, m: Scalar) -> "Value":
         """Scalar multiple m * self; Infinity absorbs any scaling."""
         if self.coords is None:

@@ -159,7 +159,7 @@ def rand_poly():
 def mulred(nu, a, b):
     """a*b modulo the top key; for factors of degree < deg(phi_r) this keeps
     the residue, since a*b is equivalent to its 0-th phi_r-coefficient."""
-    return (a * b) % nu.top.phi
+    return (a * b).divmod_monic(nu.top.phi)[1]
 
 
 def respoly_under(nu, f, u):
@@ -171,27 +171,29 @@ def respoly_under(nu, f, u):
     """
     rep = iv.expansion_report(nu, f)
     data = iv.residual_data(nu)
+    F = data.field
     d = (rep.s_prime - rep.s) // data.e
-    top_inv = iv.unit_residue(nu, rep.coeffs[rep.s_prime]).residue.inv()
+    top_inv = F._inv(iv.unit_residue(nu, rep.coeffs[rep.s_prime]).residue.data)
     zetas = []
     for j in range(d + 1):
         sj = rep.s + j * data.e
         if sj not in rep.indices:
-            zetas.append(data.field.zero())
+            zetas.append(F._zero)
             continue
         w = rep.coeffs[sj]
         for _ in range(d - j):
             w = mulred(nu, w, u)
-        zetas.append(iv.unit_residue(nu, w).residue * top_inv)
-    return TowerPoly(data.field, zetas)
+        zetas.append(F._mul(iv.unit_residue(nu, w).residue.data, top_inv))
+    return TowerPoly(F, zetas)
 
 
 def compose_linear(r, a, b):
-    """r(a*y + b) for a TowerPoly r and elements a, b of its field."""
-    inner = TowerPoly(r.field, (b, a))
-    acc = TowerPoly.zero(r.field)
-    for c in reversed(r.elems()):
-        acc = acc * inner + TowerPoly(r.field, (c,))
+    """r(a*y + b) as a list over the field's ring, for a TowerPoly r and
+    element data a, b of its field."""
+    R = r.field.ring
+    inner, acc = R.trim([b, a]), []
+    for c in reversed(r.coeffs):
+        acc = R.add(R.mul(acc, inner), [c])
     return acc
 
 
@@ -199,9 +201,10 @@ def normalizer_law(nu, f, u_star):
     """R(f) under the normalizer u* as the law predicts:
     R*(y) = sigma^d R(y / sigma), sigma the residue of u*/u and d = deg R."""
     data = iv.residual_data(nu)
-    sigma = iv.unit_residue(nu, u_star).residue * iv.unit_residue(nu, data.u).residue.inv()
+    F = data.field
+    sigma = F._mul(iv.unit_residue(nu, u_star).residue.data, F._inv(iv.unit_residue(nu, data.u).residue.data))
     r = iv.residual_poly(nu, f)
-    return compose_linear(r, sigma.inv(), data.field.zero()).scale(sigma**r.degree)
+    return TowerPoly(F, F.ring.scale(compose_linear(r, F._inv(sigma), F._zero), F._pow(sigma, r.degree)))
 
 
 def rekeyed(nu, phi_star):
@@ -222,10 +225,11 @@ def key_change_law(nu, f, phi_star):
         return dec.s, dec.respoly
     data = iv.residual_data(nu)
     assert data.e == 1, "all minimal-degree keys are equivalent when e > 1"
-    tau = iv.unit_residue(nu, mulred(nu, data.u, a)).residue
-    one = data.field.one()
-    lhs = compose_linear(dec.respoly, one, -tau) * TowerPoly(data.field, [-tau, one]) ** dec.s
+    F = data.field
+    minus_tau = F._neg(iv.unit_residue(nu, mulred(nu, data.u, a)).residue.data)
+    shift = TowerPoly(F, [minus_tau, F._one])
+    lhs = TowerPoly(F, compose_linear(dec.respoly, F._one, minus_tau)) * shift**dec.s
     m = 0
-    while lhs.coeff(m).is_zero:
+    while F._is_zero(lhs.coeffs[m]):
         m += 1
-    return m, TowerPoly(data.field, lhs.coeffs[m:])
+    return m, TowerPoly(F, lhs.coeffs[m:])

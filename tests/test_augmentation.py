@@ -158,7 +158,7 @@ class TestOneLevelPerStep:
             before = len(built)
             aug = self._next(nu)
             assert len(built) - before == 1 and built[-1] is aug
-            assert aug.prefix(nu.length) is nu
+            assert aug._parent is nu
             assert all(a is b for a, b in zip(aug._levels, nu._levels))
         assert iv.validate_chain(ladder[-1].steps, ladder[-1].base) == ladder[-1]
         assert len(built) == len(ladder) + ladder[-1].length
@@ -170,17 +170,17 @@ class TestOneLevelPerStep:
             r = nu.length
             aug = augment(nu, nu.top.phi, nu.top.gamma + 1)
             assert aug.length == r and aug.top.gamma == nu.top.gamma + 1
-            assert aug.prefix(r - 1) is nu.prefix(r - 1)
+            assert aug._parent is nu._parent
             assert all(a is b for a, b in zip(aug._levels[:-1], nu._levels))
 
     def test_family_members_share_one_base_prefix(self, v2):
         chain = validate_continuous_chain(
             [("x^2+2", 2), ("x^2+6", 3), ("x^2+14", 4)], v2, [("x", F(1, 2))]
         )
-        base = chain.member(1).prefix(1)
+        base = chain.member(1)._parent
         assert base.steps == (iv.Step(P("x"), Value.of(F(1, 2))),)
         for mu in chain.members:
-            assert mu.prefix(1) is base and mu._levels[0] is base._levels[0]
+            assert mu._parent is base and mu._levels[0] is base._levels[0]
 
     def test_extended_chains_equal_chains_validated_from_scratch(self, ladder, v2):
         family = validate_continuous_chain(
@@ -191,7 +191,7 @@ class TestOneLevelPerStep:
         rng = random.Random(83)
         for nu in extended:
             fresh = iv.validate_chain(nu.steps, nu.base)
-            assert fresh == nu and fresh.prefix(1) is not nu.prefix(1)
+            assert fresh == nu and fresh._levels[0] is not nu._levels[0]
             for _ in range(6):
                 f = make_rand_poly(rng, 2 * nu.top_degree + 1)
                 assert str(nu(f)) == str(fresh(f))
@@ -348,7 +348,7 @@ class TestQuadraticLimit:
         chain = _sqrt17_family(v2, 4)
         deep = _sqrt17_family(v2, 7)
         lim = limit_augment(chain, P("x^2-17"), Value.of((1, 0)))
-        a_deep = -deep.family[-1].phi.coeff(0)
+        a_deep = -deep.family[-1].phi.coeffs[0]
         with pytest.raises(ResourceError, match="prefix"):
             lim(Poly([-a_deep, 1]))
 

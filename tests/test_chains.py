@@ -244,9 +244,8 @@ class TestEvaluation:
         rng = random.Random(24)
         for _ in range(40):
             f = rand_poly(rng, 10)
-            for nu in (nu2, nu4):
-                for i in range(1, nu.length + 1):
-                    mu_i = nu.prefix(i)
+            for nu in (nu2, nu4):  # two steps: the parent is the level-1 chain
+                for mu_i in (nu._parent, nu):
                     phi = mu_i.top.phi
                     vals = [
                         mu_i(c * phi**s)
@@ -338,7 +337,7 @@ class TestPredicates:
     def test_weighted_bound(self, nu1, nu2, rand_poly):
         rng = random.Random(29)
         for nu in (nu1, nu2):
-            cap = nu.weighted_cap()
+            cap = nu.top.gamma.scaled(Fraction(1, nu.top_degree))
             for _ in range(60):
                 f = rand_poly(rng, 9, monic=True)
                 if f.is_constant:
@@ -384,17 +383,12 @@ class TestIncommensurable:
         assert nu(P("x")) == Value.of((F(1, 2), 0))
         chi = iv.enumerate_keys(nu2, 1)[0]
         for chain in (nu, iv.augment(nu2, chi, Value.of((nu2(chi).coords[0], 1)))):
-            for i in range(1, chain.length):
-                pre = chain.prefix(i)
+            pre = chain._parent
+            while pre is not None:
+                i = pre.length
                 assert pre == validate_chain(chain.steps[:i], chain.base)
                 assert pre.steps == chain.steps[:i] and pre.rank == 1
-
-
-class TestWeightedCap:
-    def test_examples(self, nu1, nu2, nu_inf):
-        assert nu1.weighted_cap() == Value.of(F(1, 2))
-        assert nu2.weighted_cap() == Value.of(F(3, 4))
-        assert nu_inf.weighted_cap() == Value.of((0, 1))
+                pre = pre._parent
 
 
 class TestCanonicalMonomials:

@@ -80,7 +80,7 @@ class TestThreeLevels:
         rng = random.Random(83)
         for _ in range(20):
             f = rand_poly(rng, nu8.degrees[1] - 1)
-            assert nu8(f) == nu8.prefix(2)(f) == nu8.prefix(3)(f)
+            assert nu8(f) == nu8._parent(f)
 
 
 class TestHeightTwoTower:
@@ -97,7 +97,7 @@ class TestHeightTwoTower:
         # a decomposition through the height-2 tower round-trips
         f = residual_lift(nu16, 1, rd.field.from_index(7), TowerPoly.one(rd.field))
         d = decompose(nu16, f)
-        assert d.s == 1 and d.respoly.is_one
+        assert d.s == 1 and d.respoly == TowerPoly.one(rd.field)
 
     def test_factorization_over_f4(self, nu4):
         ks = iv.enumerate_keys(nu4, 1)
@@ -186,7 +186,8 @@ class TestPrefixLevels:
 
     def test_level_chain_lifts_like_the_prefix(self, nu4, nu8):
         assert lift_key(nu4._levels[0].nu, "y+1") == P("x^2+2")
-        assert lift_key(nu4.prefix(1), "y+1") == P("x^2+2")
-        for i, level in enumerate(nu8._levels, 1):
+        assert lift_key(nu4._parent, "y+1") == P("x^2+2")
+        prefixes = (nu8._parent._parent, nu8._parent, nu8)
+        for i, (level, prefix) in enumerate(zip(nu8._levels, prefixes), 1):
             psi = "y+1" if i < 3 else "y+[0,1]"
-            assert lift_key(level.nu, psi) == lift_key(nu8.prefix(i), psi)
+            assert lift_key(level.nu, psi) == lift_key(prefix, psi)

@@ -39,7 +39,7 @@ def keyed(request):
     own chain's keys, so a chain that fails to build fails its case alone."""
     name = request.param
     if name == "ram3_1":
-        nu = request.getfixturevalue("ram3").prefix(1)
+        nu = request.getfixturevalue("ram3")._parent
     elif name.startswith("ladder"):
         nu = request.getfixturevalue("ladder")[int(name[len("ladder"):]) - 1]
     else:

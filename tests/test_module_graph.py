@@ -113,3 +113,22 @@ def test_readme_export_list_is_the_public_api():
         if (inspect.isclass(obj := getattr(indval, name)) or inspect.isfunction(obj)) and obj.__module__ != module
     ]
     assert misplaced == []
+
+
+def test_readme_removed_names_are_gone():
+    # each backticked `name` or `Name.attr` of the README's "Removed from the
+    # API" paragraph: no such name in indval, and no such attribute on the
+    # indval class it names
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Removed from the API")
+    paragraph = text[start : text.index("\n\n", start)]
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)?)`", paragraph)
+    assert "InductiveValuation.prefix" in names and "TowerElem.__add__" in names
+    present = []
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        if owner and not hasattr(indval, owner):
+            present.append(f"{name}: indval has no {owner} to look in")
+        elif hasattr(getattr(indval, owner) if owner else indval, attr):
+            present.append(name)
+    assert present == []

@@ -54,20 +54,46 @@ def test_cells_covers_every_cell_and_marks_both_edges():
         assert all(re.fullmatch(r"p\d+", m) for m in marks)
 
 
+def _load_census():
+    spec = importlib.util.spec_from_file_location("census", CENSUS)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census
+
+
 def test_reach_names_its_sample():
-    last = [line for line in _census("reach") if line.strip()][-1]
+    rows = [line for line in _census("reach") if line.strip()]
+    assert rows[0].split() == ["function", "import", "valuation", "keys_ladder", "finite_fields", "cli_session",
+                               "demos", "goldens", "bench"]
     m = re.fullmatch(
-        r"(\d+) of (\d+) functions not reached in one block \(seed 11\) of each workload, "
-        r"the demos or the goldens: (.*)",
-        last,
+        r"(\d+) of (\d+) functions not reached by the import, one block \(seed 11\) of each workload, "
+        r"its checks and boundaries, the demos or the goldens: (.*)",
+        rows[-1],
     )
     assert m and int(m[1]) <= int(m[2])
 
 
+def test_reach_check_passes_on_the_package():
+    # every function some entry point reaches, or listed with its reason
+    assert _census("reach", "--check")[-1].endswith("functions unreached, each listed in tools/reach_allow.txt")
+
+
+def test_reach_check_reports_an_unlisted_function_and_a_stale_entry():
+    census = _load_census()
+    allow = census.read_allowlist("# a comment line\n\nm.kept  # printing\nm.used  # stale\nm.gone  # deleted\nm.bare\n")
+    assert allow == {"m.kept": "printing", "m.used": "stale", "m.gone": "deleted", "m.bare": ""}
+    names = ["m.bare", "m.kept", "m.new", "m.used"]
+    assert census.reach_problems(names, ["m.bare", "m.kept", "m.new"], allow) == [
+        "unreached and not allowlisted: m.new",
+        "allowlisted but reached: m.used",
+        "allowlisted but no such function: m.gone",
+        "allowlisted without a reason: m.bare",
+    ]
+    assert census.reach_problems(names, ["m.kept"], {"m.kept": "printing"}) == []
+
+
 def test_headroom_fits_a_line_through_two_runs():
-    spec = importlib.util.spec_from_file_location("census", CENSUS)
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
+    census = _load_census()
     # 800 more operations kept 0.8 MB more: 1 kB each over a base of 29.9 MB
     base, per_op, ops, mb, k = census.headroom([(100, 1.0, 30.0), (900, 8.0, 30.8)], 0.1)
     assert (round(base, 6), round(per_op), round(ops)) == (29.9, 1049, 2475)

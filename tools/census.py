@@ -1,4 +1,4 @@
-"""Three reports on the library in ``src/indval``.
+"""Five reports on the library in ``src/indval``.
 
 ``lines``: code lines per module, not counting blank lines, comment-only
 lines and docstrings (a docstring is a string expression that opens the body
@@ -6,20 +6,36 @@ of a module, class or function).  The total is the one figure CHANGES.md
 quotes as the size of ``src/``.
 
 ``reach``: for every function and method defined in ``src/indval``, which of
-the following call it, recorded with ``sys.setprofile``:
+the following call it, recorded with ``sys.setprofile``, one column each:
 
+* ``import``: the ``import indval`` (and ``indval.cli``) itself, so that
+  calls made at import time count;
 * one block of each benchmark workload (seed 11): its set-up and every
-  prepared and run operation, but not the output oracle;
-* the four demos in ``demos/``;
-* the eight golden CLI requests of ``tests/golden``.
+  prepared and run operation;
+* ``demos``: the four demos in ``demos/``;
+* ``goldens``: the eight golden CLI requests of ``tests/golden``;
+* ``bench``: what the benchmark needs beyond its operations.  That is each
+  workload's output check (its oracle) on the outputs of its block, and
+  every function that ``bench/layers.py`` names in ``BOUNDARIES``, which its
+  tracer looks up by name.  An oracle that raises (the F_2/F_3 one without
+  sympy, say) still counts the calls it made: reach records calls, it does
+  not judge outputs.
 
-``bench/workloads.py`` is loaded from its file with no bytecode written.
-Functions that none of them reach are listed at the end.  That list names
-a sample, not dead code: a rare branch that one block of a workload misses
-may be reached in a longer run or under another seed.
-``towers._PrimeLists.add``, through the F_2 trace sums of ``_equal_degree``,
-is reached in 1 of the 288 operations of four seed-1 blocks of
-``finite_fields``, and in none of the 576 of eight seed-11 blocks.
+``bench/workloads.py`` and ``bench/layers.py`` are loaded from their files
+with no bytecode written.  Functions that none of them reach are listed at
+the end.  That list names a sample, not dead code: a rare branch that one
+block of a workload misses may be reached in a longer run or under another
+seed.  ``towers._PrimeLists.add``, through the F_2 trace sums of
+``_equal_degree``, is reached in 1 of the 288 operations of four seed-1
+blocks of ``finite_fields``, and in none of the 576 of eight seed-11 blocks.
+
+``reach --check`` holds that list to ``tools/reach_allow.txt``, one line
+``module.qualname  # reason`` per function that stays unreached on purpose:
+printing, immutability guards, CLI usage-error paths, rare branches.  It
+exits 1, naming each, on an unreached function that the file does not list,
+and on a listed one that is reached, has no reason or no longer exists;
+else it exits 0.  Tier-1 runs it (``tests/test_tools.py``), so a function
+that nothing calls cannot be added unnoticed.
 
 ``retain``: the bytes that the outputs of one block of each benchmark
 workload (seed 11) keep alive per operation when every output is kept, as
@@ -63,6 +79,7 @@ Usage, from anywhere in the checkout::
     python tools/census.py            # every report but headroom
     python tools/census.py lines
     python tools/census.py reach
+    python tools/census.py reach --check
     python tools/census.py retain
     python tools/census.py cells
     python tools/census.py headroom [workload]
@@ -92,6 +109,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "indval"
+ALLOWLIST = ROOT / "tools" / "reach_allow.txt"
 _SKIP = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
 
 
@@ -141,14 +159,6 @@ def functions():
     return out
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.dont_write_bytecode = True
-    spec.loader.exec_module(module)
-    return module
-
-
 class _Calls:
     """The code objects called while the context is open."""
 
@@ -167,20 +177,42 @@ class _Calls:
         sys.setprofile(None)
 
 
-def report_reach() -> None:
-    sys.path.insert(0, str(SRC))
-    import indval as iv
-    import indval.cli  # noqa: F401  (the CLI workload and the goldens drive it)
+def _load_bench(name: str):
+    """bench/<name>.py, loaded from its file with no bytecode written."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.dont_write_bytecode = True
+    spec.loader.exec_module(module)
+    return module
 
-    wls = _load_workloads()
-    columns = {}
+
+def reach_columns():
+    """(names, columns): the qualified name of every function in the package,
+    and for each column of the reach report the set of those it reached."""
+    sys.path.insert(0, str(SRC))
+    with _Calls() as calls:
+        import indval as iv
+        import indval.cli  # noqa: F401  (the CLI workload and the goldens drive it)
+    columns = {"import": calls.codes}
+
+    wls = _load_bench("workloads")
+    checks = set()
     with tempfile.TemporaryDirectory() as tmp:
         for name, wl in wls.WORKLOADS.items():
             with _Calls() as calls, contextlib.redirect_stdout(io.StringIO()):
                 ctx = wl.setup(iv, tmp)
-                for spec in wl.generate(random.Random(11), 1):
-                    wl.run(iv, ctx, wl.prepare(iv, ctx, spec))
+                ops = [wl.prepare(iv, ctx, spec) for spec in wl.generate(random.Random(11), 1)]
+                outs = [wl.run(iv, ctx, op) for op in ops]
             columns[name] = calls.codes
+            for op, out in zip(ops, outs):
+                # reach records the calls an oracle makes, not its verdict:
+                # one that raises (no sympy, say) still counts what it called
+                with _Calls() as calls:
+                    try:
+                        wl.check(iv, ctx, op, out)
+                    except Exception:
+                        pass
+                checks |= calls.codes
         cli = wls.CliSession()
         ctx = cli.setup(iv, tmp)
         ops = [cli.prepare(iv, ctx, ("golden", name, tuple(argv))) for name, argv in wls.GOLDEN]
@@ -195,17 +227,65 @@ def report_reach() -> None:
 
     defs = functions()
     reached = {col: {defs.get((c.co_filename, c.co_firstlineno)) for c in codes} for col, codes in columns.items()}
-    names = sorted(set(defs.values()))
+    # the tracer of bench/layers.py looks up every boundary by name
+    boundaries = {f"{module}.{attr}" for module, attr, _name, _kind in _load_bench("layers").BOUNDARIES}
+    reached["bench"] = {defs.get((c.co_filename, c.co_firstlineno)) for c in checks} | boundaries
+    return sorted(set(defs.values())), reached
+
+
+def unreached(names, reached):
+    return [fn for fn in names if not any(fn in r for r in reached.values())]
+
+
+def report_reach() -> None:
+    names, reached = reach_columns()
     width = max(map(len, names))
-    print(f"{'function':<{width}}  " + "  ".join(columns))
+    print(f"{'function':<{width}}  " + "  ".join(reached))
     for fn in names:
-        marks = ("x" if fn in reached[col] else "." for col in columns)
-        print(f"{fn:<{width}}  " + "  ".join(f"{m:^{len(col)}}" for m, col in zip(marks, columns)))
-    unreached = [fn for fn in names if not any(fn in r for r in reached.values())]
+        marks = ("x" if fn in reached[col] else "." for col in reached)
+        print(f"{fn:<{width}}  " + "  ".join(f"{m:^{len(col)}}" for m, col in zip(marks, reached)))
+    missed = unreached(names, reached)
     print(
-        f"\n{len(unreached)} of {len(names)} functions not reached in one block (seed 11) of each "
-        "workload, the demos or the goldens: " + ", ".join(unreached)
+        f"\n{len(missed)} of {len(names)} functions not reached by the import, one block (seed 11) of each "
+        "workload, its checks and boundaries, the demos or the goldens: " + ", ".join(missed)
     )
+
+
+def read_allowlist(text: str):
+    """{name: reason} from the lines ``module.qualname  # reason`` of an
+    allowlist; blank lines and lines that open with ``#`` are skipped."""
+    allow = {}
+    for line in text.splitlines():
+        name, _, reason = line.partition("#")
+        if name.strip():
+            allow[name.strip()] = reason.strip()
+    return allow
+
+
+def reach_problems(names, missed, allow) -> list:
+    """What ``reach --check`` fails on: an unreached function that is not in
+    the allowlist, and an entry that is reached, gives no reason or names no
+    function."""
+    out = [f"unreached and not allowlisted: {fn}" for fn in missed if fn not in allow]
+    for fn, reason in allow.items():
+        if fn not in names:
+            out.append(f"allowlisted but no such function: {fn}")
+        elif fn not in missed:
+            out.append(f"allowlisted but reached: {fn}")
+        elif not reason:
+            out.append(f"allowlisted without a reason: {fn}")
+    return out
+
+
+def check_reach() -> int:
+    names, reached = reach_columns()
+    missed = unreached(names, reached)
+    problems = reach_problems(names, missed, read_allowlist(ALLOWLIST.read_text()))
+    for problem in problems:
+        print(problem)
+    if not problems:
+        print(f"{len(missed)} of {len(names)} functions unreached, each listed in {ALLOWLIST.relative_to(ROOT)}")
+    return 1 if problems else 0
 
 
 def _cell(wl, spec) -> tuple:
@@ -259,7 +339,7 @@ def report_retain() -> None:
     import indval as iv
     import indval.cli  # noqa: F401  (the CLI workload drives it)
 
-    wls = _load_workloads()
+    wls = _load_bench("workloads")
     # objects that cost nothing to keep: the interpreter's own constants
     constants = [None, True, False, (), "", *range(-5, 257), *map(chr, range(256))]
     print(f"{'workload':<15}{'part':<24}{'ops':>5}{'bytes/op':>10}")
@@ -297,7 +377,7 @@ def report_cells() -> None:
     sys.path.insert(0, str(SRC))
     import indval as iv
 
-    wls = _load_workloads()
+    wls = _load_bench("workloads")
     print(f"{'workload':<15}{'cell':<24}{'ops':>5}{'mean ms':>10}{'share':>8}  marks")
     with tempfile.TemporaryDirectory() as tmp:
         for name, blocks in CELL_BLOCKS.items():
@@ -389,6 +469,8 @@ def main(argv=None) -> int:
     if which[:1] == ["headroom"]:
         report_headroom(which[1:])
         return 0
+    if which == ["reach", "--check"]:
+        return check_reach()
     which = which or sorted(REPORTS)
     unknown = [r for r in which if r not in REPORTS]
     if unknown:
