@@ -754,6 +754,13 @@ def _val_linear(lin: _Linear, digits: Iterable[int], den: int) -> Tuple[Tuple[in
     valuation by a linear key over a rank-1 first member reads the key's
     digits.  The caller builds a Value of the coordinates where a result
     leaves the library.
+
+    The stop rules, level one and above: this loop on every level-one
+    reader; above level one, only ``residual._expand``, which skips a
+    coefficient whose MacLane lower bound (``_Level.floor``) lies strictly
+    above the least value so far when gamma_i > 0.  Chain values above
+    level one (``InductiveValuation._val``), ``expansion_report`` and
+    ``phi_expansion`` read every coefficient.
     """
     order, (P0, P1), (G0, G1), rank, _ = lin
     best, argmin = None, {}

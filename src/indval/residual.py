@@ -45,10 +45,21 @@ residue per argmin coefficient of the phi_i-expansion (the top coefficient's
 residue also normalizes the others), and each of those decomposes once at
 level i-1.  When every argmin set met on the way down is a singleton, a
 top-level decomposition makes exactly one call per level.  The expansion
-(``_expand``) comes first and values every coefficient through that
+(``_expand``) comes first and values a coefficient through that
 coefficient's own expansion one level down; the argmin coefficients keep
-theirs, and the decomposition below starts from it, so every (coefficient,
-level) pair is expanded once.
+theirs, and the decomposition below starts from it, so no (coefficient,
+level) pair is expanded twice.  Above level one a coefficient that cannot
+reach the minimum is not expanded at all.  By MacLane's mu_{i-1} >= mu_1
+(Trans. AMS 40, 1936) a non-zero polynomial a of degree < n_i has
+
+    mu_{i-1}(a) * D_i  >=  floor_i - v_p(den a) * D_i,
+    floor_i  =  D_i * min(-(n_i - 1) * k, (n_i - 1) * gamma_1),
+
+with k = max(0, -v_p(c)) for phi_1 = x - c: the right side bounds mu_1 of
+a written in powers of x - c, and floor_i is an integer, as D_i * gamma_1
+is one above level one.  So the coefficients are read in increasing s, and
+when g_i > 0 one whose bound lies strictly above the least value so far is
+skipped.
 """
 
 from __future__ import annotations
@@ -128,6 +139,10 @@ class _Level:
     e: int
     D: int  # the values of degree < n polynomials form (1/D)Z
     g: int  # gamma_i * D * e, from the level's own digit-table row
+    # mu_{i-1}(a) * D >= floor - v_p(den a) * D for every non-zero a of degree
+    # < n (module docstring); _expand skips a coefficient that this bounds
+    # strictly above the least value read so far
+    floor: int
     gammas_D: Tuple[int, ...]  # gamma_j * D for j < index
     digit_rows: Tuple[Tuple[int, int, int, int], ...]  # digit-table rows below
     u_exps: Tuple[int, ...]
@@ -212,6 +227,11 @@ def _make_level(nu_i: InductiveValuation, levels: Tuple[_Level, ...], psi: Optio
     # the canonical monomial of -e*gamma_i = -g/D_i
     u_exps = tuple(_digits_of(rows, -g))
     u_poly = nu_i.monomial_from_exps(u_exps)
+    gammas_D = tuple(g * (D // D_next) for _, D_next, g, _ in rows)
+    # k = max(0, -v_p(c)) for phi_1 = x - c is v_p(den phi_1), and
+    # gamma_1 * D = gammas_D[0] is an integer above level 1
+    k = nu_i.base.int_order(nu_i.steps[0].phi.den)
+    floor = (step.phi.degree - 1) * min(-k * D, gammas_D[0]) if rows else 0
     if i == 1:
         field = TowerField(nu_i.base.p)
         z_images: Tuple[TowerElem, ...] = ()
@@ -232,7 +252,8 @@ def _make_level(nu_i: InductiveValuation, levels: Tuple[_Level, ...], psi: Optio
         e=e,
         D=D,
         g=g,
-        gammas_D=tuple(g * (D // D_next) for _, D_next, g, _ in rows),
+        floor=floor,
+        gammas_D=gammas_D,
         digit_rows=rows,
         u_exps=u_exps,
         u_poly=u_poly,
@@ -371,14 +392,17 @@ def _hu_pow(levels, i: int, a, k: int):
 def _expand(levels: Sequence[_Level], i: int, f: Poly) -> _Expansion:
     """The level-i expansion of a non-zero f that :func:`_decompose` starts from.
 
-    Each coefficient is valued through its own expansion one level down, and
+    A coefficient is valued through its own expansion one level down, and
     the argmin coefficients keep theirs for the decomposition below, so a
-    decomposition expands every (coefficient, level) pair once.  Level 1
+    decomposition expands no (coefficient, level) pair twice.  Level 1
     reads the integer value (in units of 1/e_1) and the argmin digits of
     ``_val_linear`` on the lazy digits, which stops once no later monomial
     can reach the minimum; above it, a coefficient's value in units of
     1/D_i scales by e_i into units of 1/(D_i*e_i), where gamma_i is the
-    integer g.
+    integer g.  Above level 1 the coefficients f_s are read in increasing s,
+    and when g > 0 one whose lower bound (floor - v_p(den f_s)*D_i)*e_i +
+    s*g is strictly above the least value so far is not expanded: it cannot
+    reach the minimum, and a tie is expanded, so the argmin set stays whole.
     """
     top = levels[i - 1]
     if i == 1:
@@ -386,11 +410,18 @@ def _expand(levels: Sequence[_Level], i: int, f: Poly) -> _Expansion:
         (mu,), argmin = _val_linear(top.nu._lin, digits, den)
         return _Expansion(f, mu, {s: (d, den) for s, d in argmin.items()})
     coeffs = [f] if f.degree < top.n else phi_expansion(f, top.phi)
-    subs = {s: _expand(levels, i - 1, c) for s, c in enumerate(coeffs) if not c.is_zero}
-    e, g = top.e, top.g
-    vals = {s: sub.mu * e + s * g for s, sub in subs.items()}
-    mu = min(vals.values())
-    return _Expansion(f, mu, {s: subs[s] for s, w in vals.items() if w == mu})
+    e, g, order = top.e, top.g, top.nu.base.int_order
+    mu, argmin = None, {}
+    for s, c in enumerate(coeffs):
+        if c.is_zero or (g > 0 and mu is not None and (top.floor - order(c.den) * top.D) * e + s * g > mu):
+            continue
+        sub = _expand(levels, i - 1, c)
+        w = sub.mu * e + s * g
+        if mu is None or w < mu:
+            mu, argmin = w, {s: sub}
+        elif w == mu:
+            argmin[s] = sub
+    return _Expansion(f, mu, argmin)
 
 
 def _residue_small(levels: Sequence[_Level], i: int, a):

@@ -317,8 +317,8 @@ class TowerElem:
         return self.data == self.field._one
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
+        # no int coerces: over F_2 one element would equal both 1 and 3,
+        # which no hash agreeing with == could allow
         return (
             isinstance(other, TowerElem)
             and self.field == other.field

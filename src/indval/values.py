@@ -191,6 +191,10 @@ class Value:
         return a.coords == b.coords
 
     def __hash__(self):
+        # a rank-1 Value equals its coordinate as an int or Fraction, so it
+        # hashes as that coordinate
+        if self.coords is not None and len(self.coords) == 1:
+            return hash(self.coords[0])
         return hash(self.coords)
 
     def __lt__(self, other):

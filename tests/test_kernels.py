@@ -13,6 +13,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ import indval.residual as residual
 from indval.values import _value_of
 from indval import (
     DomainError,
+    IndvalError,
     Poly,
     Value,
     expansion_report,
@@ -382,6 +384,170 @@ def test_normalizer_unit_is_built_once_per_level(ladder, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The MacLane bound that lets _expand skip coefficients
+# ---------------------------------------------------------------------------
+
+
+def _lifted(nu, psi, gamma):
+    return iv.augment(nu, iv.lift_key(nu, psi), Fraction(gamma))
+
+
+@pytest.fixture(scope="module")
+def bound_chains(nu2, nu4, ladder, nu2_inf):
+    """Chains whose levels the bound must hold on, by name.  gamma_1 < 0 with
+    a root of negative order (x - 1/2 over v_2), a root of order -2 (x + 1/9
+    over v_3), gamma_1 = 0, each with lifted steps of value <= 0 (g_2 <= 0,
+    where nothing may be skipped) and > 0; the y+1 ladder; y^2+y+1 lifted
+    steps (nu4 and the gamma_1 = 0 chain); and a rank-2 top step."""
+    v2, v3 = iv.PadicValuation(2), iv.PadicValuation(3)
+    half = iv.validate_chain([("x - 1/2", Fraction(-1, 2))], v2)
+    ninth = iv.validate_chain([("x + 1/9", -2)], v3)
+    flat = _lifted(iv.validate_chain([("x", 0)], v2), "y^2+y+1", Fraction(1, 2))
+    chains = {
+        "half_neg": _lifted(half, "y+1", Fraction(-1, 2)),
+        "half_pos2": _lifted(half, "y+1", Fraction(5, 4)),
+        "half_pos3": _lifted(_lifted(half, "y+1", Fraction(5, 4)), "y+1", Fraction(17, 6)),
+        "ninth_neg": _lifted(ninth, "y^2+1", Fraction(-7, 2)),
+        "ninth_pos": _lifted(ninth, "y^2+1", Fraction(1, 2)),
+        "flat": _lifted(flat, "y+1", Fraction(3, 2)),
+        "nu2": nu2,
+        "nu4": nu4,
+        "ladder3": ladder[2],
+        "ladder5": ladder[-1],
+        "rank2": nu2_inf,
+    }
+    return chains
+
+
+def test_floor_on_negative_gamma_and_root(bound_chains):
+    """floor_i = D_i * (n_i - 1) * min(-k, gamma_1): on half_pos3 (k = 1,
+    gamma_1 = -1/2) 2 * 1 * (-1) at level 2 and 4 * 3 * (-1) at level 3; on
+    ninth_pos (k = 2, gamma_1 = -2) 1 * 1 * (-2).  half_neg has g_i = -1 on
+    both levels, so nothing is skipped there."""
+    assert [lv.floor for lv in bound_chains["half_pos3"]._levels] == [0, -2, -12]
+    assert [lv.floor for lv in bound_chains["ninth_pos"]._levels] == [0, -2]
+    assert [lv.g for lv in bound_chains["half_neg"]._levels] == [-1, -1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_floor_bounds_the_values_below_each_level(bound_chains, data):
+    """mu_{i-1}(a) * D_i >= floor_i - v_p(den a) * D_i for every a of degree
+    < n_i: MacLane's mu_{i-1} >= mu_1, and mu_1 of a Taylor-shifted a, in
+    units of 1/D_i.  The denominators drawn are divisible by p."""
+    nu = data.draw(st.sampled_from(sorted(bound_chains)).map(bound_chains.get))
+    if not nu._levels:
+        return
+    levels = nu._levels
+    i = data.draw(st.integers(1, len(levels)))
+    lv, p = levels[i - 1], nu.base.p
+    coeff = st.builds(
+        lambda m, b, t: Fraction(m, p**b * t), st.integers(-60, 60), st.integers(1, 4), st.sampled_from((1, 5, 7))
+    )
+    a = Poly(data.draw(st.lists(coeff, min_size=1, max_size=lv.n)))
+    if a.is_zero:
+        return
+    mu = nu.base.value(a.constant_value()) if i == 1 else levels[i - 2].nu(a)
+    assert mu.coords[0] * lv.D >= lv.floor - nu.base.int_order(a.den) * lv.D
+
+
+def full_read_expand(levels, i, f):
+    """The level-i expansion of f != 0 that values every coefficient: the
+    reference of ``residual._expand``, on the schoolbook expansion and, at
+    level 1, the Fraction values of ``ref_linear_report``."""
+    lv = levels[i - 1]
+    if i == 1:
+        digits, _, mu, indices = ref_linear_report(lv.nu, f)
+        return residual._Expansion(f, int(mu.coords[0] * lv.e), {s: (digits[s][0].numerator, digits[s][0].denominator) for s in indices})
+    coeffs = ref_expansion(trim(f.coeffs), list(lv.phi.coeffs))
+    subs = {s: full_read_expand(levels, i - 1, Poly(c)) for s, c in enumerate(coeffs) if c}
+    vals = {s: sub.mu * lv.e + s * lv.g for s, sub in subs.items()}
+    mu = min(vals.values())
+    return residual._Expansion(f, mu, {s: subs[s] for s, w in vals.items() if w == mu})
+
+
+def _residual_results(nu, f):
+    """decompose, residual_poly, residual_ideal, key_check of f made monic,
+    and graded_factorization of f, or the (type, message) of what each raised."""
+    chi = Poly([c / f.coeffs[-1] for c in f.coeffs])
+    ops = (iv.decompose, iv.residual_poly, iv.residual_ideal, iv.graded_factorization)
+    out = []
+    for op, g in [(op, f) for op in ops] + [(iv.key_check, chi)]:
+        try:
+            out.append(op(nu, g))
+        except IndvalError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _full_read_calls(levels, i, f):
+    """The _expand calls that a full read of f at level i makes."""
+    if i == 1:
+        return 1
+    coeffs = ref_expansion(trim(f.coeffs), list(levels[i - 1].phi.coeffs))
+    return 1 + sum(_full_read_calls(levels, i - 1, Poly(c)) for c in coeffs if c)
+
+
+def check_against_full_read(nu, f):
+    """The results of f on nu are those of a full read; when g_i <= 0 on every
+    level above the first, where nothing may be skipped, so are its calls."""
+    with mock.patch.object(residual, "_expand", full_read_expand):
+        want = _residual_results(nu, f)
+    assert _residual_results(nu, f) == want
+    if len(nu._levels) == nu.length and all(lv.g <= 0 for lv in nu._levels[1:]):
+        calls = []
+        inner = residual._expand
+
+        def counted(*args):
+            calls.append(args[1])
+            return inner(*args)
+
+        with mock.patch.object(residual, "_expand", counted):
+            iv.residual_poly(nu, f)
+        assert len(calls) == _full_read_calls(nu._levels, nu.length, f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_skipping_matches_a_full_read(bound_chains, data):
+    """f = sum c_s * phi_r^s with c_s of degree < n_r, whose coefficients
+    m * p^a (a in -2..2) make ties and values below 0 likely; a constant f is
+    multiplied by phi_r."""
+    nu = data.draw(st.sampled_from(sorted(bound_chains)).map(bound_chains.get))
+    p, phi, n = nu.base.p, nu.top.phi, nu.top_degree
+    m = st.one_of(st.just(0), st.integers(-4, 4).filter(bool))
+    coeff = st.builds(lambda m, a: m * Fraction(p) ** a, m, st.integers(-2, 2))
+    cs = data.draw(st.lists(st.lists(coeff, max_size=n), min_size=1, max_size=3))
+    f = sum((Poly(c) * phi**s for s, c in enumerate(cs)), Poly.zero())
+    if f.is_zero:
+        return
+    check_against_full_read(nu, f * phi if f.is_constant else f)
+
+
+@pytest.mark.parametrize(
+    "name, digits",
+    [
+        # x has value -2 < 0 below level 2: the floor -2, not 0, keeps it
+        ("ninth_pos", ["1", "x"]),
+        # 8 and phi^2 tie at 3: a bound equal to the least value so far is
+        # expanded, and s = 2 joins the argmin
+        ("nu2", ["8", "0", "1"]),
+        # g_2 = -1: the bound -3 of the digit 1 at s = 1 exceeds the value
+        # -4 of 1/4, and the digit is expanded all the same
+        ("half_neg", ["1/4", "1"]),
+    ],
+)
+def test_skipping_at_the_edges_of_the_rule(bound_chains, name, digits):
+    """f = sum digits[s] * phi_r^s, one for each scratch mutant of
+    ``_expand``: the floor 0 on every level, skipping on >= in place of >,
+    and skipping when g_i <= 0.  Each fails here.  The hypothesis test above
+    found the first in two of three runs and the last in every run; the
+    second already breaks the validation of the ladder fixture."""
+    nu = bound_chains[name]
+    check_against_full_read(nu, sum((Poly.parse(c) * nu.top.phi**s for s, c in enumerate(digits)), Poly.zero()))
+
+
+# ---------------------------------------------------------------------------
 # Work counts of expansions (counts, not timings)
 # ---------------------------------------------------------------------------
 
@@ -449,8 +615,10 @@ class TestWork:
         assert len(passes) == 48 and len(orders) == 49
 
     def test_decomposition_expands_each_coefficient_once(self, ladder, monkeypatch):
-        # The parent made 27 phi_expansion calls here, 16 of them distinct:
-        # every argmin coefficient was expanded again one level down.
+        # 27 phi_expansion calls, 16 of them distinct, when every argmin
+        # coefficient was expanded again one level down; 15 when every
+        # coefficient was expanded once; 4 now that a coefficient whose
+        # MacLane bound lies above the least value so far is not expanded.
         import indval.chains as chains
 
         nu = ladder[-1]
@@ -459,10 +627,13 @@ class TestWork:
         by_value = self._record(monkeypatch, chains, "phi_expansion")
         expansions = self._record(monkeypatch, residual, "phi_expansion")
         level_one = self._record(monkeypatch, residual, "_linear_digits")
+        expanded = self._record(monkeypatch, residual, "_expand")
         want = iv.decompose(nu, f)
         assert by_value == []
-        assert len(expansions) == 15 and level_one
+        assert len(expansions) == 4 and level_one
         assert len(set(expansions + level_one)) == len(expansions) + len(level_one)
+        # some coefficient of f is skipped: a full read makes more calls
+        assert len(expanded) < _full_read_calls(nu._levels, nu.length, f)
         monkeypatch.undo()
         assert iv.decompose(nu, f) == want
 

@@ -12,10 +12,13 @@ from indval import (
     DomainError,
     ParseError,
     ResourceError,
+    TowerField,
+    TowerPoly,
     Value,
     in_subgroup,
     is_commensurable,
     subgroup_index,
+    tower_extend,
 )
 from indval.values import MAX_PARSE_DIGITS
 
@@ -270,3 +273,39 @@ class TestParsePrint:
     def test_rejects_rank3(self):
         with pytest.raises(DomainError):
             Value((1, 2, 3))
+
+
+_F2, _F3 = TowerField(2), TowerField(3)
+_F4 = tower_extend(_F2, TowerPoly.parse(_F2, "y^2+y+1"))
+_hashables = st.one_of(
+    st.integers(-4, 4),
+    _small,
+    _finite,
+    st.just(INFINITY),
+    st.tuples(st.sampled_from([_F2, _F3, _F4]), st.integers(0, 3)).map(lambda fk: fk[0].from_index(fk[1] % fk[0].order)),
+    st.tuples(st.sampled_from([_F2, _F3, _F4]), st.integers(-4, 4)).map(lambda fn: fn[0].from_int(fn[1])),
+)
+
+
+class TestHashAgreesWithEquality:
+    """x == y implies hash(x) == hash(y), so sets and dicts agree with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hashables, _hashables)
+    def test_equal_objects_hash_alike(self, x, y):
+        try:
+            same = x == y
+        except DomainError:  # a rank-1 and a rank-2 Value do not compare
+            return
+        if same:
+            assert hash(x) == hash(y)
+            assert y in {x} and x in {y}
+
+    def test_ints_in_sets(self):
+        # a rank-1 Value is its coordinate; a field element is no int: over
+        # F_2 it would equal both 1 and 3
+        assert Value.of(2) == 2 and 2 in {Value.of(2)} and Value.of(2) in {2}
+        assert Value.of(Fraction(-1, 2)) in {Fraction(-1, 2)}
+        assert _F2.one() == _F2.from_int(3) and _F2.from_int(3) in {_F2.one()}
+        assert _F2.one() != 1 and 1 not in {_F2.one()}
+        assert _F4.zero() != 0 and Value.of((2, 0)) != INFINITY
