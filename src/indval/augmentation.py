@@ -89,13 +89,13 @@ class ContinuousChain:
         self,
         base: PadicValuation,
         family: Sequence[Step],
-        base_steps: Sequence[Step] = (),
-        members: Optional[List[InductiveValuation]] = None,
+        base_steps: Sequence[Step],
+        members: List[InductiveValuation],
     ):
         self.base = base
         self.base_steps = tuple(base_steps)
         self.family = tuple(family)
-        self.members = members or []
+        self.members = members
 
     @property
     def length(self) -> int:

@@ -49,9 +49,17 @@ class Step:
 
 
 def _with_digit_row(rows: Tuple[Tuple[int, int, int, int], ...], gamma: Value) -> Tuple[Tuple[int, int, int, int], ...]:
-    """The digit table (see :meth:`InductiveValuation._digit_table`) of a
-    chain whose steps below the top have the rows ``rows`` and whose top
-    step has the value gamma: one row more for a rank-1 gamma."""
+    """The digit table of a chain whose steps below the top have the rows
+    ``rows`` and whose top step has the value gamma: one row more for a
+    rank-1 gamma.  A chain holds its table as ``_digit_rows``.
+
+    The rows are (e_j, D_{j+1}, g_j, g_j^-1 mod e_j) for the rank-1 steps j.
+    The group below level j is (1/D_j)Z with D_1 = 1 (the group of v_p),
+    e_j is the denominator of gamma_j * D_j, D_{j+1} = D_j * e_j, and
+    g_j = gamma_j * D_{j+1} is an integer prime to e_j.  Each chain holds
+    its parent's rows plus the row of its top step; a rank-2 top step has
+    no row.
+    """
     if gamma.rank != 1:
         return rows
     q, D = gamma.coords[0], rows[-1][1] if rows else 1
@@ -188,30 +196,20 @@ class InductiveValuation:
 
     # -- canonical monomials -------------------------------------------------------
 
-    def _digit_table(self) -> Tuple[Tuple[int, int, int, int], ...]:
-        """Rows (e_j, D_{j+1}, g_j, g_j^-1 mod e_j) for the rank-1 steps j.
-
-        The group below level j is (1/D_j)Z with D_1 = 1 (the group of v_p),
-        e_j is the denominator of gamma_j * D_j, D_{j+1} = D_j * e_j, and
-        g_j = gamma_j * D_{j+1} is an integer prime to e_j.  Each chain
-        holds its parent's rows plus the row of its top step
-        (:func:`_with_digit_row`); a rank-2 top step has no row.
-        """
-        return self._digit_rows
-
     def digit_vector(self, beta: Value, level: Optional[int] = None) -> Tuple[int, ...]:
         """Exponents (c, m_1, ..., m_{i-1}) with beta = c*1 + sum m_j gamma_j.
 
         The digits satisfy 0 <= m_j < e_j; c is the free integer digit of
         v(p).  Every step below the top is rank 1, so the group below level i
         is (1/D_i)Z and each digit follows by modular arithmetic from the
-        chain's digit table: with B = beta' * D_{j+1}, m_j = B * g_j^-1 mod e_j,
-        and beta' - m_j*gamma_j lies in (1/D_j)Z.  beta is rank 1 or, in a
-        rank-2 chain, the chain's embedding (q, 0) of q.  Raises DomainError
-        when beta is not in the group.
+        chain's digit table (:func:`_with_digit_row`): with B = beta' *
+        D_{j+1}, m_j = B * g_j^-1 mod e_j, and beta' - m_j*gamma_j lies in
+        (1/D_j)Z.  beta is rank 1 or, in a rank-2 chain, the chain's
+        embedding (q, 0) of q.  Raises DomainError when beta is not in the
+        group.
         """
         i = self.length if level is None else level
-        rows = self._digit_table()[: i - 1]
+        rows = self._digit_rows[: i - 1]
         D = rows[-1][1] if rows else 1
         return tuple(_digits_of(rows, _group_units(beta, Value.of(beta).demote(), D, self.degrees[i - 1])))
 

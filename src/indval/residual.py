@@ -220,7 +220,7 @@ def attach_levels(nu: InductiveValuation) -> None:
 def _make_level(nu_i: InductiveValuation, levels: Tuple[_Level, ...], psi: Optional[TowerPoly]) -> _Level:
     """The level of nu_i's top step, on the levels below it."""
     i, step = nu_i.length, nu_i.top
-    table = nu_i._digit_table()
+    table = nu_i._digit_rows
     rows = table[: i - 1]
     e, _, g, _ = table[i - 1]
     D = rows[-1][1] if rows else 1
@@ -287,24 +287,24 @@ def residual_data(nu: InductiveValuation) -> ResidualData:
 
 
 def _public_unit(levels: Sequence[_Level], i: int, u) -> HomogeneousUnit:
-    """The HomogeneousUnit of an integer unit at level i."""
+    """The HomogeneousUnit of the integer unit u = (B, data) at level i: value
+    B/D_i and residue data.  Each call builds a new unit; its Value comes from
+    :func:`_value_of`, so equal units share one Value.  The units themselves
+    are not cached: a cache of them saves 4 bytes per ``keys_ladder``
+    benchmark operation (206 -> 202, ``python tools/census.py retain``) and
+    nothing on the other workloads."""
     top = levels[i - 1]
-    return _shared_unit(top.field, top.D, *u)
-
-
-@lru_cache(maxsize=4096)
-def _shared_unit(field: TowerField, D: int, B: int, data) -> HomogeneousUnit:
-    """The unit of value B/D and residue data; equal units share one immutable
-    object (and its Value the chains' cached one) while it stays in the
-    bounded cache."""
-    return HomogeneousUnit(_value_of((B,), D), TowerElem(field, data))
+    B, data = u
+    return HomogeneousUnit(_value_of((B,), top.D), TowerElem(top.field, data))
 
 
 @lru_cache(maxsize=256)
 def _shared_one(field: TowerField) -> TowerPoly:
     """The residual polynomial 1 over field: the levels of equal fields share
     one object while it stays in the bounded cache, and so do the equal
-    decompositions that :func:`_interned` hands to different chains."""
+    decompositions that :func:`_interned` hands to different chains.  It
+    saves 23 bytes per ``keys_ladder`` benchmark operation (225 -> 202, the
+    bytes its outputs keep: ``python tools/census.py retain``)."""
     return TowerPoly.one(field)
 
 
@@ -312,7 +312,9 @@ def _shared_one(field: TowerField) -> TowerPoly:
 def _interned(result):
     """The first of equal immutable results (decompositions, key checks,
     factorizations) still in the bounded cache, so that results kept by a
-    caller share one object per distinct value."""
+    caller share one object per distinct value.  It saves 83 bytes per
+    ``keys_ladder`` benchmark operation (285 -> 202, the bytes its outputs
+    keep: ``python tools/census.py retain``)."""
     return result
 
 

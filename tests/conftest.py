@@ -53,7 +53,7 @@ def ram3(v2):
     """[(x, 2/3), (x^3+4, 7/3)] over p=2: e_1 = 3, so g_1^-1 mod e_1 = 2 in
     the digit table, the one fixture whose inverse column is not 1."""
     nu = iv.validate_chain([("x", Fraction(2, 3)), ("x^3+4", Fraction(7, 3))], v2)
-    assert nu._digit_table() == ((3, 3, 2, 2), (1, 3, 7, 0))
+    assert nu._digit_rows == ((3, 3, 2, 2), (1, 3, 7, 0))
     return nu
 
 

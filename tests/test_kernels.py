@@ -126,7 +126,7 @@ def test_digit_table_on_fixture_chains(request, name):
 
 
 def test_digit_table_rows(nu8):
-    rows = nu8._digit_table()
+    rows = nu8._digit_rows
     gammas = [st_.gamma for st_ in nu8.steps]
     assert [e for e, _, _, _ in rows] == [subgroup_index(gammas[j - 1], gens_below(nu8, j)) for j in range(1, 4)] == [2, 2, 3]
     for j, (e, D, g, inv) in enumerate(rows, 1):
@@ -728,7 +728,7 @@ def group_chains(nu1, nu2, nu4, nu8, nu_inf, nu2_inf, ladder):
 @pytest.mark.parametrize("name", GROUP_CHAINS)
 def test_group_data_matches_the_lattice_search(group_chains, name):
     nu = group_chains[name]
-    rows = nu._digit_table()
+    rows = nu._digit_rows
     for i in range(1, nu.length + 1):
         gamma, gens = nu.steps[i - 1].gamma.embed(nu.rank, major=True), gens_below(nu, i)
         assert nu.commensurable_at(i) == is_commensurable(gamma, gens)

@@ -99,3 +99,35 @@ def test_headroom_fits_a_line_through_two_runs():
     assert (round(base, 6), round(per_op), round(ops)) == (29.9, 1049, 2475)
     assert math.isclose(mb, 29.9 + 2.475) and math.isclose(k, 1 + 0.1 * mb / 2.475)
     assert census.headroom([(100, 1.0, 30.0), (900, 8.0, 30.0)], 0.1)[-1] == math.inf
+
+
+# ``census.py retain`` in a fresh interpreter whose result interning is
+# bypassed; keys imports _interned by name, so both modules are patched
+_RETAIN_UNINTERNED = """\
+import runpy, sys
+census, src = sys.argv[1:]
+sys.path.insert(0, src)
+import indval.keys, indval.residual
+for module in (indval.residual, indval.keys):
+    module._interned = lambda result: result
+sys.argv = [census, "retain"]
+runpy.run_path(census, run_name="__main__")
+"""
+
+
+def _retained(lines):
+    """{workload: bytes per operation} from the ``all`` rows of ``retain``."""
+    rows = [line.split() for line in lines[1:] if line.strip()]
+    return {row[0]: int(row[-1]) for row in rows if row[1] == "all"}
+
+
+def test_retain_reports_every_workload_and_sees_a_cache():
+    kept = _retained(_census("retain"))
+    assert sorted(kept) == ["cli_session", "finite_fields", "keys_ladder", "valuation"]
+    assert all(b > 0 for b in kept.values())
+    # without the interning of results, equal decompositions and key checks
+    # are separate objects, and a keys_ladder operation keeps more
+    proc = subprocess.run([sys.executable, "-c", _RETAIN_UNINTERNED, CENSUS, os.path.join(ROOT, "src")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _retained(proc.stdout.splitlines())["keys_ladder"] > kept["keys_ladder"]

@@ -70,6 +70,12 @@ def F9(F3):
     return tower_extend(F3, TowerPoly.parse(F3, "y^2+1"))
 
 
+@pytest.fixture(scope="module")
+def F81(F9):
+    # height 2 in odd characteristic, where + and - of the reduction differ
+    return tower_extend(F9, TowerPoly.parse(F9, "y^2+[1,1]"))
+
+
 def _random_monic(F, d, rng):
     return TowerPoly(F, [F.from_index(rng.randrange(F.order)) for _ in range(d)] + [F.one()])
 
@@ -134,15 +140,17 @@ class TestArith:
         with pytest.raises(DomainError):
             F4._inv(F4._zero)
 
-    @pytest.mark.parametrize("order_seed", [(4, 21), (9, 22), (8, 23), (16, 24), (256, 25)])
+    @pytest.mark.parametrize("order_seed", [(4, 21), (9, 22), (8, 23), (16, 24), (256, 25), (81, 26)])
     def test_field_axioms_random(self, order_seed):
         order, seed = order_seed
         F2, F3 = TowerField(2), TowerField(3)
         F4 = tower_extend(F2, TowerPoly.parse(F2, "y^2+y+1"))
         if order == 4:
             F = F4
-        elif order == 9:
+        elif order in (9, 81):
             F = tower_extend(F3, TowerPoly.parse(F3, "y^2+1"))
+            if order == 81:  # height 2 in odd characteristic: F_9[y]/(y^2 + z + 1)
+                F = tower_extend(F, TowerPoly.parse(F, "y^2+[1,1]"))
         elif order == 8:
             F = tower_extend(F2, TowerPoly.parse(F2, "y^3+y+1"))
         else:
@@ -934,8 +942,8 @@ class TestInverseTable:
     def _fresh(F):
         return TowerField(F.p, F.moduli)  # equal to F, with an empty table
 
-    def test_every_unit_cold_and_warm(self, F4, F9, F16):
-        for F in (F4, F9, F16):
+    def test_every_unit_cold_and_warm(self, F4, F9, F16, F81):
+        for F in (F4, F9, F16, F81):
             F = self._fresh(F)
             units = [F._from_index(i) for i in range(1, F.order)]
             for _ in range(2):

@@ -47,7 +47,7 @@ def assert_values_in_group(nu, rng, samples=12):
     """nu(f) lies in (1/D_r)Z for random f of degree < deg(phi_r), and the
     lattice search agrees that it lies in the group below the top step."""
     n, r = nu.top_degree, nu.length
-    rows = nu._digit_table()[: r - 1]
+    rows = nu._digit_rows[: r - 1]
     D = rows[-1][1] if rows else 1
     gens = gens_below(nu, r)
     for _ in range(samples):
